@@ -21,7 +21,7 @@ from .errors import (
     PreconditionViolation,
     Unsupported,
 )
-from .ring import AbelianGroup, FiniteRing, GroupElement, RingElement, build_zmod, group_decompose_cyclic
+from .ring import AbelianGroup, FiniteRing, GroupElement, RingElement, cached_zmod, group_decompose_cyclic
 from .structure import ChainData, chain_data, decompose_local, default_order
 
 
@@ -42,281 +42,228 @@ def _sort_key(x):
     return str(x)
 
 
-class LinSystem:
-    """A·x = b over a finite ring, with opaque row/column ids."""
+class _System:
+    """What every system kind shares: ids, right-hand side, evaluation, text.
 
-    def __init__(self, ring: FiniteRing, rows: Sequence, cols: Sequence,
-                 entries: Mapping, b: Mapping):
+    Row and column ids are deduplicated lists; coefficients and right-hand
+    sides are stored sparsely, zeros dropped.  Subclasses supply the header
+    ``keyword``, coefficient coercion, the per-row left-hand side and the
+    term text.
+    """
+
+    keyword: str
+
+    def __init__(self, carrier, rows: Sequence, cols: Sequence, b: Mapping):
         if not rows or not cols:
             raise InvalidParameter("row and column id sets must be non-empty")
-        self.ring = ring
+        self.carrier = carrier
         self.rows = list(dict.fromkeys(rows))
         self.cols = list(dict.fromkeys(cols))
-        row_set, col_set = set(self.rows), set(self.cols)
-        self.entries: dict = {}
-        zero = ring.zero.index
-        for (i, j), v in entries.items():
-            if i not in row_set or j not in col_set:
-                raise InvalidParameter(f"entry ({i!r},{j!r}) outside the index sets")
-            idx = _norm_idx(v, ring)
-            if idx != zero:
-                self.entries[(i, j)] = idx
+        self._zero = carrier.zero.index if isinstance(carrier, FiniteRing) else carrier.identity.index
+        row_set = set(self.rows)
         self.b: dict = {}
         for i, v in b.items():
             if i not in row_set:
                 raise InvalidParameter(f"rhs for unknown row {i!r}")
-            idx = _norm_idx(v, ring)
-            if idx != zero:
+            idx = _norm_idx(v, carrier)
+            if idx != self._zero:
                 self.b[i] = idx
 
-    def entry_idx(self, i, j) -> int:
-        return self.entries.get((i, j), self.ring.zero.index)
+    def _coefficients(self, mapping: Mapping, zero, transposed: bool = False) -> dict:
+        """Validated copy of {(row, col): value}, keyed (col, row) if ``transposed``."""
+        row_set, col_set = set(self.rows), set(self.cols)
+        coerce = self._coerce
+        out: dict = {}
+        for key, v in mapping.items():
+            i, j = key
+            if transposed:
+                i, j = j, i
+            if i not in row_set or j not in col_set:
+                raise InvalidParameter(f"entry ({i!r},{j!r}) outside the index sets")
+            c = coerce(v)
+            if c != zero:
+                out[key] = c
+        return out
 
-    def entry(self, i, j) -> RingElement:
-        return self.ring.element(self.entry_idx(i, j))
+    def _coerce(self, value) -> int:
+        """A coefficient as stored: an element index of the carrier."""
+        return _norm_idx(value, self.carrier)
+
+    def _values(self, assignment: Mapping) -> dict:
+        """Variable values as carrier element indices."""
+        carrier = self.carrier
+        return {j: _norm_idx(assignment[j], carrier) for j in self.cols}
 
     def rhs_idx(self, i) -> int:
-        return self.b.get(i, self.ring.zero.index)
+        return self.b.get(i, self._zero)
 
-    def rhs(self, i) -> RingElement:
-        return self.ring.element(self.rhs_idx(i))
+    def rhs(self, i):
+        return self.carrier.element(self.rhs_idx(i))
 
     def eval(self, assignment: Mapping) -> bool:
-        ring = self.ring
-        missing = set(self.cols) - set(assignment)
+        missing = [j for j in self.cols if j not in assignment]
         if missing:
             raise InvalidParameter(f"assignment misses variables {sorted(missing, key=_sort_key)}")
-        values = {j: _norm_idx(assignment[j], ring) for j in self.cols}
+        values = self._values(assignment)
+        lhs, b, zero = self._lhs, self.b, self._zero
         for i in self.rows:
-            acc = ring.zero.index
-            for j in self.cols:
-                c = self.entries.get((i, j))
-                if c is not None:
-                    acc = ring.add_idx(acc, ring.mul_idx(c, values[j]))
-            if acc != self.rhs_idx(i):
+            if lhs(i, values) != b.get(i, zero):
                 return False
         return True
 
-    def canonical_text(self) -> str:
-        ring = self.ring
-        lines = [f"ring {ring.spec}"]
+    def _terms(self, i, cols: list, col_name) -> list[str]:
+        text, entries = self._coefficient_text, self.entries
+        return [f"{text(entries[(i, j)])}*{col_name(j)}" for j in cols if (i, j) in entries]
+
+    def _coefficient_text(self, c) -> str:
+        return self.carrier.format_element(c)
+
+    def eq_lines(self, row_name=str, col_name=str) -> list[str]:
+        """One ``eq`` line per row, rows and columns sorted by their string
+        form and named through ``row_name``/``col_name``."""
+        fmt = self.carrier.format_element
+        cols = sorted(self.cols, key=_sort_key)
+        lines = []
         for i in sorted(self.rows, key=_sort_key):
-            terms = [
-                f"{ring.format_element(self.entries[(i, j)])}*{j}"
-                for j in sorted(self.cols, key=_sort_key)
-                if (i, j) in self.entries
-            ]
+            terms = self._terms(i, cols, col_name)
             lhs = " + ".join(terms) if terms else "0"
-            lines.append(f"eq {i}: {lhs} = {ring.format_element(self.rhs_idx(i))}")
-        return "\n".join(lines)
+            lines.append(f"eq {row_name(i)}: {lhs} = {fmt(self.rhs_idx(i))}")
+        return lines
+
+    def canonical_text(self) -> str:
+        return "\n".join([f"{self.keyword} {self.carrier.spec}", *self.eq_lines()])
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
     def __repr__(self):
-        return f"LinSystem({self.ring.spec}, {len(self.rows)}x{len(self.cols)})"
+        return f"{type(self).__name__}({self.carrier.spec}, {len(self.rows)}x{len(self.cols)})"
 
 
-class GroupSystem:
+class LinSystem(_System):
+    """A·x = b over a finite ring, with opaque row/column ids."""
+
+    keyword = "ring"
+
+    def __init__(self, ring: FiniteRing, rows: Sequence, cols: Sequence,
+                 entries: Mapping, b: Mapping):
+        super().__init__(ring, rows, cols, b)
+        self.ring = ring
+        self.entries = self._coefficients(entries, self._zero)
+
+    def entry_idx(self, i, j) -> int:
+        return self.entries.get((i, j), self._zero)
+
+    def entry(self, i, j) -> RingElement:
+        return self.ring.element(self.entry_idx(i, j))
+
+    def _lhs(self, i, values) -> int:
+        add, mul, entries = self.ring.add_idx, self.ring.mul_idx, self.entries
+        acc = self._zero
+        for j in self.cols:
+            c = entries.get((i, j))
+            if c is not None:
+                acc = add(acc, mul(c, values[j]))
+        return acc
+
+
+class GroupSystem(_System):
     """A·x = b over an abelian group: integer coefficients, group-valued variables.
 
     The normal form has 0/1 coefficients; arbitrary non-negative integers are
     accepted and treated as repeated summands.
     """
 
+    keyword = "group"
+
     def __init__(self, group: AbelianGroup, rows: Sequence, cols: Sequence,
                  entries: Mapping, b: Mapping):
-        if not rows or not cols:
-            raise InvalidParameter("row and column id sets must be non-empty")
+        super().__init__(group, rows, cols, b)
         self.group = group
-        self.rows = list(dict.fromkeys(rows))
-        self.cols = list(dict.fromkeys(cols))
-        self.entries: dict = {}
-        for (i, j), c in entries.items():
-            if not isinstance(c, int) or c < 0:
-                raise InvalidParameter("group-system coefficients are non-negative integers")
-            if c != 0:
-                self.entries[(i, j)] = c
-        self.b: dict = {}
-        for i, v in b.items():
-            idx = _norm_idx(v, group)
-            if idx != group.identity.index:
-                self.b[i] = idx
+        self.entries = self._coefficients(entries, 0)
 
-    def rhs_idx(self, i) -> int:
-        return self.b.get(i, self.group.identity.index)
+    def _coerce(self, value) -> int:
+        if not isinstance(value, int) or value < 0:
+            raise InvalidParameter("group-system coefficients are non-negative integers")
+        return value
 
-    def eval(self, assignment: Mapping) -> bool:
-        g = self.group
-        missing = set(self.cols) - set(assignment)
-        if missing:
-            raise InvalidParameter(f"assignment misses variables {sorted(missing, key=_sort_key)}")
-        values = {j: _norm_idx(assignment[j], g) for j in self.cols}
-        for i in self.rows:
-            acc = g.identity.index
-            for j in self.cols:
-                c = self.entries.get((i, j))
-                if c:
-                    acc = g.add_idx(acc, g.scalar_idx(c, values[j]))
-            if acc != self.rhs_idx(i):
-                return False
-        return True
+    def _coefficient_text(self, c) -> str:
+        return str(c)
 
-    def canonical_text(self) -> str:
-        g = self.group
-        lines = [f"group {g.spec}"]
-        for i in sorted(self.rows, key=_sort_key):
-            terms = [
-                f"{self.entries[(i, j)]}*{j}"
-                for j in sorted(self.cols, key=_sort_key)
-                if (i, j) in self.entries
-            ]
-            lhs = " + ".join(terms) if terms else "0"
-            lines.append(f"eq {i}: {lhs} = {g.format_element(self.rhs_idx(i))}")
-        return "\n".join(lines)
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
-
-    def __repr__(self):
-        return f"GroupSystem({self.group.spec}, {len(self.rows)}x{len(self.cols)})"
+    def _lhs(self, i, values) -> int:
+        add, scalar, entries = self.group.add_idx, self.group.scalar_idx, self.entries
+        acc = self._zero
+        for j in self.cols:
+            c = entries.get((i, j))
+            if c:
+                acc = add(acc, scalar(c, values[j]))
+        return acc
 
 
-class TwoSidedSystem:
+class TwoSidedSystem(_System):
     """A_l·x + (x^t·A_r)^t = b over a possibly non-commutative ring."""
+
+    keyword = "twosided"
 
     def __init__(self, ring: FiniteRing, rows: Sequence, cols: Sequence,
                  left: Mapping, right: Mapping, b: Mapping):
-        if not rows or not cols:
-            raise InvalidParameter("row and column id sets must be non-empty")
+        super().__init__(ring, rows, cols, b)
         self.ring = ring
-        self.rows = list(dict.fromkeys(rows))
-        self.cols = list(dict.fromkeys(cols))
-        zero = ring.zero.index
-        self.left: dict = {}
-        for (i, j), v in left.items():
-            idx = _norm_idx(v, ring)
-            if idx != zero:
-                self.left[(i, j)] = idx
-        self.right: dict = {}
-        for (j, i), v in right.items():
-            idx = _norm_idx(v, ring)
-            if idx != zero:
-                self.right[(j, i)] = idx
-        self.b: dict = {}
-        for i, v in b.items():
-            idx = _norm_idx(v, ring)
-            if idx != zero:
-                self.b[i] = idx
+        self.left = self._coefficients(left, self._zero)
+        self.right = self._coefficients(right, self._zero, transposed=True)
 
-    def rhs_idx(self, i) -> int:
-        return self.b.get(i, self.ring.zero.index)
+    def _lhs(self, i, values) -> int:
+        add, mul, left, right = self.ring.add_idx, self.ring.mul_idx, self.left, self.right
+        acc = self._zero
+        for j in self.cols:
+            c = left.get((i, j))
+            if c is not None:
+                acc = add(acc, mul(c, values[j]))
+            c = right.get((j, i))
+            if c is not None:
+                acc = add(acc, mul(values[j], c))
+        return acc
 
-    def eval(self, assignment: Mapping) -> bool:
-        ring = self.ring
-        missing = set(self.cols) - set(assignment)
-        if missing:
-            raise InvalidParameter(f"assignment misses variables {sorted(missing, key=_sort_key)}")
-        values = {j: _norm_idx(assignment[j], ring) for j in self.cols}
-        for i in self.rows:
-            acc = ring.zero.index
-            for j in self.cols:
-                c = self.left.get((i, j))
-                if c is not None:
-                    acc = ring.add_idx(acc, ring.mul_idx(c, values[j]))
-                c = self.right.get((j, i))
-                if c is not None:
-                    acc = ring.add_idx(acc, ring.mul_idx(values[j], c))
-            if acc != self.rhs_idx(i):
-                return False
-        return True
-
-    def canonical_text(self) -> str:
-        ring = self.ring
-        lines = [f"twosided {ring.spec}"]
-        for i in sorted(self.rows, key=_sort_key):
-            terms = []
-            for j in sorted(self.cols, key=_sort_key):
-                if (i, j) in self.left:
-                    terms.append(f"{ring.format_element(self.left[(i, j)])}*{j}")
-                if (j, i) in self.right:
-                    terms.append(f"{j}*{ring.format_element(self.right[(j, i)])}")
-            lhs = " + ".join(terms) if terms else "0"
-            lines.append(f"eq {i}: {lhs} = {ring.format_element(self.rhs_idx(i))}")
-        return "\n".join(lines)
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
-
-    def __repr__(self):
-        return f"TwoSidedSystem({self.ring.spec}, {len(self.rows)}x{len(self.cols)})"
+    def _terms(self, i, cols: list, col_name) -> list[str]:
+        fmt = self.ring.format_element
+        terms = []
+        for j in cols:
+            if (i, j) in self.left:
+                terms.append(f"{fmt(self.left[(i, j)])}*{col_name(j)}")
+            if (j, i) in self.right:
+                terms.append(f"{col_name(j)}*{fmt(self.right[(j, i)])}")
+        return terms
 
 
-class NumericalSystem:
+class NumericalSystem(_System):
     """sum_j x_j·A(i,j) = b(i) with group-element coefficients and integer variables.
 
     This is the carrier produced by the two-sided reduction: variables take
     integer values acting on the additive group (R,+) as a Z-module.
     """
 
+    keyword = "numerical"
+
     def __init__(self, group: AbelianGroup, rows: Sequence, cols: Sequence,
                  entries: Mapping, b: Mapping):
-        if not rows or not cols:
-            raise InvalidParameter("row and column id sets must be non-empty")
+        super().__init__(group, rows, cols, b)
         self.group = group
-        self.rows = list(dict.fromkeys(rows))
-        self.cols = list(dict.fromkeys(cols))
-        e = group.identity.index
-        self.entries: dict = {}
-        for (i, j), v in entries.items():
-            idx = _norm_idx(v, group)
-            if idx != e:
-                self.entries[(i, j)] = idx
-        self.b: dict = {}
-        for i, v in b.items():
-            idx = _norm_idx(v, group)
-            if idx != e:
-                self.b[i] = idx
+        self.entries = self._coefficients(entries, self._zero)
 
-    def rhs_idx(self, i) -> int:
-        return self.b.get(i, self.group.identity.index)
-
-    def eval(self, assignment: Mapping) -> bool:
-        g = self.group
-        missing = set(self.cols) - set(assignment)
-        if missing:
-            raise InvalidParameter(f"assignment misses variables {sorted(missing, key=_sort_key)}")
+    def _values(self, assignment: Mapping) -> dict:
         for j in self.cols:
             if not isinstance(assignment[j], int):
                 raise InvalidParameter("numerical-system assignments are integers")
-        for i in self.rows:
-            acc = g.identity.index
-            for j in self.cols:
-                a = self.entries.get((i, j))
-                if a is not None:
-                    acc = g.add_idx(acc, g.scalar_idx(assignment[j], a))
-            if acc != self.rhs_idx(i):
-                return False
-        return True
+        return assignment
 
-    def canonical_text(self) -> str:
-        g = self.group
-        lines = [f"numerical {g.spec}"]
-        for i in sorted(self.rows, key=_sort_key):
-            terms = [
-                f"{g.format_element(self.entries[(i, j)])}*{j}"
-                for j in sorted(self.cols, key=_sort_key)
-                if (i, j) in self.entries
-            ]
-            lhs = " + ".join(terms) if terms else "0"
-            lines.append(f"eq {i}: {lhs} = {g.format_element(self.rhs_idx(i))}")
-        return "\n".join(lines)
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
-
-    def __repr__(self):
-        return f"NumericalSystem({self.group.spec}, {len(self.rows)}x{len(self.cols)})"
+    def _lhs(self, i, values) -> int:
+        add, scalar, entries = self.group.add_idx, self.group.scalar_idx, self.entries
+        acc = self._zero
+        for j in self.cols:
+            a = entries.get((i, j))
+            if a is not None:
+                acc = add(acc, scalar(values[j], a))
+        return acc
 
 
 def eval_system(system, assignment: Mapping) -> bool:
@@ -597,67 +544,55 @@ def solve_commutative(system: LinSystem) -> Certificate:
     return Certificate("SOLVABLE", assignment=assignment)
 
 
-@dataclass
-class _CongruenceFailure:
-    prime: int
-    system: LinSystem
-    witness_rows: dict
+def _lift_prime_part(rows: list[tuple[object, int, dict, int]], p: int) -> LinSystem | None:
+    """The rows whose modulus p divides, lifted to one chain system over Z/p^cap.
+
+    A row mod p^a is multiplied by p^(cap-a); None when p divides no modulus.
+    """
+    p_rows = [(rid, _pval(m, p), coeffs, rhs) for rid, m, coeffs, rhs in rows if m % p == 0]
+    if not p_rows:
+        return None
+    cap = max(a for _, a, _, _ in p_rows)
+    ring = cached_zmod(p**cap)
+    entries, b, cols = {}, {}, {}
+    for rid, a, coeffs, rhs in p_rows:
+        lift = p ** (cap - a)
+        for var, c in coeffs.items():
+            cols[var] = True
+            c_lift = (c * lift) % ring.size
+            if c_lift:
+                entries[(rid, var)] = c_lift
+        r_lift = (rhs * lift) % ring.size
+        if r_lift:
+            b[rid] = r_lift
+    if not cols:
+        # rows constrain no variable; keep a placeholder column
+        cols[("free", p)] = True
+    return LinSystem(ring, [rid for rid, _, _, _ in p_rows], list(cols), entries, b)
 
 
-def _zmod_cached(m: int) -> FiniteRing:
-    if not hasattr(_zmod_cached, "_registry"):
-        _zmod_cached._registry = {}
-    reg = _zmod_cached._registry
-    if m not in reg:
-        reg[m] = build_zmod(m)
-    return reg[m]
-
-
-def _solve_congruences(rows: list[tuple[object, int, dict, int]]):
+def _solve_congruences(rows: list[tuple[object, int, dict, int]]) -> dict | Certificate:
     """Solve sum(c·x) = rhs (mod m_row) over the integers, row by row moduli.
 
-    Returns (assignment var -> int, combined modulus) or a _CongruenceFailure
-    naming the prime whose lifted chain system is unsolvable.
+    Returns the assignment var -> int, or the UNSOLVABLE certificate of the
+    first prime whose lifted chain system is unsolvable.
     """
     primes = sorted({p for _, m, _, _ in rows for p in _prime_factors(m)})
     assignment: dict = {}
-    moduli: dict = {}
     for p in primes:
-        p_rows = [(rid, _pval(m, p), coeffs, rhs) for rid, m, coeffs, rhs in rows if m % p == 0]
-        cap = max(a for _, a, _, _ in p_rows)
-        ring = _zmod_cached(p**cap)
-        entries = {}
-        b = {}
-        cols: dict = {}
-        for rid, a, coeffs, rhs in p_rows:
-            lift = p ** (cap - a)
-            for var, c in coeffs.items():
-                cols[var] = True
-                c_lift = (c * lift) % ring.size
-                if c_lift:
-                    entries[(rid, var)] = c_lift
-            r_lift = (rhs * lift) % ring.size
-            if r_lift:
-                b[rid] = r_lift
-        if not cols:
-            # rows constrain no variable; keep a placeholder column
-            cols[("free", p)] = True
-        chain_sys = LinSystem(ring, [rid for rid, _, _, _ in p_rows], list(cols), entries, b)
+        chain_sys = _lift_prime_part(rows, p)
         cert = solve_chain(chain_sys)
         if not cert.solvable:
-            return _CongruenceFailure(
-                prime=p,
-                system=chain_sys,
-                witness_rows=cert.witness.rows,
+            witness = UnsolvableWitness(
+                summand=f"p={p}",
+                chain_spec=chain_sys.ring.spec,
+                digest=chain_sys.digest(),
+                rows=cert.witness.rows,
             )
+            return Certificate("UNSOLVABLE", witness=witness, reduced=chain_sys)
         for var, elem in cert.assignment.items():
-            assignment.setdefault(var, {})[p**cap] = elem.index
-        moduli[p] = p**cap
-    combined_mod = math.prod(moduli.values()) if moduli else 1
-    out: dict = {}
-    for var, residues in assignment.items():
-        out[var] = _crt(residues)
-    return out, combined_mod
+            assignment.setdefault(var, {})[chain_sys.ring.size] = elem.index
+    return {var: _crt(residues) for var, residues in assignment.items()}
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -685,20 +620,23 @@ def _pval(m: int, p: int) -> int:
 def _crt(residues: dict[int, int]) -> int:
     x, mod = 0, 1
     for m, r in sorted(residues.items()):
-        g = math.gcd(mod, m)
-        assert g == 1
+        if math.gcd(mod, m) != 1:
+            raise InternalError(f"CRT moduli {mod} and {m} are not coprime")
         inv = pow(mod, -1, m)
         x = x + mod * ((r - x) * inv % m)
         mod *= m
     return x % mod
 
 
-def _group_congruence_rows(system: GroupSystem):
-    """Split a group system along the invariant-factor decomposition."""
-    group = system.group
+def _cyclic_decomposition(group: AbelianGroup):
     if "cyclicdecomp" not in group._cache:
         group._cache["cyclicdecomp"] = group_decompose_cyclic(group)
-    decomp = group._cache["cyclicdecomp"]
+    return group._cache["cyclicdecomp"]
+
+
+def _group_congruence_rows(system: GroupSystem):
+    """Split a group system along the invariant-factor decomposition."""
+    decomp = _cyclic_decomposition(system.group)
     rows = []
     for i in system.rows:
         b_coords = decomp.coords_of(system.rhs_idx(i))
@@ -721,16 +659,9 @@ def solve_group(system: GroupSystem) -> Certificate:
     if not rows:
         assignment = {j: group.identity for j in system.cols}
         return Certificate("SOLVABLE", assignment=assignment)
-    result = _solve_congruences(rows)
-    if isinstance(result, _CongruenceFailure):
-        witness = UnsolvableWitness(
-            summand=f"p={result.prime}",
-            chain_spec=result.system.ring.spec,
-            digest=result.system.digest(),
-            rows=result.witness_rows,
-        )
-        return Certificate("UNSOLVABLE", witness=witness, reduced=result.system)
-    values, _ = result
+    values = _solve_congruences(rows)
+    if isinstance(values, Certificate):
+        return values
     assignment = {}
     for j in system.cols:
         coords = [values.get((j, t), 0) for t in range(len(decomp.pairs))]
@@ -741,10 +672,7 @@ def solve_group(system: GroupSystem) -> Certificate:
 
 
 def _numerical_congruence_rows(system: NumericalSystem):
-    group = system.group
-    if "cyclicdecomp" not in group._cache:
-        group._cache["cyclicdecomp"] = group_decompose_cyclic(group)
-    decomp = group._cache["cyclicdecomp"]
+    decomp = _cyclic_decomposition(system.group)
     rows = []
     for i in system.rows:
         b_coords = decomp.coords_of(system.rhs_idx(i))
@@ -767,16 +695,9 @@ def solve_numerical(system: NumericalSystem) -> Certificate:
     _, rows = _numerical_congruence_rows(system)
     if not rows:
         return Certificate("SOLVABLE", assignment={j: 0 for j in system.cols})
-    result = _solve_congruences(rows)
-    if isinstance(result, _CongruenceFailure):
-        witness = UnsolvableWitness(
-            summand=f"p={result.prime}",
-            chain_spec=result.system.ring.spec,
-            digest=result.system.digest(),
-            rows=result.witness_rows,
-        )
-        return Certificate("UNSOLVABLE", witness=witness, reduced=result.system)
-    values, _ = result
+    values = _solve_congruences(rows)
+    if isinstance(values, Certificate):
+        return values
     assignment = {j: values.get(j, 0) for j in system.cols}
     if not system.eval(assignment):
         raise InternalError("numerical assignment fails the source system")
@@ -877,23 +798,8 @@ def _replay_reduction(system, witness: UnsolvableWitness):
         else:
             red = reductions.twosided_to_numerical(system)
             _, rows = _numerical_congruence_rows(red.target)
-        p_rows = [(rid, _pval(m, prime), coeffs, rhs) for rid, m, coeffs, rhs in rows if m % prime == 0]
-        if not p_rows:
+        chain_sys = _lift_prime_part(rows, prime)
+        if chain_sys is None:
             raise InvalidCertificate(f"prime {prime} does not occur in the reduction")
-        cap = max(a for _, a, _, _ in p_rows)
-        ring = _zmod_cached(prime**cap)
-        entries, b, cols = {}, {}, {}
-        for rid, a, coeffs, rhs in p_rows:
-            lift = prime ** (cap - a)
-            for var, c in coeffs.items():
-                cols[var] = True
-                c_lift = (c * lift) % ring.size
-                if c_lift:
-                    entries[(rid, var)] = c_lift
-            r_lift = (rhs * lift) % ring.size
-            if r_lift:
-                b[rid] = r_lift
-        if not cols:
-            cols[("free", prime)] = True
-        return LinSystem(ring, [rid for rid, _, _, _ in p_rows], list(cols), entries, b)
+        return chain_sys
     raise InvalidCertificate(f"cannot verify certificates for {type(system).__name__}")

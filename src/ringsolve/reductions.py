@@ -20,7 +20,7 @@ from .ring import (
     FiniteRing,
     RingElement,
     additive_group,
-    build_zmod,
+    cached_zmod,
     group_decompose_cyclic,
 )
 from .structure import RingOrder, decompose_local, table_order
@@ -33,14 +33,6 @@ class ReductionOutput:
     target: object
     backward: Callable[[Mapping], dict] | None = None
     trace: dict = field(default_factory=dict)
-
-
-def _zmod(m: int) -> FiniteRing:
-    if not hasattr(_zmod, "_registry"):
-        _zmod._registry = {}
-    if m not in _zmod._registry:
-        _zmod._registry[m] = build_zmod(m)
-    return _zmod._registry[m]
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +88,7 @@ def ring_to_cyclic(system: LinSystem, order: RingOrder | None = None) -> Reducti
     if order.ring is not ring:
         raise InvalidParameter("the order does not belong to the system's ring")
     m = ring.characteristic()
-    zm = _zmod(m)
+    zm = cached_zmod(m)
     decomp, c_table, b_table = _cyclic_structure(ring, tuple(order.sorted_elements))
     k = len(decomp.pairs)
     orders = decomp.orders
@@ -545,7 +537,7 @@ def complement_chain(system: LinSystem) -> ReductionOutput:
 def _same_zmod(s1: LinSystem, s2: LinSystem) -> FiniteRing:
     if s1.ring.rep != "zmod" or s2.ring.rep != "zmod" or s1.ring.size != s2.ring.size:
         raise InvalidParameter("compositions require two systems over the same Z_m")
-    return s1.ring if s1.ring is s2.ring else _zmod(s1.ring.size)
+    return s1.ring if s1.ring is s2.ring else cached_zmod(s1.ring.size)
 
 
 def and_compose(s1: LinSystem, s2: LinSystem) -> LinSystem:
@@ -601,7 +593,7 @@ def or_compose_general(components: list[LinSystem]) -> ReductionOutput:
         raise InvalidParameter("component moduli must use pairwise distinct primes")
     m = math.prod(s.ring.size for s in components)
     big_p = math.prod(p ** (k - 1) for p, k in pks)
-    zm = _zmod(m)
+    zm = cached_zmod(m)
     rows, cols, entries, b = [], [], {}, {}
     for idx, s in enumerate(components):
         scale = m // s.ring.size
@@ -679,7 +671,7 @@ def collapse_nested(outer_rows: list, outer_cols: list, inner: Mapping) -> LinSy
             if s.ring.rep != "zmod" or _prime_power(s.ring.size) != (s.ring.size, 1):
                 raise PreconditionViolation("inner systems must live over a prime field Z_p")
             if ring is None:
-                ring = _zmod(s.ring.size)
+                ring = cached_zmod(s.ring.size)
             elif s.ring.size != ring.size:
                 raise InvalidParameter("inner systems disagree on the prime modulus")
             if not is_normal_form(s):

@@ -8,6 +8,7 @@ methods, used by the solvers' hot loops).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -277,6 +278,13 @@ def build_zmod(m: int) -> FiniteRing:
     ring.modulus = m
     ring._cache["char"] = m
     return ring
+
+
+@functools.cache
+def cached_zmod(m: int) -> FiniteRing:
+    """The shared Z/m of the solvers and reductions: one ring per modulus, so
+    per-ring caches (chain valuations, structure theory) are built once."""
+    return build_zmod(m)
 
 
 def build_poly_quotient(p: int, n: int, f: Poly) -> FiniteRing:

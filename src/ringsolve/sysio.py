@@ -26,6 +26,7 @@ from .linsys import (
     NumericalSystem,
     TwoSidedSystem,
     UnsolvableWitness,
+    _System,
 )
 from .matalg import Matrix
 from .ring import (
@@ -371,48 +372,15 @@ def _rename(ids, prefix):
 
 def write_system(system) -> str:
     """Serialise a system deterministically (ids renamed, sorted)."""
-    lines = []
-    if isinstance(system, LinSystem):
-        header, carrier = f"ring {system.ring.spec}", system.ring
-    elif isinstance(system, GroupSystem):
-        header, carrier = f"group {system.group.spec}", system.group
-    elif isinstance(system, NumericalSystem):
-        base = system.group.spec
-        base = base[1:-3] if base.startswith("(") and base.endswith(",+)") else base
-        header, carrier = f"numerical {base}", system.group
-    elif isinstance(system, TwoSidedSystem):
-        header, carrier = f"twosided {system.ring.spec}", system.ring
-    else:
+    if not isinstance(system, _System):
         raise SpecParseError(f"cannot serialise {type(system).__name__}")
-    lines.append(header)
+    base = system.carrier.spec
+    if isinstance(system, NumericalSystem):
+        base = base[1:-3] if base.startswith("(") and base.endswith(",+)") else base
     col_map, col_order = _rename(system.cols, "x")
-    row_map, row_order = _rename(system.rows, "e")
-    lines.append("vars " + " ".join(col_map[j] for j in col_order))
-    for i in row_order:
-        terms = []
-        for j in col_order:
-            if isinstance(system, TwoSidedSystem):
-                if (i, j) in system.left:
-                    terms.append(f"{system.ring.format_element(system.left[(i, j)])}*{col_map[j]}")
-                if (j, i) in system.right:
-                    terms.append(f"{col_map[j]}*{system.ring.format_element(system.right[(j, i)])}")
-            else:
-                v = system.entries.get((i, j))
-                if v is not None:
-                    if isinstance(system, GroupSystem):
-                        terms.append(f"{v}*{col_map[j]}")
-                    elif isinstance(system, NumericalSystem):
-                        terms.append(f"{system.group.format_element(v)}*{col_map[j]}")
-                    else:
-                        terms.append(f"{system.ring.format_element(v)}*{col_map[j]}")
-        lhs = " + ".join(terms) if terms else "0"
-        if isinstance(system, GroupSystem):
-            rhs = system.group.format_element(system.rhs_idx(i))
-        elif isinstance(system, NumericalSystem):
-            rhs = system.group.format_element(system.rhs_idx(i))
-        else:
-            rhs = system.ring.format_element(system.rhs_idx(i))
-        lines.append(f"eq {row_map[i]}: {lhs} = {rhs}")
+    row_map, _ = _rename(system.rows, "e")
+    lines = [f"{system.keyword} {base}", "vars " + " ".join(col_map[j] for j in col_order)]
+    lines += system.eq_lines(row_map.__getitem__, col_map.__getitem__)
     return "\n".join(lines) + "\n"
 
 
@@ -512,7 +480,7 @@ def parse_certificate(text: str, system) -> Certificate:
     verdict = parts[1]
     if verdict == "SOLVABLE":
         assignment = {}
-        carrier = getattr(system, "ring", None) or getattr(system, "group")
+        carrier = system.carrier
         for lineno, line in lines[1:]:
             m = re.fullmatch(r"assign (.+?) = (.+)", line)
             if not m:

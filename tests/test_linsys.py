@@ -56,6 +56,35 @@ def test_eval_rejects_partial_assignment():
         eval_system(s, {"x": z4.element(1)})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LinSystem(zmod(4), ["r"], ["x"], {("r", "y"): 1}, {"r": 1}),
+    lambda: LinSystem(zmod(4), ["r"], ["x"], {("r", "x"): 1}, {"s": 1}),
+    lambda: GroupSystem(build_cyclic_group(4), ["r"], ["x"], {("r", "y"): 1}, {"r": 1}),
+    lambda: GroupSystem(build_cyclic_group(4), ["r"], ["x"], {("r", "x"): 1}, {"s": 1}),
+    lambda: TwoSidedSystem(upper_triangular_f2(), ["r"], ["x"], {("s", "x"): 1}, {}, {"r": 1}),
+    lambda: TwoSidedSystem(upper_triangular_f2(), ["r"], ["x"], {}, {("r", "x"): 1}, {"r": 1}),
+    lambda: TwoSidedSystem(upper_triangular_f2(), ["r"], ["x"], {}, {}, {"s": 1}),
+    lambda: NumericalSystem(additive_group(zmod(4)), ["r"], ["x"], {("r", "y"): 1}, {"r": 1}),
+    lambda: NumericalSystem(additive_group(zmod(4)), ["r"], ["x"], {("r", "x"): 1}, {"s": 1}),
+], ids=[
+    "ring-col", "ring-rhs", "group-col", "group-rhs",
+    "twosided-left-row", "twosided-right-transposed", "twosided-rhs",
+    "numerical-col", "numerical-rhs",
+])
+def test_undeclared_ids_are_rejected(build):
+    with pytest.raises(InvalidParameter):
+        build()
+
+
+def test_crt_rejects_non_coprime_moduli():
+    from ringsolve.errors import InternalError
+    from ringsolve.linsys import _crt
+
+    assert _crt({4: 3, 9: 5}) == 23
+    with pytest.raises(InternalError):
+        _crt({4: 1, 6: 3})
+
+
 # ---------------------------------------------------------------------------
 # Hermite normal form
 
