@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 solvable/success, 1 unsolvable/invalid, 2 usage or parse
-error, 3 internal error or oracle mismatch.
+error, 3 internal error (including any unexpected exception) or oracle
+mismatch.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import linsys, matalg, oracle, reductions, structure, sysio
@@ -95,13 +97,9 @@ def _cmd_ring(args) -> int:
     return EXIT_SOLVABLE
 
 
-def _solve_any(system) -> linsys.Certificate:
-    return linsys.solve(system)
-
-
 def _cmd_solve(args) -> int:
     system = sysio.parse_system(_read(args.system))
-    cert = _solve_any(system)
+    cert = linsys.solve(system)
     if args.oracle_check:
         report = oracle.brute_force_solve(system)
         if report.solvable != cert.solvable:
@@ -350,6 +348,11 @@ def main(argv=None) -> int:
     except RingsolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a bug or a bad environment, never a verdict: keep it off exit 1
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

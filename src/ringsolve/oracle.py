@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InvalidParameter
+from .errors import CapacityError, InternalError, InvalidParameter
 from .linsys import GroupSystem, LinSystem, NumericalSystem, TwoSidedSystem
 from .matalg import CharPoly, Matrix
 from .ring import AbelianGroup, FiniteRing
@@ -365,7 +365,8 @@ def enumerate_gl(ring: FiniteRing, n: int) -> int:
             ring, a, n, vectors, unit_cols
         ):
             count += 1
-    assert count <= space
+    if count > space:
+        raise InternalError(f"counted {count} invertible matrices in a space of {space}")
     return count
 
 

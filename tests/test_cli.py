@@ -238,6 +238,12 @@ def test_cli_outputs_are_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_unexpected_exception_exits_internal(monkeypatch, capsys):
+    monkeypatch.setenv("RINGSOLVE_MAX_ELEMS", "abc")
+    assert main(["ring", "info", "Z/4"]) == 3
+    assert "internal error:" in capsys.readouterr().err
+
+
 def test_cli_ring_subcommands(capsys):
     assert main(["ring", "info", "Z/12"]) == 0
     assert main(["ring", "decompose", "Z/12"]) == 0
