@@ -7,6 +7,13 @@ two-sided, numerical and ring systems, the expected verdict, ``digest()``,
 ``verify_certificate``, both as solved and as re-parsed from its text.
 The expected values were recorded once and are never regenerated to make a
 change pass: a difference here is a behaviour change.
+
+A second file, ``golden_large.json``, pins the chain path on systems large
+enough for pivot tie-breaks and quotient choices to matter: seeded dense
+systems of 8x8 to 40x40 over rings dense in zero divisors, a group and a
+numerical system, direct ``solve_chain`` calls over non-``Z/m`` chain rings,
+and ``hermite_normal_form`` (``Q``, ``S``, ``col_perm``, ``diag``) of about
+10x12 matrices.
 """
 
 from __future__ import annotations
@@ -18,8 +25,18 @@ from pathlib import Path
 
 import pytest
 
-from ringsolve import GroupSystem, LinSystem, NumericalSystem, TwoSidedSystem, solve, verify_certificate
-from ringsolve.ring import additive_group
+from ringsolve import (
+    GroupSystem,
+    LinSystem,
+    Matrix,
+    NumericalSystem,
+    TwoSidedSystem,
+    hermite_normal_form,
+    solve,
+    solve_chain,
+    verify_certificate,
+)
+from ringsolve.ring import additive_group, unit_indices
 from ringsolve.sysio import (
     parse_certificate,
     parse_group_spec,
@@ -31,6 +48,7 @@ from ringsolve.sysio import (
 
 ROOT = Path(__file__).resolve().parents[1]
 EXPECTED = json.loads((Path(__file__).with_name("golden_systems.json")).read_text())
+EXPECTED_LARGE = json.loads((Path(__file__).with_name("golden_large.json")).read_text())
 
 
 def _pick(rng: random.Random, size: int, zero: int, density: float = 0.7) -> int:
@@ -119,3 +137,147 @@ def test_golden_covers_every_system(monkeypatch):
 def test_golden_outputs(monkeypatch, name):
     monkeypatch.chdir(ROOT)
     assert observe(_all_systems()[name]) == EXPECTED[name]
+
+
+# ---------------------------------------------------------------------------
+# large chain-path systems and Hermite forms
+
+
+F4_SPEC = "Z/2[X]/(X^2+X+1)"
+
+
+def _zero_divisor_heavy(rng: random.Random, ring, share: float = 0.6):
+    """A sampler that draws a non-unit with probability ``share``, so that
+    entries of equal valuation (and equal value) are common."""
+    non_units = sorted(set(range(ring.size)) - unit_indices(ring))
+    return lambda: rng.choice(non_units) if rng.random() < share else rng.randrange(ring.size)
+
+
+def _ring_system(rng: random.Random, ring, k: int, ell: int, planted: bool) -> LinSystem:
+    """Dense k x ell system; ``planted`` puts b in the column span, else b is random."""
+    draw = _zero_divisor_heavy(rng, ring)
+    rows, cols = [f"e{i}" for i in range(k)], [f"x{j}" for j in range(ell)]
+    entries = {(i, j): draw() for i in rows for j in cols}
+    if planted:
+        x0 = {j: rng.randrange(ring.size) for j in cols}
+        b = {}
+        for i in rows:
+            acc = ring.zero.index
+            for j in cols:
+                acc = ring.add_idx(acc, ring.mul_idx(entries[(i, j)], x0[j]))
+            b[i] = acc
+    else:
+        b = {i: rng.randrange(ring.size) for i in rows}
+    return LinSystem(ring, rows, cols, entries, b)
+
+
+def _group_system(rng: random.Random, group, k: int, ell: int, planted: bool) -> GroupSystem:
+    rows, cols = [f"e{i}" for i in range(k)], [f"x{j}" for j in range(ell)]
+    entries = {(i, j): rng.choice([0, 0, 1, 2, 3, 4, 6, 8, 9, 12]) for i in rows for j in cols}
+    if planted:
+        x0 = {j: rng.randrange(group.size) for j in cols}
+        b = {}
+        for i in rows:
+            acc = group.identity.index
+            for j in cols:
+                acc = group.add_idx(acc, group.scalar_idx(entries[(i, j)], x0[j]))
+            b[i] = acc
+    else:
+        b = {i: rng.randrange(group.size) for i in rows}
+    return GroupSystem(group, rows, cols, entries, b)
+
+
+def _numerical_system(rng: random.Random, group, k: int, ell: int, planted: bool) -> NumericalSystem:
+    rows, cols = [f"e{i}" for i in range(k)], [f"x{j}" for j in range(ell)]
+    entries = {(i, j): rng.randrange(group.size) for i in rows for j in cols}
+    if planted:
+        x0 = {j: rng.randrange(group.exponent()) for j in cols}
+        b = {}
+        for i in rows:
+            acc = group.identity.index
+            for j in cols:
+                acc = group.add_idx(acc, group.scalar_idx(x0[j], entries[(i, j)]))
+            b[i] = acc
+    else:
+        b = {i: rng.randrange(group.size) for i in rows}
+    return NumericalSystem(group, rows, cols, entries, b)
+
+
+def _large_systems() -> dict:
+    """name -> (solver, system); ``tall`` systems have three more rows than
+    columns and a random right-hand side, so most are unsolvable."""
+    rng = random.Random(19980908)
+    out = {}
+    for label, spec, sizes in [
+        ("Z2", "Z/2", (8, 24, 40)),
+        ("Z8", "Z/8", (8, 24, 40)),
+        ("Z9", "Z/9", (8, 24, 40)),
+        ("Z27", "Z/27", (8, 16, 32)),
+        ("Z12", "Z/12", (8, 16, 32)),
+        ("GR42", "GR(4,2)", (8, 12, 20)),
+    ]:
+        ring = parse_ring_spec(spec)
+        for n in sizes:
+            out[f"ring-{label}-{n}-planted"] = (solve, _ring_system(rng, ring, n, n, True))
+            out[f"ring-{label}-{n}-tall"] = (solve, _ring_system(rng, ring, n, n - 3, False))
+    for label, spec in [("GR42", "GR(4,2)"), ("F4", F4_SPEC)]:
+        ring = parse_ring_spec(spec)
+        for n in (8, 16):
+            out[f"chain-{label}-{n}-planted"] = (solve_chain, _ring_system(rng, ring, n, n, True))
+            out[f"chain-{label}-{n}-tall"] = (solve_chain, _ring_system(rng, ring, n, n - 3, False))
+    group = parse_group_spec("Z/4 x Z/8 x Z/9")
+    for n in (10, 20):
+        out[f"group-Z4xZ8xZ9-{n}-planted"] = (solve, _group_system(rng, group, n, n, True))
+        out[f"group-Z4xZ8xZ9-{n}-tall"] = (solve, _group_system(rng, group, n, n - 3, False))
+    group = additive_group(parse_ring_spec("GR(4,2)"))
+    for n in (8, 14):
+        out[f"numerical-GR42-{n}-planted"] = (solve, _numerical_system(rng, group, n, n, True))
+        out[f"numerical-GR42-{n}-tall"] = (solve, _numerical_system(rng, group, n, n - 3, False))
+    return out
+
+
+def _hermite_matrices() -> dict:
+    rng = random.Random(19981208)
+    out = {}
+    for label, spec in [("Z8", "Z/8"), ("Z9", "Z/9"), ("GR42", "GR(4,2)"), ("F4", F4_SPEC)]:
+        ring = parse_ring_spec(spec)
+        for k, ell in [(10, 12), (12, 10), (11, 11)]:
+            draw = _zero_divisor_heavy(rng, ring, 0.75)
+            rows, cols = [f"r{i}" for i in range(k)], [f"c{j}" for j in range(ell)]
+            out[f"hnf-{label}-{k}x{ell}"] = Matrix(ring, rows, cols, {(i, j): draw() for i in rows for j in cols})
+    return out
+
+
+@functools.cache
+def _all_large() -> dict:
+    return {**_large_systems(), **_hermite_matrices()}
+
+
+def observe_large(name: str) -> dict:
+    if name.startswith("hnf-"):
+        res = hermite_normal_form(_all_large()[name])
+        return {"Q": res.Q, "S": res.S, "col_perm": res.col_perm, "diag": res.diag}
+    solver, system = _all_large()[name]
+    cert = solver(system)
+    cert_text = write_certificate(cert, system)
+    return {
+        "verdict": cert.verdict,
+        "digest": system.digest(),
+        "certificate": cert_text,
+        "verified": verify_certificate(system, cert),
+    }
+
+
+def test_golden_large_covers_every_system():
+    assert sorted(_all_large()) == sorted(EXPECTED_LARGE)
+    by_kind: dict = {}
+    for name, expected in EXPECTED_LARGE.items():
+        if "verdict" in expected:
+            by_kind.setdefault(name.rsplit("-", 2)[0], set()).add(expected["verdict"])
+    for kind, verdicts in by_kind.items():
+        assert verdicts == {"SOLVABLE", "UNSOLVABLE"}, kind
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_LARGE))
+def test_golden_large_outputs(name):
+    assert observe_large(name) == EXPECTED_LARGE[name]
