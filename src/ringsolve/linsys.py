@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     InternalError,
     InvalidCertificate,
@@ -307,26 +309,61 @@ class Certificate:
 # chain-ring machinery
 
 
+def _vec_ops(ring: FiniteRing):
+    """Elementwise (add, mul, neg) on int64 arrays of element indices.
+
+    Z/m computes on the indices, which are the residues; any other ring
+    looks results up in numpy copies of its op tables.  Cached per ring.
+    """
+    if "vecops" not in ring._cache:
+        if ring.rep == "zmod":
+            m = ring.size
+            ops = (lambda x, y: (x + y) % m, lambda x, y: (x * y) % m, lambda x: -x % m)
+        else:
+            add_t, mul_t = (np.array(table, dtype=np.int64) for table in ring.op_tables())
+            neg_t = np.array([ring.neg_idx(x) for x in range(ring.size)], dtype=np.int64)
+            ops = (lambda x, y: add_t[x, y], lambda x, y: mul_t[x, y], lambda x: neg_t[x])
+        ring._cache["vecops"] = ops
+    return ring._cache["vecops"]
+
+
 def _chain_valuations(ring: FiniteRing, cd: ChainData) -> list[int]:
     """val[x] = largest t <= n with x in pi^t·R (val[0] = n)."""
-    if "chainval" in ring._cache:
-        return ring._cache["chainval"]
-    val = [0] * ring.size
-    power = ring.one.index
-    for t in range(1, cd.n + 1):
-        power = ring.mul_idx(power, cd.pi.index)
-        ideal = {ring.mul_idx(power, r) for r in range(ring.size)}
-        for x in ideal:
-            val[x] = t
-    ring._cache["chainval"] = val
-    return val
+    if "chainval" not in ring._cache:
+        _, mul, _ = _vec_ops(ring)
+        elems = np.arange(ring.size)
+        val = np.zeros(ring.size, dtype=np.int64)
+        power = ring.one.index
+        for t in range(1, cd.n + 1):
+            power = ring.mul_idx(power, cd.pi.index)
+            val[mul(power, elems)] = t
+        ring._cache["chainval"] = val.tolist()
+    return ring._cache["chainval"]
 
 
-def _divide_exact(ring: FiniteRing, a: int, by: int) -> int:
-    for z in range(ring.size):
-        if ring.mul_idx(by, z) == a:
-            return z
-    raise InternalError(f"{ring.format_element(by)} does not divide {ring.format_element(a)}")
+def _divider(ring: FiniteRing):
+    """divide(by, x): the least z with by·z = x, elementwise over x.
+
+    One lookup table per divisor, built on first use and kept for the
+    lifetime of the returned function (one elimination).
+    """
+    _, mul, _ = _vec_ops(ring)
+    elems = np.arange(ring.size)
+    tables: dict = {}
+
+    def divide(by, x):
+        by = int(by)
+        if by not in tables:
+            table = np.full(ring.size, ring.size, dtype=np.int64)
+            np.minimum.at(table, mul(by, elems), elems)
+            tables[by] = table
+        z = tables[by][x]
+        if (z == ring.size).any():
+            bad = int(np.extract(z == ring.size, x)[0])
+            raise InternalError(f"{ring.format_element(by)} does not divide {ring.format_element(bad)}")
+        return z
+
+    return divide
 
 
 @dataclass
@@ -355,50 +392,60 @@ def _require_chain(ring: FiniteRing) -> ChainData:
     return cd
 
 
-def _hermite_grid(ring: FiniteRing, grid: list[list[int]], cd: ChainData):
-    val = _chain_valuations(ring, cd)
-    k = len(grid)
-    ell = len(grid[0]) if k else 0
-    a = [row[:] for row in grid]
-    s = [[ring.one.index if r == c else ring.zero.index for c in range(k)] for r in range(k)]
-    perm = list(range(ell))
-    zero = ring.zero.index
+def _dense(source, rows: list, cols: list, rhs: bool = False) -> np.ndarray:
+    """The coefficient grid of a LinSystem or Matrix as an int64 array, with
+    the right-hand side appended as a last column when ``rhs``."""
+    zero = source.ring.zero.index
+    grid = np.full((len(rows), len(cols) + rhs), zero, dtype=np.int64)
+    if source.entries:
+        pos_r = {i: n for n, i in enumerate(rows)}
+        pos_c = {j: n for n, j in enumerate(cols)}
+        keys = source.entries.keys()
+        grid[[pos_r[i] for i, _ in keys], [pos_c[j] for _, j in keys]] = list(source.entries.values())
+    if rhs:
+        grid[:, -1] = [source.rhs_idx(i) for i in rows]
+    return grid
+
+
+def _hermite(ring: FiniteRing, a: np.ndarray, ell: int, cd: ChainData, divide):
+    """Triangularise the first ``ell`` columns of ``a`` in place.
+
+    Columns past ``ell`` are carried through the row operations only.  The
+    pivot of each step is the nonzero entry of the remaining block with the
+    least (valuation, element index, row, column); every row below it is
+    cleared in one broadcast update.  Returns (S, col_perm, rank).
+    """
+    add, mul, neg = _vec_ops(ring)
+    val = np.asarray(_chain_valuations(ring, cd))
+    size, zero = ring.size, ring.zero.index
+    no_pivot = (cd.n + 1) * size
+    k = a.shape[0]
+    s = np.full((k, k), zero, dtype=np.int64)
+    np.fill_diagonal(s, ring.one.index)
+    perm = np.arange(ell)
     t = 0
     for step in range(min(k, ell)):
-        best = None
-        for r in range(step, k):
-            for c in range(step, ell):
-                x = a[r][c]
-                if x == zero:
-                    continue
-                key = (val[x], x, r, c)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        block = a[step:, step:ell]
+        key = np.where(block != zero, val[block] * size + block, no_pivot)
+        r, c = divmod(int(key.argmin()), ell - step)
+        if key[r, c] == no_pivot:
             break
-        _, _, r, c = best
+        r, c = r + step, c + step
         if r != step:
-            a[step], a[r] = a[r], a[step]
-            s[step], s[r] = s[r], s[step]
+            a[[step, r]] = a[[r, step]]
+            s[[step, r]] = s[[r, step]]
         if c != step:
-            for row in a:
-                row[step], row[c] = row[c], row[step]
-            perm[step], perm[c] = perm[c], perm[step]
-        pivot = a[step][step]
-        for r2 in range(step + 1, k):
-            x = a[r2][step]
-            if x == zero:
-                continue
-            z = _divide_exact(ring, x, pivot)
-            for c2 in range(ell):
-                a[r2][c2] = ring.sub_idx(a[r2][c2], ring.mul_idx(z, a[step][c2]))
-            for c2 in range(k):
-                s[r2][c2] = ring.sub_idx(s[r2][c2], ring.mul_idx(z, s[step][c2]))
+            a[:, [step, c]] = a[:, [c, step]]
+            perm[[step, c]] = perm[[c, step]]
+        below = step + 1 + np.flatnonzero(a[step + 1:, step] != zero)
+        if below.size:
+            z = divide(a[step, step], a[below, step])[:, None]
+            a[below] = add(a[below], neg(mul(z, a[step])))
+            s[below] = add(s[below], neg(mul(z, s[step])))
         t += 1
-    for r in range(t, k):
-        if any(x != zero for x in a[r]):
-            raise InternalError("elimination left a nonzero residual row")
-    return a[:t], s, perm, [a[i][i] for i in range(t)]
+    if (a[t:, :ell] != zero).any():
+        raise InternalError("elimination left a nonzero residual row")
+    return s, perm, t
 
 
 def hermite_normal_form(matrix) -> HermiteResult:
@@ -406,9 +453,10 @@ def hermite_normal_form(matrix) -> HermiteResult:
     ring = matrix.ring
     cd = _require_chain(ring)
     rows, cols = list(matrix.rows), list(matrix.cols)
-    grid = [[matrix.entry_idx(i, j) for j in cols] for i in rows]
-    q, s, perm, diag = _hermite_grid(ring, grid, cd)
-    return HermiteResult(ring=ring, row_ids=rows, col_ids=cols, S=s, col_perm=perm, Q=q, diag=diag)
+    a = _dense(matrix, rows, cols)
+    s, perm, t = _hermite(ring, a, len(cols), cd, _divider(ring))
+    return HermiteResult(ring=ring, row_ids=rows, col_ids=cols, S=s.tolist(), col_perm=perm.tolist(),
+                         Q=a[:t].tolist(), diag=a.diagonal()[:t].tolist())
 
 
 def solve_chain(system: LinSystem) -> Certificate:
@@ -421,72 +469,55 @@ def solve_chain(system: LinSystem) -> Certificate:
     ring = system.ring
     cd = _require_chain(ring)
     rows, cols = list(system.rows), list(system.cols)
-    grid = [[system.entry_idx(i, j) for j in cols] for i in rows]
-    q, s, perm, diag = _hermite_grid(ring, grid, cd)
-    t = len(diag)
     k, ell = len(rows), len(cols)
-    bvec = [system.rhs_idx(i) for i in rows]
-    bprime = [
-        _dot_idx(ring, s[r], bvec)
-        for r in range(k)
-    ]
-    val = _chain_valuations(ring, cd)
-    tail = ring.pow_idx(cd.pi.index, cd.n - 1)
-    zero = ring.zero.index
-    for r in range(k):
-        diag_val = val[diag[r]] if r < t else cd.n
-        if val[bprime[r]] < diag_val:
-            # the r-th transformed row is a certificate of unsolvability
-            w = next(
-                (wi for wi in range(ring.size) if ring.mul_idx(wi, bprime[r]) == tail),
-                None,
-            )
-            if w is None:
-                raise InternalError("no scaling maps the failing row onto the witness tail")
-            combo = {
-                rows[pos]: ring.mul_idx(w, s[r][pos]) for pos in range(k)
-            }
-            witness = UnsolvableWitness(
-                summand="chain",
-                chain_spec=ring.spec,
-                digest=system.digest(),
-                rows={i: ring.format_element(x) for i, x in combo.items()},
-            )
-            _assert_witness(system, combo, tail)
-            return Certificate("UNSOLVABLE", witness=witness, reduced=system)
-    values = [zero] * ell
+    add, mul, neg = _vec_ops(ring)
+    divide = _divider(ring)
+    # b rides along as the last column, so it ends up as S·b
+    a = _dense(system, rows, cols, rhs=True)
+    s, perm, t = _hermite(ring, a, ell, cd, divide)
+    bprime, diag = a[:, ell], a.diagonal()[:t]
+    val = np.asarray(_chain_valuations(ring, cd))
+    diag_val = np.full(k, cd.n)
+    diag_val[:t] = val[diag]
+    failing = np.flatnonzero(val[bprime] < diag_val)
+    if failing.size:
+        # the first failing transformed row is a certificate of unsolvability
+        r = failing[0]
+        tail = ring.pow_idx(cd.pi.index, cd.n - 1)
+        scalings = np.flatnonzero(mul(np.arange(ring.size), bprime[r]) == tail)
+        if not scalings.size:
+            raise InternalError("no scaling maps the failing row onto the witness tail")
+        combo = dict(zip(rows, mul(scalings[0], s[r]).tolist()))
+        witness = UnsolvableWitness(
+            summand="chain",
+            chain_spec=ring.spec,
+            digest=system.digest(),
+            rows={i: ring.format_element(x) for i, x in combo.items()},
+        )
+        _assert_witness(system, combo, tail)
+        return Certificate("UNSOLVABLE", witness=witness, reduced=system)
+    values = np.full(ell, ring.zero.index, dtype=np.int64)
+    rhs = bprime[:t].copy()
     for r in range(t - 1, -1, -1):
-        rhs = bprime[r]
-        for c in range(r + 1, ell):
-            rhs = ring.sub_idx(rhs, ring.mul_idx(q[r][c], values[c]))
-        values[r] = _divide_exact(ring, rhs, diag[r])
-    assignment = {cols[perm[pos]]: ring.element(values[pos]) for pos in range(ell)}
+        values[r] = divide(diag[r], rhs[r])
+        rhs[:r] = add(rhs[:r], neg(mul(a[:r, r], values[r])))
+    assignment = {cols[pos]: ring.element(v) for pos, v in zip(perm.tolist(), values.tolist())}
     if not system.eval(assignment):
         raise InternalError("back-substituted assignment fails the system")
     return Certificate("SOLVABLE", assignment=assignment)
 
 
-def _dot_idx(ring, coeffs, vec):
-    acc = ring.zero.index
-    for c, v in zip(coeffs, vec):
-        acc = ring.add_idx(acc, ring.mul_idx(c, v))
-    return acc
-
-
 def _assert_witness(system: LinSystem, combo: dict, tail: int):
     ring = system.ring
-    for j in system.cols:
-        acc = ring.zero.index
-        for i in system.rows:
-            c = system.entries.get((i, j))
-            if c is not None:
-                acc = ring.add_idx(acc, ring.mul_idx(combo[i], c))
-        if acc != ring.zero.index:
-            raise InternalError("witness does not annihilate the coefficient columns")
-    acc = ring.zero.index
-    for i in system.rows:
-        acc = ring.add_idx(acc, ring.mul_idx(combo[i], system.rhs_idx(i)))
-    if acc != tail:
+    add, mul, _ = _vec_ops(ring)
+    rows, cols = list(system.rows), list(system.cols)
+    a = _dense(system, rows, cols, rhs=True)
+    acc = np.full(len(cols) + 1, ring.zero.index, dtype=np.int64)
+    for i, row in zip(rows, a):
+        acc = add(acc, mul(combo[i], row))
+    if (acc[:-1] != ring.zero.index).any():
+        raise InternalError("witness does not annihilate the coefficient columns")
+    if acc[-1] != tail:
         raise InternalError("witness misses the pi^(n-1) tail")
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -24,6 +25,7 @@ from ringsolve import (
     TwoSidedSystem,
     build_cyclic_group,
     build_product_group,
+    build_zmod,
     eval_system,
     hermite_normal_form,
     is_invertible,
@@ -185,6 +187,36 @@ def test_solve_chain_examples():
     tiny = LinSystem(f2, ["e"], ["x"], {("e", "x"): 1}, {"e": 1})
     cert = solve_chain(tiny)
     assert cert.solvable and cert.assignment["x"].index == 1
+
+
+@pytest.mark.parametrize("planted", [True, False])
+def test_solve_chain_makes_few_scalar_ring_calls(planted):
+    # elimination, back substitution and the witness search are array
+    # operations; the scalar calls left are the final eval (2·k·ell at most)
+    ring = build_zmod(8)
+    chain_data(ring)
+    k = ell = 48
+    rnd = random.Random(48)
+    rows, cols = [f"e{i}" for i in range(k)], [f"x{j}" for j in range(ell)]
+    entries = {(i, j): rnd.randrange(8) for i in rows for j in cols}
+    if planted:
+        x0 = {j: rnd.randrange(8) for j in cols}
+        b = {i: sum(entries[(i, j)] * x0[j] for j in cols) % 8 for i in rows}
+    else:
+        b = {i: rnd.randrange(8) for i in rows}
+    system = LinSystem(ring, rows, cols, entries, b)
+    calls = [0]
+
+    def counted(op):
+        def wrapper(*args):
+            calls[0] += 1
+            return op(*args)
+        return wrapper
+
+    ring._add, ring._mul, ring._neg = counted(ring._add), counted(ring._mul), counted(ring._neg)
+    cert = solve_chain(system)
+    assert cert.solvable == planted
+    assert calls[0] < 4 * k * ell
 
 
 def test_witness_duality_small(rng):
