@@ -153,8 +153,13 @@ def _brute_group(system: GroupSystem) -> OracleReport:
     group = system.group
     cols = list(system.cols)
     space = _check_space(group.size, len(cols))
+    add = group.add_table()
+    multiples: dict = {}  # c -> [c·x for every element x]
+    for c in system.entries.values():
+        if c not in multiples:
+            multiples[c] = [group.scalar_idx(c, x) for x in range(group.size)]
     rows_data = [
-        ([(cols.index(j), c) for (i2, j), c in system.entries.items() if i2 == i],
+        ([(cols.index(j), multiples[c]) for (i2, j), c in system.entries.items() if i2 == i],
          system.rhs_idx(i))
         for i in system.rows
     ]
@@ -165,8 +170,8 @@ def _brute_group(system: GroupSystem) -> OracleReport:
         good = True
         for terms, rhs in rows_data:
             acc = e
-            for pos, c in terms:
-                acc = group.add_idx(acc, group.scalar_idx(c, combo[pos]))
+            for pos, times_c in terms:
+                acc = add[acc][times_c[combo[pos]]]
             if acc != rhs:
                 good = False
                 break

@@ -329,7 +329,6 @@ def _accumulate_term(kind, carrier, left, right, rid, side, coeff_text, var, lin
         coeff = 1 if coeff_text is None else _parse_int(coeff_text, lineno)
         left[(rid, var)] = left.get((rid, var), 0) + coeff
         return
-    ring = carrier.ring if hasattr(carrier, "ring") else carrier  # numerical uses the group
     if kind == "numerical":
         group = carrier
         coeff = group.identity.index if coeff_text is None else _parse_carrier(group, coeff_text, lineno)

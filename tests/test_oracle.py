@@ -5,10 +5,13 @@ import pytest
 from conftest import bivariate_nilpotent, f4, gr42, random_linsystem, upper_triangular_f2, zmod
 from ringsolve import (
     CapacityError,
+    GroupSystem,
     LinSystem,
     Matrix,
     build_phi_ring,
     build_cyclic_group,
+    build_product_group,
+    build_table_group,
     build_table_ring,
 )
 from ringsolve.oracle import (
@@ -133,3 +136,33 @@ def test_brute_force_random_cross_check_with_eval(rng):
             rep = brute_force_solve(system)
             if rep.solvable:
                 assert system.eval(rep.witness)
+
+
+def test_brute_group_agrees_across_isomorphic_groups(rng):
+    # Z/2 x Z/6 against a table group with its own addition table (same
+    # indices), and Z/12 against Z/4 x Z/3 under x -> (x mod 4, x mod 3)
+    z2z6 = build_product_group([build_cyclic_group(2), build_cyclic_group(6)])
+    table = build_table_group(z2z6.add_table())
+    z12 = build_cyclic_group(12)
+    z4z3 = build_product_group([build_cyclic_group(4), build_cyclic_group(3)])
+    crt = [z4z3.element(3 * (x % 4) + x % 3).index for x in range(12)]
+    assert all(crt[z12.add_idx(x, y)] == z4z3.add_idx(crt[x], crt[y]) for x in range(12) for y in range(12))
+    verdicts = set()
+    for _ in range(40):
+        k, ell = rng.randint(1, 3), rng.randint(1, 3)
+        rows, cols = [f"e{i}" for i in range(k)], [f"x{j}" for j in range(ell)]
+        entries = {(i, j): rng.randrange(7) for i in rows for j in cols}
+        b = {i: rng.randrange(12) for i in rows}
+        product_rep = brute_force_solve(GroupSystem(z2z6, rows, cols, entries, b))
+        table_rep = brute_force_solve(GroupSystem(table, rows, cols, entries, b))
+        assert (product_rep.solvable, product_rep.instances_checked) == (table_rep.solvable, table_rep.instances_checked)
+        if product_rep.solvable:
+            assert {j: v.index for j, v in product_rep.witness.items()} == \
+                {j: v.index for j, v in table_rep.witness.items()}
+        cyclic_rep = brute_force_solve(GroupSystem(z12, rows, cols, entries, b))
+        crt_rep = brute_force_solve(GroupSystem(z4z3, rows, cols, entries, {i: crt[v] for i, v in b.items()}))
+        assert cyclic_rep.solvable == crt_rep.solvable
+        if not cyclic_rep.solvable:
+            assert cyclic_rep.instances_checked == crt_rep.instances_checked == 12**ell
+        verdicts.add(cyclic_rep.solvable)
+    assert verdicts == {True, False}
