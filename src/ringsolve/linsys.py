@@ -309,20 +309,43 @@ class Certificate:
 # chain-ring machinery
 
 
+class _LazyTable:
+    """An |R| x |R| op table, looked up elementwise, whose rows are computed
+    on first use.
+
+    ``np.empty`` reserves the table without touching its pages, so memory
+    and scalar calls grow with the rows (left operands) actually used: a
+    small elimination over a 1024-element Galois ring fills a few rows, not
+    a million entries.
+    """
+
+    def __init__(self, op, size: int):
+        self.op, self.size = op, size
+        self.table = np.empty((size, size), dtype=np.int64)
+        self.filled = np.zeros(size, dtype=bool)
+
+    def __call__(self, x, y):
+        used = np.bincount(np.ravel(x), minlength=self.size) > 0
+        for i in np.flatnonzero(used & ~self.filled).tolist():
+            self.table[i] = [self.op(i, j) for j in range(self.size)]
+            self.filled[i] = True
+        return self.table[x, y]
+
+
 def _vec_ops(ring: FiniteRing):
     """Elementwise (add, mul, neg) on int64 arrays of element indices.
 
     Z/m computes on the indices, which are the residues; any other ring
-    looks results up in numpy copies of its op tables.  Cached per ring.
+    looks results up in op tables filled row by row.  Cached per ring.
+    Callers keep the left operand of ``mul`` to few distinct values.
     """
     if "vecops" not in ring._cache:
         if ring.rep == "zmod":
             m = ring.size
             ops = (lambda x, y: (x + y) % m, lambda x, y: (x * y) % m, lambda x: -x % m)
         else:
-            add_t, mul_t = (np.array(table, dtype=np.int64) for table in ring.op_tables())
             neg_t = np.array([ring.neg_idx(x) for x in range(ring.size)], dtype=np.int64)
-            ops = (lambda x, y: add_t[x, y], lambda x, y: mul_t[x, y], lambda x: neg_t[x])
+            ops = (_LazyTable(ring.add_idx, ring.size), _LazyTable(ring.mul_idx, ring.size), lambda x: neg_t[x])
         ring._cache["vecops"] = ops
     return ring._cache["vecops"]
 
@@ -484,7 +507,7 @@ def solve_chain(system: LinSystem) -> Certificate:
         # the first failing transformed row is a certificate of unsolvability
         r = failing[0]
         tail = ring.pow_idx(cd.pi.index, cd.n - 1)
-        scalings = np.flatnonzero(mul(np.arange(ring.size), bprime[r]) == tail)
+        scalings = np.flatnonzero(mul(bprime[r], np.arange(ring.size)) == tail)
         if not scalings.size:
             raise InternalError("no scaling maps the failing row onto the witness tail")
         combo = dict(zip(rows, mul(scalings[0], s[r]).tolist()))
@@ -500,7 +523,7 @@ def solve_chain(system: LinSystem) -> Certificate:
     rhs = bprime[:t].copy()
     for r in range(t - 1, -1, -1):
         values[r] = divide(diag[r], rhs[r])
-        rhs[:r] = add(rhs[:r], neg(mul(a[:r, r], values[r])))
+        rhs[:r] = add(rhs[:r], neg(mul(values[r], a[:r, r])))
     assignment = {cols[pos]: ring.element(v) for pos, v in zip(perm.tolist(), values.tolist())}
     if not system.eval(assignment):
         raise InternalError("back-substituted assignment fails the system")

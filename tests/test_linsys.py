@@ -39,6 +39,7 @@ from ringsolve.linsys import check_witness, solve_numerical
 from ringsolve.oracle import brute_force_solve, enumerate_witnesses
 from ringsolve.ring import additive_group
 from ringsolve.structure import chain_data
+from ringsolve.sysio import parse_ring_spec
 
 
 def test_eval_examples():
@@ -189,6 +190,20 @@ def test_solve_chain_examples():
     assert cert.solvable and cert.assignment["x"].index == 1
 
 
+def _count_scalar_calls(ring) -> list[int]:
+    """Wrap the ring's scalar add/mul/neg; the returned list holds the count."""
+    calls = [0]
+
+    def counted(op):
+        def wrapper(*args):
+            calls[0] += 1
+            return op(*args)
+        return wrapper
+
+    ring._add, ring._mul, ring._neg = counted(ring._add), counted(ring._mul), counted(ring._neg)
+    return calls
+
+
 @pytest.mark.parametrize("planted", [True, False])
 def test_solve_chain_makes_few_scalar_ring_calls(planted):
     # elimination, back substitution and the witness search are array
@@ -205,18 +220,22 @@ def test_solve_chain_makes_few_scalar_ring_calls(planted):
     else:
         b = {i: rnd.randrange(8) for i in rows}
     system = LinSystem(ring, rows, cols, entries, b)
-    calls = [0]
-
-    def counted(op):
-        def wrapper(*args):
-            calls[0] += 1
-            return op(*args)
-        return wrapper
-
-    ring._add, ring._mul, ring._neg = counted(ring._add), counted(ring._mul), counted(ring._neg)
+    calls = _count_scalar_calls(ring)
     cert = solve_chain(system)
     assert cert.solvable == planted
     assert calls[0] < 4 * k * ell
+
+
+def test_hnf_over_large_galois_ring_fills_few_table_rows():
+    # rings other than Z/m compute op table rows on first use: a 2x2 form
+    # over a 256-element ring must not pay for the full 2·256² tables
+    ring = parse_ring_spec("GR(4,4)")
+    chain_data(ring)
+    calls = _count_scalar_calls(ring)
+    m = Matrix(ring, ["a", "b"], ["x", "y"], {("a", "x"): 2, ("a", "y"): 5, ("b", "x"): 7, ("b", "y"): 4})
+    res = hermite_normal_form(m)
+    assert res.Q == [[4, 7], [0, 254]]
+    assert calls[0] < 16 * ring.size
 
 
 def test_witness_duality_small(rng):
