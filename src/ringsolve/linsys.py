@@ -333,7 +333,7 @@ class _LazyTable:
 
 
 def _vec_ops(ring: FiniteRing):
-    """Elementwise (add, mul, neg) on int64 arrays of element indices.
+    """Elementwise (add, mul, sub) on int64 arrays of element indices.
 
     Z/m computes on the indices, which are the residues; any other ring
     looks results up in op tables filled row by row.  Cached per ring.
@@ -342,10 +342,11 @@ def _vec_ops(ring: FiniteRing):
     if "vecops" not in ring._cache:
         if ring.rep == "zmod":
             m = ring.size
-            ops = (lambda x, y: (x + y) % m, lambda x, y: (x * y) % m, lambda x: -x % m)
+            ops = (lambda x, y: (x + y) % m, lambda x, y: (x * y) % m, lambda x, y: (x - y) % m)
         else:
-            neg_t = np.array([ring.neg_idx(x) for x in range(ring.size)], dtype=np.int64)
-            ops = (_LazyTable(ring.add_idx, ring.size), _LazyTable(ring.mul_idx, ring.size), lambda x: neg_t[x])
+            add = _LazyTable(ring.add_idx, ring.size)
+            neg = np.array([ring.neg_idx(x) for x in range(ring.size)], dtype=np.int64)
+            ops = (add, _LazyTable(ring.mul_idx, ring.size), lambda x, y: add(x, neg[y]))
         ring._cache["vecops"] = ops
     return ring._cache["vecops"]
 
@@ -431,44 +432,44 @@ def _dense(source, rows: list, cols: list, rhs: bool = False) -> np.ndarray:
 
 
 def _hermite(ring: FiniteRing, a: np.ndarray, ell: int, cd: ChainData, divide):
-    """Triangularise the first ``ell`` columns of ``a`` in place.
+    """Triangularise the first ``ell`` columns of ``a``.
 
-    Columns past ``ell`` are carried through the row operations only.  The
+    Columns past ``ell`` are carried through the row operations only, and
+    so is an identity block appended on the right, which ends up as S.  The
     pivot of each step is the nonzero entry of the remaining block with the
     least (valuation, element index, row, column); every row below it is
-    cleared in one broadcast update.  Returns (S, col_perm, rank).
+    cleared in one broadcast update.  Returns (a | S, col_perm, rank).
     """
-    add, mul, neg = _vec_ops(ring)
-    val = np.asarray(_chain_valuations(ring, cd))
+    _, mul, sub = _vec_ops(ring)
     size, zero = ring.size, ring.zero.index
-    no_pivot = (cd.n + 1) * size
+    # pivot order: valuation, then element index; zero never pivots
+    order = np.asarray(_chain_valuations(ring, cd)) * size + np.arange(size)
+    order[zero] = no_pivot = (cd.n + 1) * size
     k = a.shape[0]
     s = np.full((k, k), zero, dtype=np.int64)
     np.fill_diagonal(s, ring.one.index)
+    a = np.hstack([a, s])
     perm = np.arange(ell)
     t = 0
     for step in range(min(k, ell)):
-        block = a[step:, step:ell]
-        key = np.where(block != zero, val[block] * size + block, no_pivot)
+        key = order[a[step:, step:ell]]
         r, c = divmod(int(key.argmin()), ell - step)
         if key[r, c] == no_pivot:
             break
         r, c = r + step, c + step
         if r != step:
             a[[step, r]] = a[[r, step]]
-            s[[step, r]] = s[[r, step]]
         if c != step:
             a[:, [step, c]] = a[:, [c, step]]
             perm[[step, c]] = perm[[c, step]]
         below = step + 1 + np.flatnonzero(a[step + 1:, step] != zero)
         if below.size:
             z = divide(a[step, step], a[below, step])[:, None]
-            a[below] = add(a[below], neg(mul(z, a[step])))
-            s[below] = add(s[below], neg(mul(z, s[step])))
+            a[below] = sub(a[below], mul(z, a[step]))
         t += 1
     if (a[t:, :ell] != zero).any():
         raise InternalError("elimination left a nonzero residual row")
-    return s, perm, t
+    return a, perm, t
 
 
 def hermite_normal_form(matrix) -> HermiteResult:
@@ -476,10 +477,10 @@ def hermite_normal_form(matrix) -> HermiteResult:
     ring = matrix.ring
     cd = _require_chain(ring)
     rows, cols = list(matrix.rows), list(matrix.cols)
-    a = _dense(matrix, rows, cols)
-    s, perm, t = _hermite(ring, a, len(cols), cd, _divider(ring))
-    return HermiteResult(ring=ring, row_ids=rows, col_ids=cols, S=s.tolist(), col_perm=perm.tolist(),
-                         Q=a[:t].tolist(), diag=a.diagonal()[:t].tolist())
+    ell = len(cols)
+    a, perm, t = _hermite(ring, _dense(matrix, rows, cols), ell, cd, _divider(ring))
+    return HermiteResult(ring=ring, row_ids=rows, col_ids=cols, S=a[:, ell:].tolist(), col_perm=perm.tolist(),
+                         Q=a[:t, :ell].tolist(), diag=a.diagonal()[:t].tolist())
 
 
 def solve_chain(system: LinSystem) -> Certificate:
@@ -493,11 +494,10 @@ def solve_chain(system: LinSystem) -> Certificate:
     cd = _require_chain(ring)
     rows, cols = list(system.rows), list(system.cols)
     k, ell = len(rows), len(cols)
-    add, mul, neg = _vec_ops(ring)
+    _, mul, sub = _vec_ops(ring)
     divide = _divider(ring)
-    # b rides along as the last column, so it ends up as S·b
-    a = _dense(system, rows, cols, rhs=True)
-    s, perm, t = _hermite(ring, a, ell, cd, divide)
+    # b rides along as column ell, so it ends up as S·b
+    a, perm, t = _hermite(ring, _dense(system, rows, cols, rhs=True), ell, cd, divide)
     bprime, diag = a[:, ell], a.diagonal()[:t]
     val = np.asarray(_chain_valuations(ring, cd))
     diag_val = np.full(k, cd.n)
@@ -510,7 +510,7 @@ def solve_chain(system: LinSystem) -> Certificate:
         scalings = np.flatnonzero(mul(bprime[r], np.arange(ring.size)) == tail)
         if not scalings.size:
             raise InternalError("no scaling maps the failing row onto the witness tail")
-        combo = dict(zip(rows, mul(scalings[0], s[r]).tolist()))
+        combo = dict(zip(rows, mul(scalings[0], a[r, ell + 1:]).tolist()))
         witness = UnsolvableWitness(
             summand="chain",
             chain_spec=ring.spec,
@@ -523,7 +523,7 @@ def solve_chain(system: LinSystem) -> Certificate:
     rhs = bprime[:t].copy()
     for r in range(t - 1, -1, -1):
         values[r] = divide(diag[r], rhs[r])
-        rhs[:r] = add(rhs[:r], neg(mul(values[r], a[:r, r])))
+        rhs[:r] = sub(rhs[:r], mul(values[r], a[:r, r]))
     assignment = {cols[pos]: ring.element(v) for pos, v in zip(perm.tolist(), values.tolist())}
     if not system.eval(assignment):
         raise InternalError("back-substituted assignment fails the system")
