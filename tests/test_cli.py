@@ -229,6 +229,24 @@ def test_cli_mat_and_oracle(tmp_path, capsys):
     assert "96" in out
 
 
+def test_cli_mat_inverse_contract(tmp_path, capsys):
+    singular = _write(
+        tmp_path, "singular.rls",
+        "ring Z/4\nrows a b\ncols a b\nrow a: 2*a + 2*b\nrow b: 1*b\n",
+    )
+    assert main(["mat", "inverse", singular]) == 1
+    assert capsys.readouterr().out == "singular\n"
+    ring_path = tmp_path / "ut2.json"
+    write_table_ring(upper_triangular_f2(), ring_path)
+    noncommutative = _write(
+        tmp_path, "ut2.rls",
+        f"ring table:{ring_path}\nrows a b\ncols a b\nrow a: 1*a + 2*b\nrow b: 1*b\n",
+    )
+    assert main(["mat", "inverse", noncommutative]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "commutative" in captured.err
+
+
 def test_cli_outputs_are_deterministic(tmp_path, capsys):
     src = _write(tmp_path, "s.rls", "ring Z/6\nvars b a\neq 4*a + 2*b = 2\n")
     out1, out2 = str(tmp_path / "o1.rls"), str(tmp_path / "o2.rls")

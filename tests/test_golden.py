@@ -14,6 +14,12 @@ systems of 8x8 to 40x40 over rings dense in zero divisors, a group and a
 numerical system, direct ``solve_chain`` calls over non-``Z/m`` chain rings,
 and ``hermite_normal_form`` (``Q``, ``S``, ``col_perm``, ``diag``) of about
 10x12 matrices.
+
+A third file, ``golden_matrices.json``, pins matrix algebra: the inverse
+(entry names, or ``null`` when singular) and the determinant (``null`` where
+a local summand is not a Galois ring) of seeded 1x1 to 8x8 matrices over
+commutative rings, local and not, and the standard output and exit code of
+``ringsolve mat inverse|det|charpoly corpus/matrix_z9.rls``.
 """
 
 from __future__ import annotations
@@ -25,17 +31,23 @@ from pathlib import Path
 
 import pytest
 
+from conftest import bivariate_nilpotent
 from ringsolve import (
     GroupSystem,
     LinSystem,
     Matrix,
     NumericalSystem,
     TwoSidedSystem,
+    UnsupportedRing,
+    determinant,
     hermite_normal_form,
+    inverse,
+    mat_mul,
     solve,
     solve_chain,
     verify_certificate,
 )
+from ringsolve.cli import main
 from ringsolve.ring import additive_group, unit_indices
 from ringsolve.sysio import (
     parse_certificate,
@@ -49,6 +61,7 @@ from ringsolve.sysio import (
 ROOT = Path(__file__).resolve().parents[1]
 EXPECTED = json.loads((Path(__file__).with_name("golden_systems.json")).read_text())
 EXPECTED_LARGE = json.loads((Path(__file__).with_name("golden_large.json")).read_text())
+EXPECTED_MATRICES = json.loads((Path(__file__).with_name("golden_matrices.json")).read_text())
 
 
 def _pick(rng: random.Random, size: int, zero: int, density: float = 0.7) -> int:
@@ -281,3 +294,124 @@ def test_golden_large_covers_every_system():
 @pytest.mark.parametrize("name", sorted(EXPECTED_LARGE))
 def test_golden_large_outputs(name):
     assert observe_large(name) == EXPECTED_LARGE[name]
+
+
+# ---------------------------------------------------------------------------
+# matrix inverse and determinant
+
+
+MATRIX_RINGS = [
+    ("Z4", "Z/4"),
+    ("Z6", "Z/6"),
+    ("Z9", "Z/9"),
+    ("Z12", "Z/12"),
+    ("F4", F4_SPEC),
+    ("GR42", "GR(4,2)"),
+    ("F2xy", None),
+    ("Z2xGR42", "Z/2 x GR(4,2)"),
+]
+MATRIX_CLI_ACTIONS = ("inverse", "det", "charpoly")
+
+
+def _triangular(rng: random.Random, ring, n: int, lower: bool, diag: list[int]) -> list[list[int]]:
+    zero = ring.zero.index
+    return [
+        [diag[i] if i == j else rng.randrange(ring.size) if (j < i) == lower else zero for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _grid_product(ring, x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    n = len(x)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ring.zero.index
+            for k in range(n):
+                acc = ring.add_idx(acc, ring.mul_idx(x[i][k], y[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _golden_matrices() -> dict:
+    """Per ring and n = 1..8: a uniformly random matrix, an invertible L·U,
+    and L·U with one non-unit on the diagonal of U (singular, yet every
+    column may hold a unit)."""
+    rng = random.Random(19980615)
+    out = {}
+    for label, spec in MATRIX_RINGS:
+        ring = bivariate_nilpotent() if spec is None else parse_ring_spec(spec)
+        units = sorted(unit_indices(ring))
+        non_units = sorted(set(range(ring.size)) - set(units))
+        for n in range(1, 9):
+            ids = list(range(n))
+
+            def matrix(grid):
+                return Matrix(ring, ids, ids, {(i, j): grid[i][j] for i in ids for j in ids})
+
+            out[f"{label}-{n}-random"] = matrix([[rng.randrange(ring.size) for _ in ids] for _ in ids])
+            lower = _triangular(rng, ring, n, True, [rng.choice(units) for _ in ids])
+            diag = [rng.choice(units) for _ in ids]
+            out[f"{label}-{n}-lu"] = matrix(_grid_product(ring, lower, _triangular(rng, ring, n, False, diag)))
+            diag[rng.randrange(n)] = rng.choice(non_units)
+            out[f"{label}-{n}-lu-nonunit"] = matrix(
+                _grid_product(ring, lower, _triangular(rng, ring, n, False, diag))
+            )
+    return out
+
+
+@functools.cache
+def _all_matrices() -> dict:
+    return _golden_matrices()
+
+
+def observe_matrix(a: Matrix) -> dict:
+    inv = inverse(a)
+    try:
+        det = determinant(a).name
+    except UnsupportedRing:
+        det = None
+    return {
+        "inverse": None if inv is None else [[inv.entry(i, j).name for j in a.cols] for i in a.rows],
+        "determinant": det,
+    }
+
+
+def observe_matrix_cli(action: str, capsys) -> dict:
+    code = main(["mat", action, "corpus/matrix_z9.rls"])
+    return {"exit": code, "stdout": capsys.readouterr().out}
+
+
+def test_golden_matrices_cover_every_matrix():
+    names = sorted(_all_matrices()) + [f"cli-matrix_z9-{action}" for action in MATRIX_CLI_ACTIONS]
+    assert sorted(names) == sorted(EXPECTED_MATRICES)
+    for label, _ in MATRIX_RINGS:
+        outcomes = {
+            EXPECTED_MATRICES[name]["inverse"] is None
+            for name in EXPECTED_MATRICES
+            if name.startswith(f"{label}-")
+        }
+        assert outcomes == {True, False}, label
+
+
+@pytest.mark.parametrize("name", sorted(n for n in EXPECTED_MATRICES if not n.startswith("cli-")))
+def test_golden_matrix_outputs(name):
+    a = _all_matrices()[name]
+    observed = observe_matrix(a)
+    assert observed == EXPECTED_MATRICES[name]
+    if observed["inverse"] is not None:
+        by_name = {e.name: e.index for e in a.ring.elements()}
+        inv = Matrix(a.ring, a.rows, a.cols, {
+            (i, j): by_name[observed["inverse"][r][c]]
+            for r, i in enumerate(a.rows) for c, j in enumerate(a.cols)
+        })
+        identity = Matrix.identity(a.ring, a.rows)
+        assert mat_mul(a, inv).equals(identity) and mat_mul(inv, a).equals(identity)
+
+
+@pytest.mark.parametrize("action", MATRIX_CLI_ACTIONS)
+def test_golden_matrix_cli(monkeypatch, capsys, action):
+    monkeypatch.chdir(ROOT)
+    assert observe_matrix_cli(action, capsys) == EXPECTED_MATRICES[f"cli-matrix_z9-{action}"]
