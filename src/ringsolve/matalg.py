@@ -1,8 +1,13 @@
 """Matrix algebra over finite rings.
 
-Multiplication, big-exponent powers, general-linear-group cardinality,
-inverse via the |GL| power trick, and an exact characteristic polynomial
-over Galois rings through the Csanky/Newton recursion lifted to Z[X]/(F).
+Multiplication, big-exponent powers, general-linear-group cardinality, the
+inverse by Gauss–Jordan elimination with unit pivots on each local summand,
+and an exact characteristic polynomial over Galois rings through the
+Csanky/Newton recursion lifted to Z[X]/(F).
+
+The paper defines invertibility through the power A^(|GL_n(R)|-1); that
+construction is kept as the independent cross-check
+``oracle.inverse_by_power``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InternalError, InvalidParameter, PreconditionViolation, UnsupportedRing
-from .ring import FiniteRing, RingElement
+from .ring import FiniteRing, RingElement, unit_indices
 from .structure import (
     decompose_local,
     galois_representation,
@@ -175,28 +180,67 @@ def _project_matrix(a: Matrix, summand) -> Matrix:
     return Matrix(summand.ring, a.rows, a.cols, entries)
 
 
+def _invert_local(ring: FiniteRing, grid: list[list[int]]) -> list[list[int]] | None:
+    """Gauss–Jordan on [A | I] over a local ring; None when A is singular.
+
+    The pivot of column c is the first row at or below c holding a unit.  If
+    there is none, A is singular modulo the maximal ideal, hence singular.
+    """
+    n = len(grid)
+    zero, one = ring.zero.index, ring.one.index
+    units = unit_indices(ring)
+    unit_order = len(units)
+    rows = [row + [one if k == r else zero for k in range(n)] for r, row in enumerate(grid)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c] in units), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        # u^(|U|-1) = u^(-1) in the unit group; columns left of c are zero
+        pivot_row = rows[c]
+        scale = ring.pow_idx(pivot_row[c], unit_order - 1)
+        tail = [(k, ring.mul_idx(scale, pivot_row[k])) for k in range(c, 2 * n) if pivot_row[k] != zero]
+        for k, v in tail:
+            pivot_row[k] = v
+        for r in range(n):
+            factor = rows[r][c]
+            if r == c or factor == zero:
+                continue
+            factor = ring.neg_idx(factor)
+            row = rows[r]
+            for k, v in tail:
+                row[k] = ring.add_idx(row[k], ring.mul_idx(factor, v))
+    return [row[n:] for row in rows]
+
+
 def inverse(a: Matrix) -> Matrix | None:
-    """A^(-1) via A^(|GL|-1) on each local summand; None when singular."""
+    """A^(-1) by Gauss–Jordan with unit pivots on each local summand; None
+    when singular.  The result is checked against A·A^(-1) = I."""
     if not a.ring.commutative:
         raise PreconditionViolation("inverse requires a commutative ring")
     if not a.is_square():
         raise InvalidParameter("inverse requires a square matrix")
     ring = a.ring
-    n = len(a.rows)
+    ids = a.rows
     combined: dict = {}
     for summand in decompose_local(ring):
-        a_e = _project_matrix(a, summand)
-        ell = gl_order_local(summand.ring, n)
-        b_e = mat_pow(a_e, ell - 1)
-        product = mat_mul(a_e, b_e)
-        if not product.equals(Matrix.identity(summand.ring, a.rows)):
+        grid = [[summand.project(a.entry_idx(i, j)) for j in ids] for i in ids]
+        inv = _invert_local(summand.ring, grid)
+        if inv is None:
             return None
-        for key, v in b_e.entries.items():
-            combined[key] = ring.add_idx(combined.get(key, ring.zero.index), summand.embed(v))
-    return Matrix(ring, a.rows, a.cols, combined)
+        zero_e = summand.ring.zero.index
+        for i, row in zip(ids, inv):
+            for j, v in zip(ids, row):
+                if v != zero_e:
+                    combined[i, j] = ring.add_idx(combined.get((i, j), ring.zero.index), summand.embed(v))
+    result = Matrix(ring, a.rows, a.cols, combined)
+    if not mat_mul(a, result).equals(Matrix.identity(ring, a.rows)):
+        raise InternalError("Gauss–Jordan inverse fails A·A^(-1) = I")
+    return result
 
 
 def is_invertible(a: Matrix) -> bool:
+    """Whether A is invertible, decided by the elimination of ``inverse``."""
     return inverse(a) is not None
 
 

@@ -1,7 +1,8 @@
 """Brute-force oracles: exhaustive, decomposition-free, independent of the solvers.
 
 Nothing here calls into the solver pipeline; only element arithmetic is
-shared with the rest of the package.  Enumeration is exact and capacity
+shared with the rest of the package, and for the |GL|-power inverse also
+the local decomposition, ``gl_order_local`` and matrix products.  Enumeration is exact and capacity
 errors are hard, never silent sampling.
 """
 
@@ -12,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InternalError, InvalidParameter
+from .errors import CapacityError, InternalError, InvalidParameter, PreconditionViolation
 from .linsys import GroupSystem, LinSystem, NumericalSystem, TwoSidedSystem
-from .matalg import CharPoly, Matrix
+from .matalg import CharPoly, Matrix, gl_order_local, mat_mul, mat_pow
 from .ring import AbelianGroup, FiniteRing
+from .structure import decompose_local
 
 SEARCH_CAP = 10**7
 _VECTOR_THRESHOLD = 4096
@@ -401,6 +403,34 @@ def _dot(ring, xs, ys):
     for x, y in zip(xs, ys):
         acc = ring.add_idx(acc, ring.mul_idx(x, y))
     return acc
+
+
+# ---------------------------------------------------------------------------
+# inverse by the |GL| power
+
+
+def inverse_by_power(a: Matrix) -> Matrix | None:
+    """A^(-1) as A^(|GL_n(eR)|-1) on each local summand eR; None when singular.
+
+    This is the paper's definability construction: A^|GL| = E in the finite
+    group GL_n(eR), so A is invertible iff A·A^(|GL|-1) = E.  It shares no
+    code with the elimination of ``matalg.inverse`` and cross-checks it.
+    """
+    if not a.ring.commutative:
+        raise PreconditionViolation("inverse requires a commutative ring")
+    if not a.is_square():
+        raise InvalidParameter("inverse requires a square matrix")
+    ring = a.ring
+    n = len(a.rows)
+    combined: dict = {}
+    for summand in decompose_local(ring):
+        a_e = Matrix(summand.ring, a.rows, a.cols, {key: summand.project(v) for key, v in a.entries.items()})
+        b_e = mat_pow(a_e, gl_order_local(summand.ring, n) - 1)
+        if not mat_mul(a_e, b_e).equals(Matrix.identity(summand.ring, a.rows)):
+            return None
+        for key, v in b_e.entries.items():
+            combined[key] = ring.add_idx(combined.get(key, ring.zero.index), summand.embed(v))
+    return Matrix(ring, a.rows, a.cols, combined)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,29 @@ def all_small_systems(ring, n_rows, n_cols):
         yield LinSystem(ring, rows, cols, entries, b)
 
 
+def count_scalar_calls(ring, ops=("_add", "_mul", "_neg")) -> list[int]:
+    """Wrap the ring's scalar ops (add/mul/neg by default); the returned list
+    holds the number of calls.  Use a ring built for the test alone."""
+    calls = [0]
+
+    def counted(op):
+        def wrapper(*args):
+            calls[0] += 1
+            return op(*args)
+        return wrapper
+
+    for name in ops:
+        setattr(ring, name, counted(getattr(ring, name)))
+    return calls
+
+
+def same_inverse(x, y) -> bool:
+    """Two results of an inverse: both None, or equal matrices."""
+    if x is None or y is None:
+        return x is None and y is None
+    return x.equals(y)
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xB1A5)

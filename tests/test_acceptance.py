@@ -14,6 +14,7 @@ from conftest import (
     f4,
     gr42,
     random_linsystem,
+    same_inverse,
     upper_triangular_f2,
     zmod,
 )
@@ -53,6 +54,7 @@ from ringsolve.oracle import (
     charpoly_cofactor,
     enumerate_gl,
     enumerate_witnesses,
+    inverse_by_power,
 )
 from ringsolve.structure import (
     default_order,
@@ -267,6 +269,7 @@ def test_criterion_4_inverse():
     for flat in itertools.product(range(4), repeat=4):
         a = Matrix(z4, ids, ids, dict(zip(((0, 0), (0, 1), (1, 0), (1, 1)), flat)))
         inv = inverse(a)
+        assert same_inverse(inv, inverse_by_power(a))
         if inv is not None:
             invertible_count += 1
             assert mat_mul(a, inv).equals(e4) and mat_mul(inv, a).equals(e4)
@@ -288,6 +291,7 @@ def test_criterion_4_inverse():
             a = Matrix(ring, ids, ids,
                        {(i, j): rng.randrange(ring.size) for i in ids for j in ids})
             inv = inverse(a)
+            assert same_inverse(inv, inverse_by_power(a))
             if inv is not None:
                 assert mat_mul(a, inv).equals(e) and mat_mul(inv, a).equals(e)
             else:

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     all_small_systems,
     bivariate_nilpotent,
+    count_scalar_calls,
     f4,
     gr42,
     random_linsystem,
@@ -190,20 +191,6 @@ def test_solve_chain_examples():
     assert cert.solvable and cert.assignment["x"].index == 1
 
 
-def _count_scalar_calls(ring) -> list[int]:
-    """Wrap the ring's scalar add/mul/neg; the returned list holds the count."""
-    calls = [0]
-
-    def counted(op):
-        def wrapper(*args):
-            calls[0] += 1
-            return op(*args)
-        return wrapper
-
-    ring._add, ring._mul, ring._neg = counted(ring._add), counted(ring._mul), counted(ring._neg)
-    return calls
-
-
 @pytest.mark.parametrize("planted", [True, False])
 def test_solve_chain_makes_few_scalar_ring_calls(planted):
     # elimination, back substitution and the witness search are array
@@ -220,7 +207,7 @@ def test_solve_chain_makes_few_scalar_ring_calls(planted):
     else:
         b = {i: rnd.randrange(8) for i in rows}
     system = LinSystem(ring, rows, cols, entries, b)
-    calls = _count_scalar_calls(ring)
+    calls = count_scalar_calls(ring)
     cert = solve_chain(system)
     assert cert.solvable == planted
     assert calls[0] < 4 * k * ell
@@ -231,7 +218,7 @@ def test_hnf_over_large_galois_ring_fills_few_table_rows():
     # over a 256-element ring must not pay for the full 2·256² tables
     ring = parse_ring_spec("GR(4,4)")
     chain_data(ring)
-    calls = _count_scalar_calls(ring)
+    calls = count_scalar_calls(ring)
     m = Matrix(ring, ["a", "b"], ["x", "y"], {("a", "x"): 2, ("a", "y"): 5, ("b", "x"): 7, ("b", "y"): 4})
     res = hermite_normal_form(m)
     assert res.Q == [[4, 7], [0, 254]]

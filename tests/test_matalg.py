@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from conftest import bivariate_nilpotent, f4, gr42, zmod
+from conftest import bivariate_nilpotent, count_scalar_calls, f4, gr42, same_inverse, zmod
 from ringsolve import (
     InvalidParameter,
+    build_zmod,
     Matrix,
     UnsupportedRing,
     charpoly_galois,
@@ -19,7 +21,9 @@ from ringsolve import (
     mat_mul,
     mat_pow,
 )
-from ringsolve.oracle import charpoly_cofactor, det_cofactor, enumerate_gl
+from ringsolve.oracle import charpoly_cofactor, det_cofactor, enumerate_gl, inverse_by_power
+from ringsolve.ring import unit_indices
+from ringsolve.structure import decompose_local
 
 
 def rand_matrix(rng, ring, ids):
@@ -131,6 +135,7 @@ def test_inverse_brute_force_agreement_z4():
         a = Matrix(z4, [0, 1], [0, 1],
                    {(0, 0): flat[0], (0, 1): flat[1], (1, 0): flat[2], (1, 1): flat[3]})
         inv = inverse(a)
+        assert same_inverse(inv, inverse_by_power(a))
         brute = None
         for bflat in itertools.product(range(4), repeat=4):
             b = Matrix(z4, [0, 1], [0, 1],
@@ -143,6 +148,30 @@ def test_inverse_brute_force_agreement_z4():
             count += 1
             assert mat_mul(a, inv).equals(e) and mat_mul(inv, a).equals(e)
     assert count == 96
+
+
+def test_inverse_makes_few_ring_calls():
+    # Gauss–Jordan makes O(n^3) scalar products; the |GL|-1 power made
+    # about 2n^2 full matrix squarings (some 5·10^5 products at n = 12)
+    ring = build_zmod(4)
+    unit_indices(ring)
+    decompose_local(ring)
+    n = 12
+    rnd = random.Random(12)
+    ids = list(range(n))
+    lower = Matrix(ring, ids, ids, {(i, j): 1 if i == j else rnd.randrange(4) for i in ids for j in ids if j <= i})
+    upper = Matrix(ring, ids, ids, {(i, j): rnd.choice([1, 3]) if i == j else rnd.randrange(4)
+                                    for i in ids for j in ids if j >= i})
+    a = mat_mul(lower, upper)
+    calls = count_scalar_calls(ring, ops=("_mul",))
+    inv = inverse(a)
+    assert calls[0] < 8 * n**3
+    assert inv is not None and mat_mul(inv, a).equals(Matrix.identity(ring, ids))
+    # a zero first column has no unit pivot: singular before any product
+    singular = Matrix(ring, ids, ids, {(i, j): v for (i, j), v in a.entries.items() if j != 0})
+    calls[0] = 0
+    assert inverse(singular) is None
+    assert calls[0] < n * n
 
 
 def test_inverse_over_z6_iff_both_projections(rng):

@@ -1,21 +1,25 @@
-"""Property tests for the chain-ring solver and Hermite normal form.
+"""Property tests for the chain-ring solver, Hermite normal form and inverse.
 
 Random small systems and matrices over the chain rings Z/4, Z/8, Z/9, F4 and
 GR(4,2): ``solve_chain`` must agree with the brute-force oracle and produce
 certificates that replay, and ``hermite_normal_form`` must satisfy
-S·A·T = (Q ; 0) with a valuation chain on its diagonal.  Examples are
-derandomized and bounded so that every run checks the same cases.
+S·A·T = (Q ; 0) with a valuation chain on its diagonal.  Random square
+matrices over local and non-local commutative rings: ``inverse`` must agree
+with the oracle's |GL|-power inverse and be a two-sided inverse.  Examples
+are derandomized and bounded so that every run checks the same cases.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import f4, gr42, zmod
-from ringsolve import LinSystem, Matrix, hermite_normal_form, solve_chain, verify_certificate
+from conftest import bivariate_nilpotent, f4, gr42, same_inverse, zmod
+from ringsolve import LinSystem, Matrix, hermite_normal_form, inverse, mat_mul, solve_chain, verify_certificate
 from ringsolve.linsys import _chain_valuations
-from ringsolve.oracle import brute_force_solve
+from ringsolve.oracle import brute_force_solve, inverse_by_power
+from ringsolve.ring import unit_indices
 from ringsolve.structure import chain_data
 
 RINGS = {"Z/4": lambda: zmod(4), "Z/8": lambda: zmod(8), "Z/9": lambda: zmod(9), "F4": f4, "GR(4,2)": gr42}
@@ -83,3 +87,44 @@ def test_hermite_normal_form_properties(case):
     for r, row in enumerate(res.Q):
         assert all(v == zero for v in row[:r])
         assert all(v == zero or val[res.diag[r]] <= val[v] for v in row[r:])
+
+
+INVERSE_RINGS = {
+    "Z/4": lambda: zmod(4),
+    "Z/8": lambda: zmod(8),
+    "Z/6": lambda: zmod(6),
+    "Z/12": lambda: zmod(12),
+    "F4": f4,
+    "GR(4,2)": gr42,
+    "F2[x,y]/(x^2,y^2)": bivariate_nilpotent,
+}
+
+
+@st.composite
+def square_matrices(draw, ring, max_n: int):
+    """A random n x n matrix, or (half the time) L·U with unit diagonals,
+    which is invertible; random matrices over these rings mostly are not."""
+    n = draw(st.integers(1, max_n))
+    element = st.integers(0, ring.size - 1)
+    grid = draw(st.lists(st.lists(element, min_size=n, max_size=n), min_size=n, max_size=n))
+    ids = list(range(n))
+    a = Matrix(ring, ids, ids, {(i, j): grid[i][j] for i in ids for j in ids})
+    if draw(st.booleans()):
+        units = sorted(unit_indices(ring))
+        diag = draw(st.lists(st.sampled_from(units), min_size=2 * n, max_size=2 * n))
+        lower = Matrix(ring, ids, ids, {(i, j): diag[i] if i == j else grid[i][j] for i in ids for j in ids if j <= i})
+        upper = Matrix(ring, ids, ids, {(i, j): diag[n + i] if i == j else grid[i][j] for i in ids for j in ids if j >= i})
+        a = mat_mul(lower, upper)
+    return a
+
+
+@pytest.mark.parametrize("ring_name", sorted(INVERSE_RINGS))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_inverse_agrees_with_power_construction(ring_name, data):
+    a = data.draw(square_matrices(INVERSE_RINGS[ring_name](), max_n=4))
+    inv = inverse(a)
+    assert same_inverse(inv, inverse_by_power(a))
+    if inv is not None:
+        identity = Matrix.identity(a.ring, a.rows)
+        assert mat_mul(a, inv).equals(identity) and mat_mul(inv, a).equals(identity)
