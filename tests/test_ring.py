@@ -23,7 +23,9 @@ from ringsolve import (
     nilpotency,
     units,
 )
-from ringsolve.ring import additive_group, max_elems
+from ringsolve.ring import additive_group, max_elems, poly_mod_reduce
+from ringsolve.structure import decompose_local, local_data
+from ringsolve.sysio import parse_group_spec, parse_ring_spec
 
 
 def names(elems):
@@ -210,3 +212,111 @@ def test_characteristic_divides_size_and_local_prime_power():
         while c % p == 0:
             c //= p
         assert c == 1
+
+
+# ---------------------------------------------------------------------------
+# op tables against definitions written out here
+
+
+def _digits(i, q, r):
+    return [(i // q**t) % q for t in range(r)]
+
+
+def _undigits(cs, q):
+    return sum(c * q**t for t, c in enumerate(cs))
+
+
+def _poly_quotient_tables(ring):
+    q, f = ring.p**ring.n, list(ring.f.coeffs)
+    r = len(f) - 1
+    elems = [_digits(i, q, r) for i in range(ring.size)]
+    add = [[_undigits([(x + y) % q for x, y in zip(a, b)], q) for b in elems] for a in elems]
+    mul = []
+    for a in elems:
+        row = []
+        for b in elems:
+            conv = [0] * (2 * r - 1)
+            for s, x in enumerate(a):
+                for t, y in enumerate(b):
+                    conv[s + t] += x * y
+            row.append(_undigits(poly_mod_reduce(conv, f, q), q))
+        mul.append(row)
+    return add, mul
+
+
+def _product_tables(factor_tables):
+    """Componentwise tables, the last factor's index varying fastest."""
+    add, mul = [[0]], [[0]]
+    for fadd, fmul in factor_tables:
+        s = len(fadd)
+        add = [[x * s + fadd[a][b] for x in row for b in range(s)] for row in add for a in range(s)]
+        mul = [[x * s + fmul[a][b] for x in row for b in range(s)] for row in mul for a in range(s)]
+    return add, mul
+
+
+def _residue_tables(m):
+    return ([[(a + b) % m for b in range(m)] for a in range(m)],
+            [[a * b % m for b in range(m)] for a in range(m)])
+
+
+@pytest.mark.parametrize("spec", ["GR(4,2)", "GR(9,2)", "Z/4[X]/(X^2)"])
+def test_poly_quotient_tables_match_definition(spec):
+    ring = parse_ring_spec(spec)
+    assert ring.op_tables() == _poly_quotient_tables(ring)
+
+
+@pytest.mark.parametrize("spec", ["Z/2 x GR(4,2)", "Z/16 x GR(4,2)"])
+def test_product_tables_match_definition(spec):
+    ring = parse_ring_spec(spec)
+    gr = parse_ring_spec("GR(4,2)")
+    m = ring.factors[0].size
+    assert ring.op_tables() == _product_tables([_residue_tables(m), _poly_quotient_tables(gr)])
+
+
+def test_phi_tables_match_definition():
+    # phi(G) on G x Z_d: (g1,m1)+(g2,m2) = (g1+g2, m1+m2), (g1,m1)·(g2,m2) = (m2·g1 + m1·g2, m1·m2)
+    moduli = (2, 4)
+    ring = parse_ring_spec("phi(Z/2 x Z/4)")
+    d = 4
+    group = list(itertools.product(*(range(m) for m in moduli)))
+    g_index = {g: k for k, g in enumerate(group)}
+
+    def g_add(x, y):
+        return tuple((a + b) % m for a, b, m in zip(x, y, moduli))
+
+    def g_times(k, x):
+        return tuple(k * a % m for a, m in zip(x, moduli))
+
+    elems = [(g, mv) for g in group for mv in range(d)]
+    add = [[g_index[g_add(g1, g2)] * d + (m1 + m2) % d for g2, m2 in elems] for g1, m1 in elems]
+    mul = [[g_index[g_add(g_times(m2, g1), g_times(m1, g2))] * d + m1 * m2 % d for g2, m2 in elems]
+           for g1, m1 in elems]
+    assert ring.size == len(elems)
+    assert ring.op_tables() == (add, mul)
+
+
+def test_product_group_table_matches_definition():
+    moduli = (4, 8, 9)
+    group = parse_group_spec("Z/4 x Z/8 x Z/9")
+    elems = list(itertools.product(*(range(m) for m in moduli)))
+    index = {g: k for k, g in enumerate(elems)}
+    expected = [[index[tuple((a + b) % m for a, b, m in zip(x, y, moduli))] for y in elems] for x in elems]
+    assert group.add_table() == expected
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/2 x GR(4,2)", "GR(4,2)"])
+def test_summand_and_residue_tables_follow_parent_ops(spec):
+    parent = parse_ring_spec(spec)
+    for summand in decompose_local(parent):
+        sub = summand.ring
+        embed = [summand.embed(i) for i in range(sub.size)]
+        add, mul = sub.op_tables()
+        for i, j in itertools.product(range(sub.size), repeat=2):
+            assert embed[add[i][j]] == parent.add_idx(embed[i], embed[j])
+            assert embed[mul[i][j]] == parent.mul_idx(embed[i], embed[j])
+        data = local_data(sub)
+        fadd, fmul = data.field.op_tables()
+        proj = data.projection
+        for x, y in itertools.product(range(sub.size), repeat=2):
+            assert fadd[proj[x]][proj[y]] == proj[sub.add_idx(x, y)]
+            assert fmul[proj[x]][proj[y]] == proj[sub.mul_idx(x, y)]
