@@ -309,58 +309,15 @@ class Certificate:
 # chain-ring machinery
 
 
-class _LazyTable:
-    """An |R| x |R| op table, looked up elementwise, whose rows are computed
-    on first use.
-
-    ``np.empty`` reserves the table without touching its pages, so memory
-    and scalar calls grow with the rows (left operands) actually used: a
-    small elimination over a 1024-element Galois ring fills a few rows, not
-    a million entries.
-    """
-
-    def __init__(self, op, size: int):
-        self.op, self.size = op, size
-        self.table = np.empty((size, size), dtype=np.int64)
-        self.filled = np.zeros(size, dtype=bool)
-
-    def __call__(self, x, y):
-        used = np.bincount(np.ravel(x), minlength=self.size) > 0
-        for i in np.flatnonzero(used & ~self.filled).tolist():
-            self.table[i] = [self.op(i, j) for j in range(self.size)]
-            self.filled[i] = True
-        return self.table[x, y]
-
-
-def _vec_ops(ring: FiniteRing):
-    """Elementwise (add, mul, sub) on int64 arrays of element indices.
-
-    Z/m computes on the indices, which are the residues; any other ring
-    looks results up in op tables filled row by row.  Cached per ring.
-    Callers keep the left operand of ``mul`` to few distinct values.
-    """
-    if "vecops" not in ring._cache:
-        if ring.rep == "zmod":
-            m = ring.size
-            ops = (lambda x, y: (x + y) % m, lambda x, y: (x * y) % m, lambda x, y: (x - y) % m)
-        else:
-            add = _LazyTable(ring.add_idx, ring.size)
-            neg = np.array([ring.neg_idx(x) for x in range(ring.size)], dtype=np.int64)
-            ops = (add, _LazyTable(ring.mul_idx, ring.size), lambda x, y: add(x, neg[y]))
-        ring._cache["vecops"] = ops
-    return ring._cache["vecops"]
-
-
 def _chain_valuations(ring: FiniteRing, cd: ChainData) -> list[int]:
     """val[x] = largest t <= n with x in pi^t·R (val[0] = n)."""
     if "chainval" not in ring._cache:
-        _, mul, _ = _vec_ops(ring)
         elems = np.arange(ring.size)
         val = np.zeros(ring.size, dtype=np.int64)
         power = ring.one.index
         for t in range(1, cd.n + 1):
             power = ring.mul_idx(power, cd.pi.index)
-            val[mul(power, elems)] = t
+            val[ring.mul(power, elems)] = t
         ring._cache["chainval"] = val.tolist()
     return ring._cache["chainval"]
 
@@ -371,7 +328,6 @@ def _divider(ring: FiniteRing):
     One lookup table per divisor, built on first use and kept for the
     lifetime of the returned function (one elimination).
     """
-    _, mul, _ = _vec_ops(ring)
     elems = np.arange(ring.size)
     tables: dict = {}
 
@@ -379,7 +335,7 @@ def _divider(ring: FiniteRing):
         by = int(by)
         if by not in tables:
             table = np.full(ring.size, ring.size, dtype=np.int64)
-            np.minimum.at(table, mul(by, elems), elems)
+            np.minimum.at(table, ring.mul(by, elems), elems)
             tables[by] = table
         z = tables[by][x]
         if (z == ring.size).any():
@@ -440,7 +396,6 @@ def _hermite(ring: FiniteRing, a: np.ndarray, ell: int, cd: ChainData, divide):
     least (valuation, element index, row, column); every row below it is
     cleared in one broadcast update.  Returns (a | S, col_perm, rank).
     """
-    _, mul, sub = _vec_ops(ring)
     size, zero = ring.size, ring.zero.index
     # pivot order: valuation, then element index; zero never pivots
     order = np.asarray(_chain_valuations(ring, cd)) * size + np.arange(size)
@@ -465,7 +420,7 @@ def _hermite(ring: FiniteRing, a: np.ndarray, ell: int, cd: ChainData, divide):
         below = step + 1 + np.flatnonzero(a[step + 1:, step] != zero)
         if below.size:
             z = divide(a[step, step], a[below, step])[:, None]
-            a[below] = sub(a[below], mul(z, a[step]))
+            a[below] = ring.sub(a[below], ring.mul(z, a[step]))
         t += 1
     if (a[t:, :ell] != zero).any():
         raise InternalError("elimination left a nonzero residual row")
@@ -494,7 +449,6 @@ def solve_chain(system: LinSystem) -> Certificate:
     cd = _require_chain(ring)
     rows, cols = list(system.rows), list(system.cols)
     k, ell = len(rows), len(cols)
-    _, mul, sub = _vec_ops(ring)
     divide = _divider(ring)
     # b rides along as column ell, so it ends up as S·b
     a, perm, t = _hermite(ring, _dense(system, rows, cols, rhs=True), ell, cd, divide)
@@ -507,10 +461,10 @@ def solve_chain(system: LinSystem) -> Certificate:
         # the first failing transformed row is a certificate of unsolvability
         r = failing[0]
         tail = ring.pow_idx(cd.pi.index, cd.n - 1)
-        scalings = np.flatnonzero(mul(bprime[r], np.arange(ring.size)) == tail)
+        scalings = np.flatnonzero(ring.mul(bprime[r], np.arange(ring.size)) == tail)
         if not scalings.size:
             raise InternalError("no scaling maps the failing row onto the witness tail")
-        combo = dict(zip(rows, mul(scalings[0], a[r, ell + 1:]).tolist()))
+        combo = dict(zip(rows, ring.mul(scalings[0], a[r, ell + 1:]).tolist()))
         witness = UnsolvableWitness(
             summand="chain",
             chain_spec=ring.spec,
@@ -523,7 +477,7 @@ def solve_chain(system: LinSystem) -> Certificate:
     rhs = bprime[:t].copy()
     for r in range(t - 1, -1, -1):
         values[r] = divide(diag[r], rhs[r])
-        rhs[:r] = sub(rhs[:r], mul(values[r], a[:r, r]))
+        rhs[:r] = ring.sub(rhs[:r], ring.mul(values[r], a[:r, r]))
     assignment = {cols[pos]: ring.element(v) for pos, v in zip(perm.tolist(), values.tolist())}
     if not system.eval(assignment):
         raise InternalError("back-substituted assignment fails the system")
@@ -532,12 +486,11 @@ def solve_chain(system: LinSystem) -> Certificate:
 
 def _assert_witness(system: LinSystem, combo: dict, tail: int):
     ring = system.ring
-    add, mul, _ = _vec_ops(ring)
     rows, cols = list(system.rows), list(system.cols)
     a = _dense(system, rows, cols, rhs=True)
     acc = np.full(len(cols) + 1, ring.zero.index, dtype=np.int64)
     for i, row in zip(rows, a):
-        acc = add(acc, mul(combo[i], row))
+        acc = ring.add(acc, ring.mul(combo[i], row))
     if (acc[:-1] != ring.zero.index).any():
         raise InternalError("witness does not annihilate the coefficient columns")
     if acc[-1] != tail:

@@ -21,7 +21,6 @@ from .structure import decompose_local
 
 SEARCH_CAP = 10**7
 _VECTOR_THRESHOLD = 4096
-_TABLE_CAP = 1024
 
 
 @dataclass
@@ -42,22 +41,6 @@ def _check_space(base: int, exponent: int) -> int:
     return space
 
 
-def _np_tables(ring_or_group):
-    cache = ring_or_group._cache
-    if "np_tables" not in cache:
-        if ring_or_group.size > _TABLE_CAP:
-            raise CapacityError(f"op tables over {ring_or_group.size} elements")
-        if isinstance(ring_or_group, AbelianGroup):
-            add = np.array(ring_or_group.add_table(), dtype=np.int64)
-            mul = None
-        else:
-            add_t, mul_t = ring_or_group.op_tables()
-            add = np.array(add_t, dtype=np.int64)
-            mul = np.array(mul_t, dtype=np.int64)
-        cache["np_tables"] = (add, mul)
-    return cache["np_tables"]
-
-
 def _enumerate_assignments(size: int, nvars: int, space: int):
     """Yield (batch_matrix, offset) covering all mixed-radix assignments."""
     batch = 1 << 18
@@ -73,14 +56,15 @@ def _enumerate_assignments(size: int, nvars: int, space: int):
         yield np.stack(cols, axis=1), start
 
 
-def _solve_rows_vectorised(size, add_tab, rows, nvars, space, zero_idx):
-    """rows: list of (list of (var position, coeff combiner array), rhs index)."""
+def _solve_rows_vectorised(size, add, rows, nvars, space, zero_idx):
+    """rows: list of (list of (var position, coeff combiner array), rhs index);
+    ``add`` is the carrier's elementwise addition."""
     for assign, start in _enumerate_assignments(size, nvars, space):
         ok = np.ones(assign.shape[0], dtype=bool)
         for terms, rhs in rows:
             acc = np.full(assign.shape[0], zero_idx, dtype=np.int64)
             for pos, combine in terms:
-                acc = add_tab[acc, combine[assign[:, pos]]]
+                acc = add(acc, combine[assign[:, pos]])
             ok &= acc == rhs
             if not ok.any():
                 break
@@ -120,13 +104,13 @@ def _brute_linsys(system: LinSystem) -> OracleReport:
          system.rhs_idx(i))
         for i in system.rows
     ]
-    if space > _VECTOR_THRESHOLD and ring.size <= _TABLE_CAP:
-        add_tab, mul_tab = _np_tables(ring)
+    if space > _VECTOR_THRESHOLD:
+        elems = np.arange(ring.size)
         np_rows = [
-            ([(pos, mul_tab[coeff]) for pos, coeff in terms], rhs)
+            ([(pos, ring.mul(coeff, elems)) for pos, coeff in terms], rhs)
             for terms, rhs in rows_data
         ]
-        winner = _solve_rows_vectorised(ring.size, add_tab, np_rows, len(cols), space, ring.zero.index)
+        winner = _solve_rows_vectorised(ring.size, ring.add, np_rows, len(cols), space, ring.zero.index)
         if winner is None:
             return OracleReport(False, None, space)
         assign = _decode_assignment(winner, ring.size, cols)

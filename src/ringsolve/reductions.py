@@ -13,12 +13,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .errors import InvalidParameter, PreconditionViolation
 from .linsys import GroupSystem, LinSystem, NumericalSystem, TwoSidedSystem
 from .ring import (
     AbelianGroup,
     FiniteRing,
     RingElement,
+    _check_size,
+    _op_table,
     additive_group,
     cached_zmod,
     group_decompose_cyclic,
@@ -154,44 +158,33 @@ def build_phi_ring(group: AbelianGroup) -> FiniteRing:
     if group.size * d < 2:
         raise InvalidParameter("phi of the trivial group degenerates to the zero ring")
     size = group.size * d
-
-    def split(i: int) -> tuple[int, int]:
-        return i // d, i % d
-
-    def join(g: int, mval: int) -> int:
-        return g * d + mval % d
+    spec = f"phi({group.spec})"
+    _check_size(size, f"ring {spec!r}")
+    # element (g, m) has index g·d + m; times[m, g] = m·g
+    g_of, m_of = np.divmod(np.arange(size), d)
+    times = np.empty((d, group.size), dtype=np.int64)
+    times[0] = group.identity.index
+    for m in range(1, d):
+        times[m] = group.add(times[m - 1], np.arange(group.size))
+    shape = (group.size, d)
 
     def add(i, j):
-        g1, m1 = split(i)
-        g2, m2 = split(j)
-        return join(group.add_idx(g1, g2), (m1 + m2) % d)
-
-    def neg(i):
-        g, mval = split(i)
-        return join(group.neg_idx(g), (-mval) % d)
+        return np.ravel_multi_index((group.add(g_of[i], g_of[j]), (m_of[i] + m_of[j]) % d), shape)
 
     def mul(i, j):
-        g1, m1 = split(i)
-        g2, m2 = split(j)
-        g = group.add_idx(group.scalar_idx(m2, g1), group.scalar_idx(m1, g2))
-        return join(g, (m1 * m2) % d)
+        g = group.add(times[m_of[j], g_of[i]], times[m_of[i], g_of[j]])
+        return np.ravel_multi_index((g, m_of[i] * m_of[j] % d), shape)
 
-    names = [
-        f"({group.format_element(g)},{mval})"
-        for g in range(group.size)
-        for mval in range(d)
-    ]
     ring = FiniteRing(
         rep="phi",
         size=size,
-        add=add,
-        mul=mul,
-        neg=neg,
-        zero_idx=join(group.identity.index, 0),
-        one_idx=join(group.identity.index, 1),
+        add=_op_table(size, add),
+        mul=_op_table(size, mul),
+        zero_idx=group.identity.index * d,
+        one_idx=group.identity.index * d + 1,
         commutative=True,
-        names=names,
-        spec=f"phi({group.spec})",
+        names=[f"({name},{m})" for name in group.names for m in range(d)],
+        spec=spec,
     )
     ring.phi_group = group
     ring.phi_d = d

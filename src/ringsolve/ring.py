@@ -1,22 +1,29 @@
 """Finite commutative (and flagged non-commutative) rings and finite abelian groups.
 
 Every structure carries an element table indexed 0..size-1; an element is
-identified by (owning structure, index).  Arithmetic is exposed both on
-element handles (operator overloads) and on raw indices (the ``*_idx``
-methods, used by the solvers' hot loops).
+identified by (owning structure, index).  The operations are stored once,
+as dense numpy tables built by the constructors (or, for Z/m, as arithmetic
+on the residues, which are the indices).  They are exposed elementwise on
+int arrays of indices (``add``/``mul``/``sub``/``neg``), on single indices
+(the ``*_idx`` methods, lookups into the same data) and on element handles
+(operator overloads).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, InvalidParameter, NotARing
 
 DEFAULT_MAX_ELEMS = 4096
+_CHUNK = 1 << 18  # table entries computed per step of _op_table
 
 
 def max_elems() -> int:
@@ -31,6 +38,22 @@ def _check_size(size: int, what: str):
         raise CapacityError(f"{what} has {size} elements, exceeding the cap of {cap}")
 
 
+def _index_dtype(size: int):
+    """The smallest signed integer type that holds every index below ``size``."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= size - 1)
+
+
+def _op_table(size: int, op) -> np.ndarray:
+    """The size x size table of ``op(rows, cols)`` on broadcast index arrays,
+    filled a chunk of rows at a time so that temporaries stay small."""
+    table = np.empty((size, size), dtype=_index_dtype(size))
+    cols = np.arange(size)
+    step = max(1, _CHUNK // size)
+    for start in range(0, size, step):
+        table[start:start + step] = op(np.arange(start, min(start + step, size))[:, None], cols)
+    return table
+
+
 @dataclass(frozen=True)
 class RingElement:
     """An element of a :class:`FiniteRing`, identified by (ring, index)."""
@@ -42,7 +65,7 @@ class RingElement:
         return self.ring.element(self.ring.add_idx(self.index, self._idx(other)))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return self.ring.element(self.ring.add_idx(self.index, self.ring.neg_idx(self._idx(other))))
+        return self.ring.element(self.ring.sub_idx(self.index, self._idx(other)))
 
     def __neg__(self) -> "RingElement":
         return self.ring.element(self.ring.neg_idx(self.index))
@@ -66,20 +89,126 @@ class RingElement:
         return f"{self.name}"
 
 
-class FiniteRing:
-    """A finite ring given by index-level operation callables.
+@dataclass(frozen=True)
+class GroupElement:
+    group: "AbelianGroup"
+    index: int
 
-    Instances are immutable after construction; derived data (units, op
-    tables, structure theory) is memoised in ``_cache``.
+    def __add__(self, other: "GroupElement") -> "GroupElement":
+        if not isinstance(other, GroupElement) or other.group is not self.group:
+            raise InvalidParameter("cannot combine elements of different groups")
+        return self.group.element(self.group.add_idx(self.index, other.index))
+
+    def __neg__(self) -> "GroupElement":
+        return self.group.element(self.group.neg_idx(self.index))
+
+    def __sub__(self, other: "GroupElement") -> "GroupElement":
+        return self + (-other)
+
+    @property
+    def name(self) -> str:
+        return self.group.format_element(self.index)
+
+    def __repr__(self):
+        return f"{self.name}"
+
+
+class _Carrier:
+    """Indices 0..size-1 with names and an addition: a dense table, or the
+    residues modulo ``size`` when the table is None.
+
+    Negation is derived from the table.  The scalar hooks ``_add``/``_neg``
+    are lookups into the same data; the ``*_idx`` methods and the doubling
+    loops go through them.  Instances are immutable after construction;
+    derived data is memoised in ``_cache``.
     """
+
+    _handle: type
+
+    def __init__(self, rep: str, size: int, add: np.ndarray | None, zero_idx: int,
+                 names: Sequence[str], spec: str):
+        self.rep = rep
+        self.size = size
+        self._add_t = add
+        if add is None:
+            self._neg_t = None
+            self._add = lambda i, j: (i + j) % size
+            self._neg = lambda i: -i % size
+        else:
+            self._neg_t = (add == zero_idx).argmax(axis=1).astype(add.dtype)
+            self._add = add.item
+            self._neg = self._neg_t.item
+        self.names = list(names)
+        self.spec = spec
+        self._name_to_idx = {n: i for i, n in enumerate(self.names)}
+        self._cache: dict = {}
+
+    # -- elementwise arithmetic on int arrays of indices ---------------------
+
+    def add(self, x, y):
+        if self._add_t is None:
+            return np.add(x, y, dtype=np.int64) % self.size
+        return self._add_t[x, y]
+
+    def neg(self, x):
+        if self._neg_t is None:
+            return np.negative(x, dtype=np.int64) % self.size
+        return self._neg_t[x]
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    def add_table(self) -> list[list[int]]:
+        """The addition table as lists, computed from the carrier on each call."""
+        elems = np.arange(self.size)
+        return self.add(elems[:, None], elems).tolist()
+
+    # -- scalar arithmetic ----------------------------------------------------
+
+    def add_idx(self, i: int, j: int) -> int:
+        return self._add(i, j)
+
+    def neg_idx(self, i: int) -> int:
+        return self._neg(i)
+
+    def sub_idx(self, i: int, j: int) -> int:
+        return self._add(i, self._neg(j))
+
+    # -- element handles ------------------------------------------------------
+
+    def element(self, i: int):
+        if not 0 <= i < self.size:
+            raise InvalidParameter(f"element index {i} out of range for {self.spec}")
+        return self._handle(self, i)
+
+    def elements(self) -> list:
+        return [self._handle(self, i) for i in range(self.size)]
+
+    def format_element(self, i: int) -> str:
+        return self.names[i]
+
+    def parse_element(self, name: str):
+        idx = self._name_to_idx.get(name.strip())
+        if idx is None:
+            raise InvalidParameter(f"{name!r} is not an element of {self.spec}")
+        return self._handle(self, idx)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.spec})"
+
+
+class FiniteRing(_Carrier):
+    """A finite ring given by dense add/mul tables, or residue arithmetic
+    when both tables are None (Z/m)."""
+
+    _handle = RingElement
 
     def __init__(
         self,
         rep: str,
         size: int,
-        add: Callable[[int, int], int],
-        mul: Callable[[int, int], int],
-        neg: Callable[[int], int],
+        add: np.ndarray | None,
+        mul: np.ndarray | None,
         zero_idx: int,
         one_idx: int,
         commutative: bool,
@@ -87,32 +216,20 @@ class FiniteRing:
         spec: str,
     ):
         _check_size(size, f"ring {spec!r}")
-        self.rep = rep
-        self.size = size
-        self._add = add
-        self._mul = mul
-        self._neg = neg
+        super().__init__(rep, size, add, zero_idx, names, spec)
+        self._mul_t = mul
+        self._mul = (lambda i, j: i * j % size) if mul is None else mul.item
         self.zero = RingElement(self, zero_idx)
         self.one = RingElement(self, one_idx)
         self.commutative = commutative
-        self.names = list(names)
-        self.spec = spec
-        self._name_to_idx = {n: i for i, n in enumerate(self.names)}
-        self._cache: dict = {}
 
-    # -- index-level arithmetic -------------------------------------------
-
-    def add_idx(self, i: int, j: int) -> int:
-        return self._add(i, j)
+    def mul(self, x, y):
+        if self._mul_t is None:
+            return np.multiply(x, y, dtype=np.int64) % self.size
+        return self._mul_t[x, y]
 
     def mul_idx(self, i: int, j: int) -> int:
         return self._mul(i, j)
-
-    def neg_idx(self, i: int) -> int:
-        return self._neg(i)
-
-    def sub_idx(self, i: int, j: int) -> int:
-        return self._add(i, self._neg(j))
 
     def pow_idx(self, i: int, k: int) -> int:
         if k < 0:
@@ -136,31 +253,9 @@ class FiniteRing:
             k >>= 1
         return acc
 
-    # -- element handles ----------------------------------------------------
-
-    def element(self, i: int) -> RingElement:
-        if not 0 <= i < self.size:
-            raise InvalidParameter(f"element index {i} out of range for {self.spec}")
-        return RingElement(self, i)
-
-    def elements(self) -> list[RingElement]:
-        return [RingElement(self, i) for i in range(self.size)]
-
     def from_int(self, k: int) -> RingElement:
         """The image of the integer k under the characteristic map k -> k·1."""
         return self.element(self.scalar_idx(k, self.one.index))
-
-    def format_element(self, i: int) -> str:
-        return self.names[i]
-
-    def parse_element(self, name: str) -> RingElement:
-        name = name.strip()
-        idx = self._name_to_idx.get(name)
-        if idx is None:
-            raise InvalidParameter(f"{name!r} is not an element of {self.spec}")
-        return RingElement(self, idx)
-
-    # -- derived data ---------------------------------------------------------
 
     def characteristic(self) -> int:
         """Additive order of 1."""
@@ -179,16 +274,10 @@ class FiniteRing:
         return order
 
     def op_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Materialised (add, mul) tables; used by the oracle and table dumps."""
-        if "tables" not in self._cache:
-            n = self.size
-            add = [[self._add(i, j) for j in range(n)] for i in range(n)]
-            mul = [[self._mul(i, j) for j in range(n)] for i in range(n)]
-            self._cache["tables"] = (add, mul)
-        return self._cache["tables"]
-
-    def __repr__(self):
-        return f"FiniteRing({self.spec})"
+        """(add, mul) as lists, computed from the carrier on each call; used by
+        the oracle and table dumps."""
+        elems = np.arange(self.size)
+        return self.add_table(), self.mul(elems[:, None], elems).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +349,17 @@ def _is_prime(p: int) -> bool:
 
 
 def build_zmod(m: int) -> FiniteRing:
-    """The ring of integers modulo m."""
+    """The ring of integers modulo m, computed on the residues (no tables)."""
     if not isinstance(m, int) or m < 2:
         raise InvalidParameter(f"modulus must be an integer >= 2, got {m}")
+    _check_size(m, f"ring 'Z/{m}'")
     ring = FiniteRing(
         rep="zmod",
         size=m,
-        add=lambda i, j: (i + j) % m,
-        mul=lambda i, j: (i * j) % m,
-        neg=lambda i: (-i) % m,
+        add=None,
+        mul=None,
         zero_idx=0,
-        one_idx=1 % m,
+        one_idx=1,
         commutative=True,
         names=[str(i) for i in range(m)],
         spec=f"Z/{m}",
@@ -307,51 +396,54 @@ def build_poly_quotient(p: int, n: int, f: Poly) -> FiniteRing:
         raise InvalidParameter(f"f must be monic over Z/{q}, got {f}")
     r = f.degree
     size = q**r
-
-    def decode(i: int) -> list[int]:
-        return [(i // q**t) % q for t in range(r)]
-
-    def encode(cs: Sequence[int]) -> int:
-        return sum((c % q) * q**t for t, c in enumerate(cs))
-
-    def add(i, j):
-        a, b = decode(i), decode(j)
-        return encode([(x + y) % q for x, y in zip(a, b)])
-
-    def neg(i):
-        return encode([(-x) % q for x in decode(i)])
-
-    def mul(i, j):
-        a, b = decode(i), decode(j)
-        prod = [0] * (2 * r - 1)
-        for s, x in enumerate(a):
-            if x:
-                for t, y in enumerate(b):
-                    prod[s + t] += x * y
-        return encode(poly_mod_reduce(prod, fc, q))
-
-    def name(i: int) -> str:
-        cs = decode(i)
-        if all(c == 0 for c in cs[1:]):
-            return str(cs[0])
-        return "[" + ",".join(str(c) for c in cs) + "]"
-
     _check_size(size, "polynomial quotient ring")
+    weights = [q**t for t in range(r)]
+    digits = np.arange(size) // np.array(weights)[:, None] % q  # digits[t]: coefficient t of each element
+    # x_times[s][t]: coefficient t of X^s·a for each element a, reduced modulo f
+    x_times = [digits]
+    for _ in range(r - 1):
+        prev = x_times[-1]
+        shifted = np.vstack([np.zeros((1, size), dtype=np.int64), prev[:-1]])
+        x_times.append((shifted - prev[-1] * np.array(fc[:r])[:, None]) % q)
+
+    def add(a, b):
+        return sum((digits[t][a] + digits[t][b]) % q * w for t, w in enumerate(weights))
+
+    def mul(a, b):
+        # coefficient t of a·b is the sum over s of b_s·(X^s·a)_t
+        return sum(sum(digits[s][b] * x_times[s][t][a] for s in range(r)) % q * w for t, w in enumerate(weights))
+
     ring = FiniteRing(
         rep="poly",
         size=size,
-        add=add,
-        mul=mul,
-        neg=neg,
+        add=_op_table(size, add),
+        mul=_op_table(size, mul),
         zero_idx=0,
         one_idx=1,
         commutative=True,
-        names=[name(i) for i in range(size)],
+        names=[str(cs[0]) if not any(cs[1:]) else "[" + ",".join(map(str, cs)) + "]" for cs in digits.T.tolist()],
         spec=f"Z/{q}[X]/({f})",
     )
     ring.p, ring.n, ring.f = p, n, Poly(tuple(fc))
     ring._cache["char"] = q
     return ring
+
+
+def _componentwise(factors: list, op: str):
+    """``op`` of a product carrier on broadcast index arrays: the factors'
+    own elementwise ``op`` on mixed-radix digits, the last factor fastest."""
+    sizes = [c.size for c in factors]
+    digits = np.unravel_index(np.arange(math.prod(sizes)), sizes)
+    return lambda x, y: np.ravel_multi_index(
+        [getattr(c, op)(d[x], d[y]) for c, d in zip(factors, digits)], sizes)
+
+
+def _product_names(factors: list) -> list[str]:
+    return ["(" + ",".join(parts) + ")" for parts in itertools.product(*(c.names for c in factors))]
+
+
+def _product_index(factors: list, parts: Sequence[int]) -> int:
+    return int(np.ravel_multi_index(parts, [c.size for c in factors]))
 
 
 def build_product(rings: list[FiniteRing]) -> FiniteRing:
@@ -361,46 +453,17 @@ def build_product(rings: list[FiniteRing]) -> FiniteRing:
     flags = {r.commutative for r in rings}
     if len(flags) != 1:
         raise InvalidParameter("product factors must agree on commutativity")
-    sizes = [r.size for r in rings]
-    size = math.prod(sizes)
+    size = math.prod(r.size for r in rings)
     _check_size(size, "product ring")
-
-    def decode(i: int) -> list[int]:
-        out = []
-        for s in reversed(sizes):
-            out.append(i % s)
-            i //= s
-        return out[::-1]
-
-    def encode(parts: Sequence[int]) -> int:
-        i = 0
-        for s, c in zip(sizes, parts):
-            i = i * s + c
-        return i
-
-    def zipwise(op_name):
-        def op(i, j):
-            a, b = decode(i), decode(j)
-            return encode([getattr(r, op_name)(x, y) for r, x, y in zip(rings, a, b)])
-
-        return op
-
-    def neg(i):
-        return encode([r.neg_idx(x) for r, x in zip(rings, decode(i))])
-
-    def name(i: int) -> str:
-        return "(" + ",".join(r.format_element(c) for r, c in zip(rings, decode(i))) + ")"
-
     ring = FiniteRing(
         rep="product",
         size=size,
-        add=zipwise("add_idx"),
-        mul=zipwise("mul_idx"),
-        neg=neg,
-        zero_idx=encode([r.zero.index for r in rings]),
-        one_idx=encode([r.one.index for r in rings]),
+        add=_op_table(size, _componentwise(rings, "add")),
+        mul=_op_table(size, _componentwise(rings, "mul")),
+        zero_idx=_product_index(rings, [r.zero.index for r in rings]),
+        one_idx=_product_index(rings, [r.one.index for r in rings]),
         commutative=flags.pop(),
-        names=[name(i) for i in range(size)],
+        names=_product_names(rings),
         spec=" x ".join(r.spec for r in rings),
     )
     ring.factors = list(rings)
@@ -408,17 +471,28 @@ def build_product(rings: list[FiniteRing]) -> FiniteRing:
     return ring
 
 
+def _table_size(table, label: str) -> int:
+    """The row count of an explicit table; NotARing unless it is a non-empty list."""
+    if not isinstance(table, (list, tuple)) or not table:
+        raise NotARing("table shape", label)
+    return len(table)
+
+
+def _check_table(table, n: int, label: str):
+    """NotARing unless ``table`` is an n x n list of element indices."""
+    if (not isinstance(table, (list, tuple)) or len(table) != n
+            or any(not isinstance(row, (list, tuple)) or len(row) != n for row in table)):
+        raise NotARing("table shape", label)
+    if any(not isinstance(v, int) or not 0 <= v < n for row in table for v in row):
+        raise NotARing("table entries", label)
+
+
 def _validate_ring_tables(add: list[list[int]], mul: list[list[int]], check_commutative: bool):
     """Exhaustive axiom check on explicit tables; raises NotARing naming the axiom."""
     n = len(add)
     rng = range(n)
-    for t, label in ((add, "addition"), (mul, "multiplication")):
-        if len(t) != n or any(len(row) != n for row in t):
-            raise NotARing("table shape", label)
-        for row in t:
-            for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise NotARing("table entries", label)
+    _check_table(add, n, "addition")
+    _check_table(mul, n, "multiplication")
     # additive identity
     zeros = [z for z in rng if all(add[z][x] == x and add[x][z] == x for x in rng)]
     if len(zeros) != 1:
@@ -470,35 +544,32 @@ def build_table_ring(
     ``commutative=True`` is verified; with ``commutative=False`` the actual
     commutativity is detected and stored (a commutative table is accepted).
     """
-    n = len(add_table)
-    if n == 0 or len(mul_table) != n:
-        raise InvalidParameter("tables must be square and of equal size")
-    _check_size(n, "table ring")
     if _validate:
+        n = _table_size(add_table, "addition")
+        _check_size(n, "table ring")
+        if names is not None and (not isinstance(names, (list, tuple)) or len(names) != n
+                                  or not all(isinstance(name, str) for name in names)):
+            raise InvalidParameter(f"names must be a list of {n} strings")
         zero, one, actual_comm = _validate_ring_tables(add_table, mul_table, commutative)
-    else:
-        zero = next(z for z in range(n) if all(add_table[z][x] == x for x in range(n)))
-        one = next(o for o in range(n) if all(mul_table[o][x] == x and mul_table[x][o] == x for x in range(n)))
+    n = len(add_table)
+    add = np.asarray(add_table, dtype=_index_dtype(n))
+    mul = np.asarray(mul_table, dtype=_index_dtype(n))
+    if not _validate:
+        elems = np.arange(n)
+        zero = int((add == elems).all(axis=1).argmax())
+        one = int(((mul == elems).all(axis=1) & (mul.T == elems).all(axis=1)).argmax())
         actual_comm = commutative
-    add = [list(row) for row in add_table]
-    mul = [list(row) for row in mul_table]
-    neg = [0] * n
-    for x in range(n):
-        neg[x] = next(y for y in range(n) if add[x][y] == zero)
-    ring = FiniteRing(
+    return FiniteRing(
         rep="table",
         size=n,
-        add=lambda i, j: add[i][j],
-        mul=lambda i, j: mul[i][j],
-        neg=lambda i: neg[i],
+        add=add,
+        mul=mul,
         zero_idx=zero,
         one_idx=one,
         commutative=actual_comm,
-        names=list(names) if names is not None else [str(i) for i in range(n)],
+        names=names if names is not None else [str(i) for i in range(n)],
         spec=spec if spec is not None else f"table[{n}]",
     )
-    ring._cache["tables"] = (add, mul)
-    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -566,59 +637,17 @@ def characteristic(ring: FiniteRing) -> int:
 # finite abelian groups
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: "AbelianGroup"
-    index: int
+class AbelianGroup(_Carrier):
+    """A finite abelian group with table-indexed elements, written additively:
+    a dense addition table, or residues modulo ``size`` when it is None."""
 
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        if not isinstance(other, GroupElement) or other.group is not self.group:
-            raise InvalidParameter("cannot combine elements of different groups")
-        return self.group.element(self.group.add_idx(self.index, other.index))
+    _handle = GroupElement
 
-    def __neg__(self) -> "GroupElement":
-        return self.group.element(self.group.neg_idx(self.index))
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
-
-    @property
-    def name(self) -> str:
-        return self.group.format_element(self.index)
-
-    def __repr__(self):
-        return f"{self.name}"
-
-
-class AbelianGroup:
-    """A finite abelian group with table-indexed elements, written additively."""
-
-    def __init__(
-        self,
-        rep: str,
-        size: int,
-        add: Callable[[int, int], int],
-        neg: Callable[[int], int],
-        identity_idx: int,
-        names: Sequence[str],
-        spec: str,
-    ):
+    def __init__(self, rep: str, size: int, add: np.ndarray | None, identity_idx: int,
+                 names: Sequence[str], spec: str):
         _check_size(size, f"group {spec!r}")
-        self.rep = rep
-        self.size = size
-        self._add = add
-        self._neg = neg
+        super().__init__(rep, size, add, identity_idx, names, spec)
         self.identity = GroupElement(self, identity_idx)
-        self.names = list(names)
-        self.spec = spec
-        self._name_to_idx = {n: i for i, n in enumerate(self.names)}
-        self._cache: dict = {}
-
-    def add_idx(self, i: int, j: int) -> int:
-        return self._add(i, j)
-
-    def neg_idx(self, i: int) -> int:
-        return self._neg(i)
 
     def scalar_idx(self, k: int, i: int) -> int:
         if k < 0:
@@ -631,23 +660,6 @@ class AbelianGroup:
             k >>= 1
         return acc
 
-    def element(self, i: int) -> GroupElement:
-        if not 0 <= i < self.size:
-            raise InvalidParameter(f"element index {i} out of range for {self.spec}")
-        return GroupElement(self, i)
-
-    def elements(self) -> list[GroupElement]:
-        return [GroupElement(self, i) for i in range(self.size)]
-
-    def format_element(self, i: int) -> str:
-        return self.names[i]
-
-    def parse_element(self, name: str) -> GroupElement:
-        idx = self._name_to_idx.get(name.strip())
-        if idx is None:
-            raise InvalidParameter(f"{name!r} is not an element of {self.spec}")
-        return GroupElement(self, idx)
-
     def order_of(self, i: int) -> int:
         acc, order = i, 1
         e = self.identity.index
@@ -659,28 +671,27 @@ class AbelianGroup:
         return order
 
     def exponent(self) -> int:
+        """The least d > 0 with d·x = 0 for every x: the lcm of the element orders."""
         if "exponent" not in self._cache:
-            self._cache["exponent"] = math.lcm(*(self.order_of(i) for i in range(self.size)))
+            elems = np.arange(self.size)
+            multiple, d = elems, 1
+            while (multiple != self.identity.index).any():
+                multiple, d = self.add(multiple, elems), d + 1
+                if d > self.size:
+                    raise NotARing("element order", self.format_element(int((multiple != self.identity.index).argmax())))
+            self._cache["exponent"] = d
         return self._cache["exponent"]
-
-    def add_table(self) -> list[list[int]]:
-        if "table" not in self._cache:
-            n = self.size
-            self._cache["table"] = [[self._add(i, j) for j in range(n)] for i in range(n)]
-        return self._cache["table"]
-
-    def __repr__(self):
-        return f"AbelianGroup({self.spec})"
 
 
 def build_cyclic_group(m: int) -> AbelianGroup:
+    """Z/m, computed on the residues (no table)."""
     if m < 1:
         raise InvalidParameter("cyclic group order must be >= 1")
+    _check_size(m, f"group 'Z/{m}'")
     return AbelianGroup(
         rep="cyclic",
         size=m,
-        add=lambda i, j: (i + j) % m,
-        neg=lambda i: (-i) % m,
+        add=None,
         identity_idx=0,
         names=[str(i) for i in range(m)],
         spec=f"Z/{m}",
@@ -690,48 +701,25 @@ def build_cyclic_group(m: int) -> AbelianGroup:
 def build_product_group(groups: list[AbelianGroup]) -> AbelianGroup:
     if not groups:
         raise InvalidParameter("product of an empty list of groups")
-    sizes = [g.size for g in groups]
-    size = math.prod(sizes)
-
-    def decode(i: int) -> list[int]:
-        out = []
-        for s in reversed(sizes):
-            out.append(i % s)
-            i //= s
-        return out[::-1]
-
-    def encode(parts: Sequence[int]) -> int:
-        i = 0
-        for s, c in zip(sizes, parts):
-            i = i * s + c
-        return i
-
-    def add(i, j):
-        return encode([g.add_idx(x, y) for g, x, y in zip(groups, decode(i), decode(j))])
-
-    def neg(i):
-        return encode([g.neg_idx(x) for g, x in zip(groups, decode(i))])
-
-    def name(i):
-        return "(" + ",".join(g.format_element(c) for g, c in zip(groups, decode(i))) + ")"
-
+    size = math.prod(g.size for g in groups)
+    spec = " x ".join(g.spec for g in groups)
+    _check_size(size, f"group {spec!r}")
     return AbelianGroup(
         rep="product",
         size=size,
-        add=add,
-        neg=neg,
-        identity_idx=encode([g.identity.index for g in groups]),
-        names=[name(i) for i in range(size)],
-        spec=" x ".join(g.spec for g in groups),
+        add=_op_table(size, _componentwise(groups, "add")),
+        identity_idx=_product_index(groups, [g.identity.index for g in groups]),
+        names=_product_names(groups),
+        spec=spec,
     )
 
 
 def build_table_group(add_table: list[list[int]], names: Sequence[str] | None = None,
                       spec: str | None = None) -> AbelianGroup:
     """A group from an explicit addition table, validated exhaustively."""
-    n = len(add_table)
-    if n == 0 or any(len(row) != n for row in add_table):
-        raise InvalidParameter("addition table must be square")
+    n = _table_size(add_table, "addition")
+    _check_size(n, "table group")
+    _check_table(add_table, n, "addition")
     rng = range(n)
     ids = [e for e in rng if all(add_table[e][x] == x and add_table[x][e] == x for x in rng)]
     if len(ids) != 1:
@@ -748,29 +736,24 @@ def build_table_group(add_table: list[list[int]], names: Sequence[str] | None = 
             for z in rng:
                 if add_table[axy][z] != add_table[x][add_table[y][z]]:
                     raise NotARing("group associativity", f"{x},{y},{z}")
-    table = [list(row) for row in add_table]
-    neg = [next(y for y in rng if table[x][y] == e) for x in rng]
-    group = AbelianGroup(
+    return AbelianGroup(
         rep="table",
         size=n,
-        add=lambda i, j: table[i][j],
-        neg=lambda i: neg[i],
+        add=np.asarray(add_table, dtype=_index_dtype(n)),
         identity_idx=e,
         names=list(names) if names is not None else [str(i) for i in rng],
         spec=spec if spec is not None else f"table[{n}]",
     )
-    group._cache["table"] = table
-    return group
 
 
 def additive_group(ring: FiniteRing) -> AbelianGroup:
-    """The additive group (R, +) of a ring, sharing element indices with R."""
+    """The additive group (R, +) of a ring, sharing element indices and the
+    addition table with R."""
     if "addgroup" not in ring._cache:
         ring._cache["addgroup"] = AbelianGroup(
             rep="ring-additive",
             size=ring.size,
-            add=ring.add_idx,
-            neg=ring.neg_idx,
+            add=ring._add_t,
             identity_idx=ring.zero.index,
             names=ring.names,
             spec=f"({ring.spec},+)",

@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import InternalError, InvalidParameter, PreconditionViolation, Unsupported
 from .ring import (
     FiniteRing,
@@ -82,26 +84,26 @@ def decompose_local(ring: FiniteRing) -> list[LocalSummand]:
         identity = lambda i: i
         summands.append(LocalSummand(ring.one, ring, identity, identity))
     else:
+        elems = np.arange(ring.size)
         for e in base_set:
-            members = sorted({ring.mul_idx(e, r) for r in range(ring.size)})
-            pos = {r: k for k, r in enumerate(members)}
-            add = [[pos[ring.add_idx(x, y)] for y in members] for x in members]
-            mul = [[pos[ring.mul_idx(x, y)] for y in members] for x in members]
+            members = np.unique(ring.mul(e, elems))
+            pos = np.zeros(ring.size, dtype=np.int64)
+            pos[members] = np.arange(members.size)
             sub = build_table_ring(
-                add,
-                mul,
+                pos[ring.add(members[:, None], members)],
+                pos[ring.mul(members[:, None], members)],
                 commutative=True,
-                names=[ring.format_element(r) for r in members],
+                names=[ring.format_element(r) for r in members.tolist()],
                 spec=f"local({ring.spec},{ring.format_element(e)})",
                 _validate=False,
             )
-            members_tuple = tuple(members)
+            members_tuple, pos_list = tuple(members.tolist()), pos.tolist()
             summands.append(
                 LocalSummand(
                     e=ring.element(e),
                     ring=sub,
                     embed=lambda i, m=members_tuple: m[i],
-                    project=lambda r, p=pos, rr=ring, ee=e: p[rr.mul_idx(ee, r)],
+                    project=lambda r, p=pos_list, rr=ring, ee=e: p[rr.mul_idx(ee, r)],
                 )
             )
     ring._cache["summands"] = summands
@@ -137,30 +139,20 @@ def local_data(ring: FiniteRing) -> LocalData:
     if "localdata" in ring._cache:
         return ring._cache["localdata"]
     m = maximal_ideal(ring)
-    # cosets are labelled by their least member
-    coset_of = {}
-    reps = []
-    for r in range(ring.size):
-        if r in coset_of:
-            continue
-        members = sorted(ring.add_idx(r, x) for x in m)
-        label = members[0]
-        reps.append(label)
-        for v in members:
-            coset_of[v] = label
-    reps.sort()
-    pos = {rep: k for k, rep in enumerate(reps)}
-    add = [[pos[coset_of[ring.add_idx(x, y)]] for y in reps] for x in reps]
-    mul = [[pos[coset_of[ring.mul_idx(x, y)]] for y in reps] for x in reps]
+    # cosets r + m are labelled by their least member
+    label = ring.add(np.arange(ring.size)[:, None], np.array(sorted(m))).min(axis=1)
+    reps = np.unique(label)
+    pos = np.zeros(ring.size, dtype=np.int64)
+    pos[reps] = np.arange(reps.size)
     field = build_table_ring(
-        add,
-        mul,
+        pos[label[ring.add(reps[:, None], reps)]],
+        pos[label[ring.mul(reps[:, None], reps)]],
         commutative=True,
-        names=[ring.format_element(r) + "+m" for r in reps],
+        names=[ring.format_element(r) + "+m" for r in reps.tolist()],
         spec=f"residue({ring.spec})",
         _validate=False,
     )
-    projection = [pos[coset_of[r]] for r in range(ring.size)]
+    projection = pos[label].tolist()
     data = LocalData(maximal_ideal=m, q=len(reps), field=field, projection=projection)
     ring._cache["localdata"] = data
     return data

@@ -190,6 +190,8 @@ def _parse_table_ring(path: Path) -> FiniteRing:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecParseError(f"cannot read table ring file {path}: {exc}")
+    if not isinstance(data, dict):
+        raise SpecParseError(f"table ring file {path} does not hold a JSON object")
     for key in ("add", "mul"):
         if key not in data:
             raise SpecParseError(f"table ring file misses the {key!r} table")

@@ -302,3 +302,25 @@ def test_corpus_files_round_trip(monkeypatch):
         else:
             out = write_system(parse_system(text))
             assert write_system(parse_system(out)) == out
+
+
+MALFORMED_TABLE_FILES = {
+    "rows are not lists": {"add": [1, 2], "mul": [1, 2]},
+    "tables are not lists": {"add": 5, "mul": 5},
+    "names of the wrong length": {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "names": ["0"]},
+    "names not a list": {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "names": 7},
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TABLE_FILES))
+def test_cli_malformed_table_file_exits_usage(tmp_path, capsys, case):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(MALFORMED_TABLE_FILES[case]))
+    assert main(["ring", "info", f"table:{path}"]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["Z/1000000000", "phi(Z/4096)", "Z/2 x Z/1000000000"])
+def test_cli_ring_over_the_cap_exits_usage(capsys, spec):
+    assert main(["ring", "info", spec]) == 2
+    assert "exceeding the cap" in capsys.readouterr().err

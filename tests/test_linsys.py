@@ -214,8 +214,8 @@ def test_solve_chain_makes_few_scalar_ring_calls(planted):
 
 
 def test_hnf_over_large_galois_ring_fills_few_table_rows():
-    # rings other than Z/m compute op table rows on first use: a 2x2 form
-    # over a 256-element ring must not pay for the full 2·256² tables
+    # elimination over rings other than Z/m reads the tables the ring's
+    # constructor built: a 2x2 form must not compute products one by one
     ring = parse_ring_spec("GR(4,4)")
     chain_data(ring)
     calls = count_scalar_calls(ring)

@@ -23,6 +23,7 @@ from ringsolve import (
     nilpotency,
     units,
 )
+from ringsolve.reductions import build_phi_ring
 from ringsolve.ring import additive_group, max_elems, poly_mod_reduce
 from ringsolve.structure import decompose_local, local_data
 from ringsolve.sysio import parse_group_spec, parse_ring_spec
@@ -148,6 +149,19 @@ def test_size_cap(monkeypatch):
         build_zmod(101)
     monkeypatch.delenv("RINGSOLVE_MAX_ELEMS")
     assert max_elems() == 4096
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_zmod(10**9),
+    lambda: build_cyclic_group(10**9),
+    lambda: build_product_group([build_cyclic_group(10**4), build_cyclic_group(10**4)]),
+    lambda: parse_group_spec("Z/200 x Z/200 x Z/20"),
+    lambda: build_phi_ring(build_cyclic_group(4096)),
+], ids=["zmod", "cyclic", "product group", "group spec", "phi"])
+def test_builders_check_the_cap_before_allocating(build):
+    # the cap is checked before any element name or table exists
+    with pytest.raises(CapacityError):
+        build()
 
 
 # ---------------------------------------------------------------------------
