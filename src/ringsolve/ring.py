@@ -144,6 +144,8 @@ class _Carrier:
         self._cache: dict = {}
 
     # -- elementwise arithmetic on int arrays of indices ---------------------
+    # Results have the table's dtype (int64 for residues): widen them before
+    # arithmetic that could overflow it.
 
     def add(self, x, y):
         if self._add_t is None:
@@ -156,7 +158,9 @@ class _Carrier:
         return self._neg_t[x]
 
     def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        if self._add_t is None:
+            return np.subtract(x, y, dtype=np.int64) % self.size
+        return self._add_t[x, self._neg_t[y]]
 
     def add_table(self) -> list[list[int]]:
         """The addition table as lists, computed from the carrier on each call."""
@@ -429,21 +433,15 @@ def build_poly_quotient(p: int, n: int, f: Poly) -> FiniteRing:
     return ring
 
 
-def _componentwise(factors: list, op: str):
-    """``op`` of a product carrier on broadcast index arrays: the factors'
-    own elementwise ``op`` on mixed-radix digits, the last factor fastest."""
-    sizes = [c.size for c in factors]
+def _componentwise(ops: list, sizes: list[int]):
+    """A product's operation on broadcast index arrays: each factor's
+    elementwise op on its mixed-radix digit, the last factor fastest."""
     digits = np.unravel_index(np.arange(math.prod(sizes)), sizes)
-    return lambda x, y: np.ravel_multi_index(
-        [getattr(c, op)(d[x], d[y]) for c, d in zip(factors, digits)], sizes)
+    return lambda x, y: np.ravel_multi_index([op(d[x], d[y]) for op, d in zip(ops, digits)], sizes)
 
 
 def _product_names(factors: list) -> list[str]:
     return ["(" + ",".join(parts) + ")" for parts in itertools.product(*(c.names for c in factors))]
-
-
-def _product_index(factors: list, parts: Sequence[int]) -> int:
-    return int(np.ravel_multi_index(parts, [c.size for c in factors]))
 
 
 def build_product(rings: list[FiniteRing]) -> FiniteRing:
@@ -453,15 +451,16 @@ def build_product(rings: list[FiniteRing]) -> FiniteRing:
     flags = {r.commutative for r in rings}
     if len(flags) != 1:
         raise InvalidParameter("product factors must agree on commutativity")
-    size = math.prod(r.size for r in rings)
+    sizes = [r.size for r in rings]
+    size = math.prod(sizes)
     _check_size(size, "product ring")
     ring = FiniteRing(
         rep="product",
         size=size,
-        add=_op_table(size, _componentwise(rings, "add")),
-        mul=_op_table(size, _componentwise(rings, "mul")),
-        zero_idx=_product_index(rings, [r.zero.index for r in rings]),
-        one_idx=_product_index(rings, [r.one.index for r in rings]),
+        add=_op_table(size, _componentwise([r.add for r in rings], sizes)),
+        mul=_op_table(size, _componentwise([r.mul for r in rings], sizes)),
+        zero_idx=int(np.ravel_multi_index([r.zero.index for r in rings], sizes)),
+        one_idx=int(np.ravel_multi_index([r.one.index for r in rings], sizes)),
         commutative=flags.pop(),
         names=_product_names(rings),
         spec=" x ".join(r.spec for r in rings),
@@ -550,15 +549,14 @@ def build_table_ring(
         if names is not None and (not isinstance(names, (list, tuple)) or len(names) != n
                                   or not all(isinstance(name, str) for name in names)):
             raise InvalidParameter(f"names must be a list of {n} strings")
-        zero, one, actual_comm = _validate_ring_tables(add_table, mul_table, commutative)
+        zero, one, commutative = _validate_ring_tables(add_table, mul_table, commutative)
     n = len(add_table)
-    add = np.asarray(add_table, dtype=_index_dtype(n))
-    mul = np.asarray(mul_table, dtype=_index_dtype(n))
+    add, mul = (np.asarray(t, dtype=_index_dtype(n)) for t in (add_table, mul_table))
     if not _validate:
+        # trusted tables (local summands, residue fields): read the identities off them
         elems = np.arange(n)
         zero = int((add == elems).all(axis=1).argmax())
         one = int(((mul == elems).all(axis=1) & (mul.T == elems).all(axis=1)).argmax())
-        actual_comm = commutative
     return FiniteRing(
         rep="table",
         size=n,
@@ -566,7 +564,7 @@ def build_table_ring(
         mul=mul,
         zero_idx=zero,
         one_idx=one,
-        commutative=actual_comm,
+        commutative=commutative,
         names=names if names is not None else [str(i) for i in range(n)],
         spec=spec if spec is not None else f"table[{n}]",
     )
@@ -701,14 +699,15 @@ def build_cyclic_group(m: int) -> AbelianGroup:
 def build_product_group(groups: list[AbelianGroup]) -> AbelianGroup:
     if not groups:
         raise InvalidParameter("product of an empty list of groups")
-    size = math.prod(g.size for g in groups)
+    sizes = [g.size for g in groups]
+    size = math.prod(sizes)
     spec = " x ".join(g.spec for g in groups)
     _check_size(size, f"group {spec!r}")
     return AbelianGroup(
         rep="product",
         size=size,
-        add=_op_table(size, _componentwise(groups, "add")),
-        identity_idx=_product_index(groups, [g.identity.index for g in groups]),
+        add=_op_table(size, _componentwise([g.add for g in groups], sizes)),
+        identity_idx=int(np.ravel_multi_index([g.identity.index for g in groups], sizes)),
         names=_product_names(groups),
         spec=spec,
     )
