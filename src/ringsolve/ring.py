@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CapacityError, InvalidParameter, NotARing
 
 DEFAULT_MAX_ELEMS = 4096
-_CHUNK = 1 << 18  # table entries computed per step of _op_table
+_CHUNK = 1 << 14  # table entries computed per step of _op_table
 
 
 def max_elems() -> int:

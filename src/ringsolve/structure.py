@@ -86,7 +86,9 @@ def decompose_local(ring: FiniteRing) -> list[LocalSummand]:
     else:
         elems = np.arange(ring.size)
         for e in base_set:
-            members = np.unique(ring.mul(e, elems))
+            in_summand = np.zeros(ring.size, dtype=bool)
+            in_summand[ring.mul(e, elems)] = True
+            members = np.flatnonzero(in_summand)
             pos = np.zeros(ring.size, dtype=np.int64)
             pos[members] = np.arange(members.size)
             sub = build_table_ring(
@@ -140,8 +142,12 @@ def local_data(ring: FiniteRing) -> LocalData:
         return ring._cache["localdata"]
     m = maximal_ideal(ring)
     # cosets r + m are labelled by their least member
-    label = ring.add(np.arange(ring.size)[:, None], np.array(sorted(m))).min(axis=1)
-    reps = np.unique(label)
+    members = np.array(sorted(m))
+    label = np.full(ring.size, -1)
+    for r in range(ring.size):
+        if label[r] < 0:
+            label[ring.add(r, members)] = r
+    reps = np.flatnonzero(label == np.arange(ring.size))
     pos = np.zeros(ring.size, dtype=np.int64)
     pos[reps] = np.arange(reps.size)
     field = build_table_ring(
