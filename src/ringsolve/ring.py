@@ -54,6 +54,12 @@ def _op_table(size: int, op) -> np.ndarray:
     return table
 
 
+def _reduce(values, m: int):
+    """Residues modulo m, in place: no second array the size of ``values``."""
+    values %= m
+    return values
+
+
 @dataclass(frozen=True)
 class RingElement:
     """An element of a :class:`FiniteRing`, identified by (ring, index)."""
@@ -149,17 +155,17 @@ class _Carrier:
 
     def add(self, x, y):
         if self._add_t is None:
-            return np.add(x, y, dtype=np.int64) % self.size
+            return _reduce(np.add(x, y, dtype=np.int64), self.size)
         return self._add_t[x, y]
 
     def neg(self, x):
         if self._neg_t is None:
-            return np.negative(x, dtype=np.int64) % self.size
+            return _reduce(np.negative(x, dtype=np.int64), self.size)
         return self._neg_t[x]
 
     def sub(self, x, y):
         if self._add_t is None:
-            return np.subtract(x, y, dtype=np.int64) % self.size
+            return _reduce(np.subtract(x, y, dtype=np.int64), self.size)
         return self._add_t[x, self._neg_t[y]]
 
     def add_table(self) -> list[list[int]]:
@@ -229,7 +235,7 @@ class FiniteRing(_Carrier):
 
     def mul(self, x, y):
         if self._mul_t is None:
-            return np.multiply(x, y, dtype=np.int64) % self.size
+            return _reduce(np.multiply(x, y, dtype=np.int64), self.size)
         return self._mul_t[x, y]
 
     def mul_idx(self, i: int, j: int) -> int:

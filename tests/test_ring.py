@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from conftest import bivariate_nilpotent, f4, f2x_x2, gr42, upper_triangular_f2, zmod
@@ -334,3 +335,15 @@ def test_summand_and_residue_tables_follow_parent_ops(spec):
         for x, y in itertools.product(range(sub.size), repeat=2):
             assert fadd[proj[x]][proj[y]] == proj[sub.add_idx(x, y)]
             assert fmul[proj[x]][proj[y]] == proj[sub.mul_idx(x, y)]
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "GR(4,2)", "Z/2 x Z/3", "phi(Z/4)", "group Z/6", "group Z/2 x Z/4"])
+def test_elementwise_ops_match_scalar_ops(spec):
+    carrier = parse_group_spec(spec[6:]) if spec.startswith("group ") else parse_ring_spec(spec)
+    x, y = np.divmod(np.arange(carrier.size**2), carrier.size)
+    pairs = list(zip(x.tolist(), y.tolist()))
+    assert carrier.add(x, y).tolist() == [carrier.add_idx(i, j) for i, j in pairs]
+    assert carrier.sub(x, y).tolist() == [carrier.sub_idx(i, j) for i, j in pairs]
+    assert carrier.neg(x).tolist() == [carrier.neg_idx(i) for i, _ in pairs]
+    if hasattr(carrier, "mul"):
+        assert carrier.mul(x, y).tolist() == [carrier.mul_idx(i, j) for i, j in pairs]
