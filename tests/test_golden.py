@@ -20,6 +20,12 @@ A third file, ``golden_matrices.json``, pins matrix algebra: the inverse
 a local summand is not a Galois ring) of seeded 1x1 to 8x8 matrices over
 commutative rings, local and not, and the standard output and exit code of
 ``ringsolve mat inverse|det|charpoly corpus/matrix_z9.rls``.
+
+A fourth file, ``golden_oracle.json``, pins the brute-force oracle: the
+verdict, ``instances_checked`` and witness of ``brute_force_solve`` on seeded
+systems of all four kinds with at most 4096 assignments, the lists returned
+by ``enumerate_witnesses`` on seeded chain systems, and the standard output
+and exit code of ``ringsolve oracle solve`` on every corpus system file.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bivariate_nilpotent
+from conftest import bivariate_nilpotent, upper_triangular_f2
 from ringsolve import (
     GroupSystem,
     LinSystem,
@@ -39,6 +45,7 @@ from ringsolve import (
     NumericalSystem,
     TwoSidedSystem,
     UnsupportedRing,
+    chain_data,
     determinant,
     hermite_normal_form,
     inverse,
@@ -48,6 +55,7 @@ from ringsolve import (
     verify_certificate,
 )
 from ringsolve.cli import main
+from ringsolve.oracle import brute_force_solve, enumerate_witnesses
 from ringsolve.ring import additive_group, unit_indices
 from ringsolve.sysio import (
     parse_certificate,
@@ -62,6 +70,7 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPECTED = json.loads((Path(__file__).with_name("golden_systems.json")).read_text())
 EXPECTED_LARGE = json.loads((Path(__file__).with_name("golden_large.json")).read_text())
 EXPECTED_MATRICES = json.loads((Path(__file__).with_name("golden_matrices.json")).read_text())
+EXPECTED_ORACLE = json.loads((Path(__file__).with_name("golden_oracle.json")).read_text())
 
 
 def _pick(rng: random.Random, size: int, zero: int, density: float = 0.7) -> int:
@@ -415,3 +424,143 @@ def test_golden_matrix_outputs(name):
 def test_golden_matrix_cli(monkeypatch, capsys, action):
     monkeypatch.chdir(ROOT)
     assert observe_matrix_cli(action, capsys) == EXPECTED_MATRICES[f"cli-matrix_z9-{action}"]
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle
+
+
+ORACLE_SEARCH_LIMIT = 4096
+
+
+def _max_cols(base: int) -> int:
+    """The most variables whose search space base^n stays within the limit."""
+    n = 1
+    while base ** (n + 1) <= ORACLE_SEARCH_LIMIT:
+        n += 1
+    return n
+
+
+def _oracle_ids(rng: random.Random, base: int):
+    n_rows, n_cols = rng.randint(1, 3), rng.randint(1, _max_cols(base))
+    return [f"e{k}" for k in range(n_rows)], [f"x{k}" for k in range(n_cols)]
+
+
+def _oracle_systems() -> dict:
+    """Seeded systems of the four kinds, each with at most 4096 assignments;
+    a third of the right-hand sides are planted so that witnesses appear
+    away from the first assignment."""
+    rng = random.Random(20121218)
+    out = {}
+    for label, ring in [("Z4", parse_ring_spec("Z/4")), ("Z6", parse_ring_spec("Z/6")),
+                        ("F4", parse_ring_spec(F4_SPEC)), ("GR42", parse_ring_spec("GR(4,2)")),
+                        ("Z2xZ3", parse_ring_spec("Z/2 x Z/3"))]:
+        for k in range(24):
+            rows, cols = _oracle_ids(rng, ring.size)
+            entries = {(i, j): _pick(rng, ring.size, ring.zero.index) for i in rows for j in cols}
+            b = {i: rng.randrange(ring.size) for i in rows}
+            system = LinSystem(ring, rows, cols, entries, b)
+            if k % 3 == 0:
+                x0 = {j: rng.randrange(ring.size) for j in cols}
+                b = {i: system._lhs(i, x0) for i in rows}
+                system = LinSystem(ring, rows, cols, entries, b)
+            out[f"ring-{label}-{k}"] = system
+    for label, spec in [("Z2xZ6", "Z/2 x Z/6"), ("Z2xZ4", "Z/2 x Z/4"), ("Z9", "Z/9")]:
+        group = parse_group_spec(spec)
+        for k in range(24):
+            rows, cols = _oracle_ids(rng, group.size)
+            entries = {(i, j): _pick(rng, 14, 0) for i in rows for j in cols}
+            b = {i: rng.randrange(group.size) for i in rows}
+            system = GroupSystem(group, rows, cols, entries, b)
+            if k % 3 == 0:
+                x0 = {j: rng.randrange(group.size) for j in cols}
+                b = {i: system._lhs(i, x0) for i in rows}
+                system = GroupSystem(group, rows, cols, entries, b)
+            out[f"group-{label}-{k}"] = system
+    for label, ring in [("UT2", upper_triangular_f2()), ("Z2xZ3", parse_ring_spec("Z/2 x Z/3"))]:
+        zero = ring.zero.index
+        for k in range(24):
+            rows, cols = _oracle_ids(rng, ring.size)
+            left = {(i, j): _pick(rng, ring.size, zero, 0.5) for i in rows for j in cols}
+            right = {(j, i): _pick(rng, ring.size, zero, 0.5) for i in rows for j in cols}
+            b = {i: rng.randrange(ring.size) for i in rows}
+            system = TwoSidedSystem(ring, rows, cols, left, right, b)
+            if k % 3 == 0:
+                x0 = {j: rng.randrange(ring.size) for j in cols}
+                b = {i: system._lhs(i, x0) for i in rows}
+                system = TwoSidedSystem(ring, rows, cols, left, right, b)
+            out[f"twosided-{label}-{k}"] = system
+    for label, group in [("Z2xZ6", parse_group_spec("Z/2 x Z/6")), ("Z9", parse_group_spec("Z/9")),
+                         ("GR42", additive_group(parse_ring_spec("GR(4,2)")))]:
+        e = group.identity.index
+        for k in range(24):
+            rows, cols = _oracle_ids(rng, group.exponent())
+            entries = {(i, j): _pick(rng, group.size, e) for i in rows for j in cols}
+            b = {i: rng.randrange(group.size) for i in rows}
+            system = NumericalSystem(group, rows, cols, entries, b)
+            if k % 3 == 0:
+                x0 = {j: rng.randrange(group.exponent()) for j in cols}
+                b = {i: system._lhs(i, x0) for i in rows}
+                system = NumericalSystem(group, rows, cols, entries, b)
+            out[f"numerical-{label}-{k}"] = system
+    return out
+
+
+def _witness_systems() -> dict:
+    """Seeded 1-2 row chain systems with the tail pi^(n-1) of their ring."""
+    rng = random.Random(20121219)
+    out = {}
+    for label, spec in [("Z4", "Z/4"), ("Z8", "Z/8"), ("Z9", "Z/9"), ("F4", F4_SPEC), ("GR42", "GR(4,2)")]:
+        ring = parse_ring_spec(spec)
+        cd = chain_data(ring)
+        tail = ring.pow_idx(cd.pi.index, cd.n - 1)
+        for k in range(16):
+            rows = [f"e{i}" for i in range(rng.randint(1, 2))]
+            cols = [f"x{j}" for j in range(rng.randint(1, 3))]
+            entries = {(i, j): _pick(rng, ring.size, ring.zero.index) for i in rows for j in cols}
+            b = {i: rng.randrange(ring.size) for i in rows}
+            out[f"witnesses-{label}-{k}"] = (LinSystem(ring, rows, cols, entries, b), tail)
+    return out
+
+
+def _oracle_corpus_files() -> list[Path]:
+    return [path for path in sorted((ROOT / "corpus").glob("*.rls")) if path.name != "matrix_z9.rls"]
+
+
+@functools.cache
+def _all_oracle() -> dict:
+    return {**_oracle_systems(), **_witness_systems()}
+
+
+def observe_oracle(name: str, capsys=None) -> dict:
+    if name.startswith("cli-"):
+        code = main(["oracle", "solve", f"corpus/{name[4:]}.rls"])
+        return {"exit": code, "stdout": capsys.readouterr().out}
+    if name.startswith("witnesses-"):
+        system, tail = _all_oracle()[name]
+        found = enumerate_witnesses(system, tail)
+        return {"witnesses": [[w[i].index for i in system.rows] for w in found]}
+    system = _all_oracle()[name]
+    report = brute_force_solve(system)
+    witness = None
+    if report.solvable:
+        witness = [v if isinstance(v, int) else v.index for v in (report.witness[j] for j in system.cols)]
+    return {"solvable": report.solvable, "instances_checked": report.instances_checked, "witness": witness}
+
+
+def test_golden_oracle_covers_every_system():
+    names = sorted(_all_oracle()) + [f"cli-{path.stem}" for path in _oracle_corpus_files()]
+    assert sorted(names) == sorted(EXPECTED_ORACLE)
+    by_kind: dict = {}
+    for name, expected in EXPECTED_ORACLE.items():
+        if "solvable" in expected:
+            by_kind.setdefault(name.rsplit("-", 1)[0], set()).add(expected["solvable"])
+    for kind, verdicts in by_kind.items():
+        assert verdicts == {True, False}, kind
+    assert {bool(EXPECTED_ORACLE[n]["witnesses"]) for n in EXPECTED_ORACLE if n.startswith("witnesses-")} == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_ORACLE))
+def test_golden_oracle_outputs(monkeypatch, capsys, name):
+    monkeypatch.chdir(ROOT)
+    assert observe_oracle(name, capsys) == EXPECTED_ORACLE[name]
