@@ -4,10 +4,22 @@ Nothing here calls into the solver pipeline; only element arithmetic is
 shared with the rest of the package, and for the |GL|-power inverse also
 the local decomposition, ``gl_order_local`` and matrix products.  Enumeration is exact and capacity
 errors are hard, never silent sampling.
+
+All four system kinds, and the row combinations of ``enumerate_witnesses``,
+go through one batched search (``_search``).  Each equation becomes a list of
+(variable position, lookup array) pairs, where the lookup maps a variable's
+value to the element its term contributes, plus the right-hand side.  The
+search walks the assignments in ``itertools.product`` order (first declared
+variable most significant, last fastest), a batch of candidate indices at a
+time, sums each equation's terms through the carrier's elementwise ``add``
+and keeps only the candidates that satisfy it.  ``instances_checked`` is the
+position of the first satisfying assignment in that order, plus one, or the
+whole search space when there is none.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -20,7 +32,7 @@ from .ring import AbelianGroup, FiniteRing
 from .structure import decompose_local
 
 SEARCH_CAP = 10**7
-_VECTOR_THRESHOLD = 4096
+_BATCH = 1 << 16
 
 
 @dataclass
@@ -41,201 +53,130 @@ def _check_space(base: int, exponent: int) -> int:
     return space
 
 
-def _enumerate_assignments(size: int, nvars: int, space: int):
-    """Yield (batch_matrix, offset) covering all mixed-radix assignments."""
-    batch = 1 << 18
-    radices = [size] * nvars
-    for start in range(0, space, batch):
-        stop = min(start + batch, space)
-        idx = np.arange(start, stop, dtype=np.int64)
-        cols = []
-        div = 1
-        for _ in range(nvars):
-            cols.append((idx // div) % size)
-            div *= size
-        yield np.stack(cols, axis=1), start
+def _search(carrier, zero: int, radix: int, nvars: int, rows):
+    """Yield, in ``itertools.product(range(radix), repeat=nvars)`` order, the
+    index of every assignment that satisfies all ``rows``.
 
-
-def _solve_rows_vectorised(size, add, rows, nvars, space, zero_idx):
-    """rows: list of (list of (var position, coeff combiner array), rhs index);
-    ``add`` is the carrier's elementwise addition."""
-    for assign, start in _enumerate_assignments(size, nvars, space):
-        ok = np.ones(assign.shape[0], dtype=bool)
+    ``rows`` holds ``(terms, rhs)`` with ``terms`` a list of ``(variable
+    position, lookup)``: ``lookup[v]`` is the element the term contributes
+    when that variable takes the value v.  A variable's value is the digit of
+    the candidate index at weight ``radix**(nvars-1-position)``.
+    """
+    if any(not terms and rhs != zero for terms, rhs in rows):
+        return
+    rows = [(terms, rhs) for terms, rhs in rows if terms]
+    weights = [radix ** (nvars - 1 - pos) for pos in range(nvars)]
+    space = radix**nvars
+    for start in range(0, space, _BATCH):
+        cand = np.arange(start, min(start + _BATCH, space), dtype=np.int64)
         for terms, rhs in rows:
-            acc = np.full(assign.shape[0], zero_idx, dtype=np.int64)
-            for pos, combine in terms:
-                acc = add(acc, combine[assign[:, pos]])
-            ok &= acc == rhs
-            if not ok.any():
+            acc = None
+            for pos, lookup in terms:
+                term = lookup[cand // weights[pos] % radix]
+                acc = term if acc is None else carrier.add(acc, term)
+            cand = cand[acc == rhs]
+            if not cand.size:
                 break
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            return int(hits[0]) + start
-    return None
+        yield from cand.tolist()
+
+
+def _digits(index: int, radix: int, nvars: int) -> list[int]:
+    """The assignment at ``index`` in product order, first variable first."""
+    values = []
+    for _ in range(nvars):
+        index, v = divmod(index, radix)
+        values.append(v)
+    return values[::-1]
+
+
+def _multiples(carrier, zero: int, ks, xs):
+    """k·x elementwise for integers k >= 0 and element indices x (broadcast
+    together), by binary doubling through the carrier's elementwise add."""
+    ks, base = np.broadcast_arrays(np.asarray(ks, dtype=np.int64), np.asarray(xs))
+    acc = np.full(ks.shape, zero, dtype=np.int64)
+    while ks.any():
+        acc = np.where(ks & 1, carrier.add(acc, base), acc)
+        base = carrier.add(base, base)
+        ks = ks >> 1
+    return acc
+
+
+def _lookup(system):
+    """``lookup(i, j)``: the lookup array of the term of variable j in row i
+    (indexed by the variable's value), or None when the term is absent."""
+    carrier = system.carrier
+    elems = np.arange(carrier.size)
+    if isinstance(system, LinSystem):
+        times = functools.cache(lambda c: carrier.mul(c, elems))
+        return lambda i, j: _get(system.entries, (i, j), times)
+    if isinstance(system, GroupSystem):
+        d = carrier.exponent()
+        times = functools.cache(lambda c: _multiples(carrier, system._zero, c % d, elems))
+        return lambda i, j: _get(system.entries, (i, j), times)
+    if isinstance(system, TwoSidedSystem):
+        left = functools.cache(lambda c: carrier.mul(c, elems))
+        right = functools.cache(lambda c: carrier.mul(elems, c))
+
+        def lookup(i, j):
+            c_x, x_r = _get(system.left, (i, j), left), _get(system.right, (j, i), right)
+            if c_x is None or x_r is None:
+                return x_r if c_x is None else c_x
+            return carrier.add(c_x, x_r)
+
+        return lookup
+    # NumericalSystem: integer variables below the group's exponent
+    values = np.arange(carrier.exponent())
+    times = functools.cache(lambda g: _multiples(carrier, system._zero, values, g))
+    return lambda i, j: _get(system.entries, (i, j), times)
+
+
+def _get(entries: dict, key, build):
+    c = entries.get(key)
+    return None if c is None else build(c)
 
 
 def brute_force_solve(system) -> OracleReport:
-    """Decide solvability by enumerating every assignment."""
-    if isinstance(system, LinSystem):
-        return _brute_linsys(system)
-    if isinstance(system, GroupSystem):
-        return _brute_group(system)
-    if isinstance(system, TwoSidedSystem):
-        return _brute_twosided(system)
-    if isinstance(system, NumericalSystem):
-        return _brute_numerical(system)
-    raise InvalidParameter(f"cannot solve object of type {type(system).__name__}")
-
-
-def _decode_assignment(winner: int, size: int, cols):
-    values = []
-    for _ in cols:
-        values.append(winner % size)
-        winner //= size
-    return dict(zip(cols, values))
-
-
-def _brute_linsys(system: LinSystem) -> OracleReport:
-    ring = system.ring
-    cols = list(system.cols)
-    space = _check_space(ring.size, len(cols))
-    rows_data = [
-        ([(cols.index(j), coeff) for (i2, j), coeff in system.entries.items() if i2 == i],
-         system.rhs_idx(i))
+    """Decide solvability by enumerating every assignment in product order."""
+    if not isinstance(system, (LinSystem, GroupSystem, TwoSidedSystem, NumericalSystem)):
+        raise InvalidParameter(f"cannot solve object of type {type(system).__name__}")
+    carrier, cols = system.carrier, system.cols
+    numerical = isinstance(system, NumericalSystem)
+    radix = carrier.exponent() if numerical else carrier.size
+    space = _check_space(radix, len(cols))
+    lookup = _lookup(system)
+    rows = [
+        ([(pos, t) for pos, j in enumerate(cols) if (t := lookup(i, j)) is not None], system.rhs_idx(i))
         for i in system.rows
     ]
-    if space > _VECTOR_THRESHOLD:
-        elems = np.arange(ring.size)
-        np_rows = [
-            ([(pos, ring.mul(coeff, elems)) for pos, coeff in terms], rhs)
-            for terms, rhs in rows_data
-        ]
-        winner = _solve_rows_vectorised(ring.size, ring.add, np_rows, len(cols), space, ring.zero.index)
-        if winner is None:
-            return OracleReport(False, None, space)
-        assign = _decode_assignment(winner, ring.size, cols)
-        return OracleReport(True, {j: ring.element(v) for j, v in assign.items()}, winner + 1)
-    count = 0
-    zero = ring.zero.index
-    for combo in itertools.product(range(ring.size), repeat=len(cols)):
-        count += 1
-        if all(
-            _fold_row(ring, terms, combo, zero) == rhs
-            for terms, rhs in rows_data
-        ):
-            assign = {j: ring.element(v) for j, v in zip(cols, combo)}
-            return OracleReport(True, assign, count)
-    return OracleReport(False, None, count)
-
-
-def _fold_row(ring, terms, combo, zero):
-    acc = zero
-    for pos, coeff in terms:
-        acc = ring.add_idx(acc, ring.mul_idx(coeff, combo[pos]))
-    return acc
-
-
-def _brute_group(system: GroupSystem) -> OracleReport:
-    group = system.group
-    cols = list(system.cols)
-    space = _check_space(group.size, len(cols))
-    add = group.add_table()
-    multiples: dict = {}  # c -> [c·x for every element x]
-    for c in system.entries.values():
-        if c not in multiples:
-            multiples[c] = [group.scalar_idx(c, x) for x in range(group.size)]
-    rows_data = [
-        ([(cols.index(j), multiples[c]) for (i2, j), c in system.entries.items() if i2 == i],
-         system.rhs_idx(i))
-        for i in system.rows
-    ]
-    count = 0
-    e = group.identity.index
-    for combo in itertools.product(range(group.size), repeat=len(cols)):
-        count += 1
-        good = True
-        for terms, rhs in rows_data:
-            acc = e
-            for pos, times_c in terms:
-                acc = add[acc][times_c[combo[pos]]]
-            if acc != rhs:
-                good = False
-                break
-        if good:
-            assign = {j: group.element(v) for j, v in zip(cols, combo)}
-            return OracleReport(True, assign, count)
-    return OracleReport(False, None, count)
-
-
-def _brute_twosided(system: TwoSidedSystem) -> OracleReport:
-    ring = system.ring
-    cols = list(system.cols)
-    space = _check_space(ring.size, len(cols))
-    count = 0
-    for combo in itertools.product(range(ring.size), repeat=len(cols)):
-        count += 1
-        assign = {j: ring.element(v) for j, v in zip(cols, combo)}
-        if system.eval(assign):
-            return OracleReport(True, assign, count)
-    return OracleReport(False, None, count)
-
-
-def _brute_numerical(system: NumericalSystem) -> OracleReport:
-    group = system.group
-    d = group.exponent()
-    cols = list(system.cols)
-    space = _check_space(d, len(cols))
-    rows_data = [
-        ([(cols.index(j), g) for (i2, j), g in system.entries.items() if i2 == i],
-         system.rhs_idx(i))
-        for i in system.rows
-    ]
-    count = 0
-    e = group.identity.index
-    for combo in itertools.product(range(d), repeat=len(cols)):
-        count += 1
-        good = True
-        for terms, rhs in rows_data:
-            acc = e
-            for pos, g in terms:
-                acc = group.add_idx(acc, group.scalar_idx(combo[pos], g))
-            if acc != rhs:
-                good = False
-                break
-        if good:
-            return OracleReport(True, dict(zip(cols, combo)), count)
-    return OracleReport(False, None, count)
+    hit = next(_search(carrier, system._zero, radix, len(cols), rows), None)
+    if hit is None:
+        return OracleReport(False, None, space)
+    values = _digits(hit, radix, len(cols))
+    if not numerical:
+        values = [carrier.element(v) for v in values]
+    return OracleReport(True, dict(zip(cols, values)), hit + 1)
 
 
 def enumerate_witnesses(system: LinSystem, target_tail_idx: int):
-    """All row combinations x with x·(A|b) = (0,...,0,tail); exhaustive."""
+    """All row combinations x with x·(A|b) = (0,...,0,tail), in product order
+    over the rows; exhaustive."""
     ring = system.ring
     rows = list(system.rows)
     _check_space(ring.size, len(rows))
+    elems = np.arange(ring.size)
+    times = functools.cache(lambda c: ring.mul(elems, c))
     zero = ring.zero.index
-    found = []
-    for combo in itertools.product(range(ring.size), repeat=len(rows)):
-        col_ok = all(
-            _fold_col(ring, system, j, rows, combo, zero) == zero
-            for j in system.cols
-        )
-        if not col_ok:
-            continue
-        acc = zero
-        for pos, i in enumerate(rows):
-            acc = ring.add_idx(acc, ring.mul_idx(combo[pos], system.rhs_idx(i)))
-        if acc == target_tail_idx:
-            found.append({i: ring.element(v) for i, v in zip(rows, combo)})
-    return found
-
-
-def _fold_col(ring, system, j, rows, combo, zero):
-    acc = zero
-    for pos, i in enumerate(rows):
-        c = system.entries.get((i, j))
-        if c is not None:
-            acc = ring.add_idx(acc, ring.mul_idx(combo[pos], c))
-    return acc
+    equations = [
+        ([(pos, times(system.entries[(i, j)])) for pos, i in enumerate(rows) if (i, j) in system.entries], zero)
+        for j in system.cols
+    ]
+    equations.append(
+        ([(pos, times(system.b[i])) for pos, i in enumerate(rows) if i in system.b], target_tail_idx)
+    )
+    return [
+        {i: ring.element(v) for i, v in zip(rows, _digits(hit, ring.size, len(rows)))}
+        for hit in _search(ring, zero, ring.size, len(rows), equations)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ and exit code of ``ringsolve oracle solve`` on every corpus system file.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 from pathlib import Path
@@ -564,3 +565,45 @@ def test_golden_oracle_covers_every_system():
 def test_golden_oracle_outputs(monkeypatch, capsys, name):
     monkeypatch.chdir(ROOT)
     assert observe_oracle(name, capsys) == EXPECTED_ORACLE[name]
+
+
+def _large_oracle_systems() -> list:
+    """Seeded ring systems with more than 4096 assignments: a third planted,
+    a third with non-unit coefficients only (mostly unsolvable)."""
+    rng = random.Random(20121220)
+    out = []
+    for spec, n_cols in [("Z/2", 13), ("Z/4", 7), ("Z/6", 5), (F4_SPEC, 7), ("GR(4,2)", 4)]:
+        ring = parse_ring_spec(spec)
+        for k in range(6):
+            rows, cols = [f"e{i}" for i in range(rng.randint(1, 3))], [f"x{j}" for j in range(n_cols)]
+            draw = _zero_divisor_heavy(rng, ring, 1.0) if k % 3 == 1 else lambda: _pick(rng, ring.size, ring.zero.index)
+            entries = {(i, j): draw() for i in rows for j in cols}
+            b = {i: rng.randrange(ring.size) for i in rows}
+            if k % 3 == 0:
+                x0 = {j: rng.randrange(ring.size) for j in cols}
+                b = {i: LinSystem(ring, rows, cols, entries, {})._lhs(i, x0) for i in rows}
+            out.append(LinSystem(ring, rows, cols, entries, b))
+    return out
+
+
+def test_oracle_large_ring_systems_in_product_order():
+    # above 4096 assignments nothing is pinned: the verdict must match the
+    # solver and the count must be the witness's position in product order
+    verdicts = set()
+    for system in _large_oracle_systems():
+        report = brute_force_solve(system)
+        size, n = system.ring.size, len(system.cols)
+        assert report.solvable == solve(system).solvable
+        verdicts.add(report.solvable)
+        if not report.solvable:
+            assert report.instances_checked == size**n
+            continue
+        assert system.eval(report.witness)
+        position = 0
+        for j in system.cols:
+            position = position * size + report.witness[j].index
+        assert report.instances_checked == position + 1
+        if position <= 2000:
+            earlier = itertools.islice(itertools.product(system.ring.elements(), repeat=n), position)
+            assert not any(system.eval(dict(zip(system.cols, combo))) for combo in earlier)
+    assert verdicts == {True, False}

@@ -1,18 +1,32 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 
-from conftest import bivariate_nilpotent, f4, gr42, random_linsystem, upper_triangular_f2, zmod
+from conftest import (
+    bivariate_nilpotent,
+    count_scalar_calls,
+    f4,
+    gr42,
+    random_linsystem,
+    upper_triangular_f2,
+    zmod,
+)
 from ringsolve import (
     CapacityError,
     GroupSystem,
     LinSystem,
     Matrix,
+    NumericalSystem,
+    TwoSidedSystem,
     build_phi_ring,
     build_cyclic_group,
     build_product_group,
     build_table_group,
     build_table_ring,
+    solve,
 )
 from ringsolve.oracle import (
     brute_force_solve,
@@ -164,3 +178,57 @@ def test_brute_group_agrees_across_isomorphic_groups(rng):
             assert cyclic_rep.instances_checked == crt_rep.instances_checked == 12**ell
         verdicts.add(cyclic_rep.solvable)
     assert verdicts == {True, False}
+
+
+def test_brute_group_reads_no_add_table(monkeypatch):
+    # one variable over Z/64 x Z/64: the lookups come from the group's
+    # elementwise add, so neither a |G|^2 list nor a multiples table is built
+    z64 = build_cyclic_group(64)
+    group = build_product_group([z64, z64])
+    x0 = group.element(64 * 5 + 7).index
+    system = GroupSystem(group, ["e0", "e1"], ["x"], {("e0", "x"): 3, ("e1", "x"): 70},
+                         {"e0": group.scalar_idx(3, x0), "e1": group.scalar_idx(70, x0)})
+
+    def forbidden(*args):
+        raise AssertionError("the oracle read a list table")
+
+    monkeypatch.setattr(type(group), "add_table", forbidden)
+    tracemalloc.start()
+    try:
+        rep = brute_force_solve(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.solvable and system.eval(rep.witness)
+    assert rep.instances_checked == rep.witness["x"].index + 1
+    assert peak < 16 * 2**20, peak
+
+
+def test_brute_force_scalar_calls_bounded_by_lookups():
+    # scalar ops may only build lookups, at most 4·|carrier| per term; they
+    # must not evaluate the |carrier|^3 assignments one by one
+    rng = random.Random(7)
+    ring = upper_triangular_f2.__wrapped__()
+    group = build_product_group([build_cyclic_group(2), build_cyclic_group(6)])
+    rows, cols = ["e0", "e1"], ["x0", "x1", "x2"]
+    cases = []
+    for _ in range(3):
+        left = {(i, j): rng.randrange(ring.size) for i in rows for j in cols}
+        right = {(j, i): rng.randrange(ring.size) for i in rows for j in cols}
+        b = {i: rng.randrange(ring.size) for i in rows}
+        cases.append((TwoSidedSystem(ring, rows, cols, left, right, b), ring, ("_add", "_mul", "_neg")))
+        entries = {(i, j): rng.randrange(group.size) for i in rows for j in cols}
+        b = {i: rng.randrange(group.size) for i in rows}
+        cases.append((NumericalSystem(group, rows, cols, entries, b), group, ("_add", "_neg")))
+    verdicts = {}
+    for system, carrier, ops in cases:
+        expected = solve(system).solvable
+        terms = sum(len(getattr(system, name, {})) for name in ("entries", "left", "right"))
+        calls = count_scalar_calls(carrier, ops)
+        rep = brute_force_solve(system)
+        assert calls[0] <= 4 * carrier.size * terms, (system, calls[0])
+        assert rep.solvable == expected
+        if rep.solvable:
+            assert system.eval(rep.witness)
+        verdicts.setdefault(type(system), set()).add(rep.solvable)
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
