@@ -19,7 +19,6 @@ whole search space when there is none.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -101,38 +100,25 @@ def _multiples(carrier, zero: int, ks, xs):
     return acc
 
 
-def _lookup(system):
-    """``lookup(i, j)``: the lookup array of the term of variable j in row i
-    (indexed by the variable's value), or None when the term is absent."""
+def _term_lookups(system) -> dict:
+    """{(row, column): lookup} for every term of the system, where
+    ``lookup[v]`` is the element the term contributes when the variable is v."""
     carrier = system.carrier
     elems = np.arange(carrier.size)
+    if isinstance(system, TwoSidedSystem):
+        lookups = {key: carrier.mul(c, elems) for key, c in system.left.items()}
+        for (j, i), c in system.right.items():
+            x_c = carrier.mul(elems, c)
+            lookups[(i, j)] = carrier.add(lookups[(i, j)], x_c) if (i, j) in lookups else x_c
+        return lookups
     if isinstance(system, LinSystem):
-        times = functools.cache(lambda c: carrier.mul(c, elems))
-        return lambda i, j: _get(system.entries, (i, j), times)
+        return {key: carrier.mul(c, elems) for key, c in system.entries.items()}
     if isinstance(system, GroupSystem):
         d = carrier.exponent()
-        times = functools.cache(lambda c: _multiples(carrier, system._zero, c % d, elems))
-        return lambda i, j: _get(system.entries, (i, j), times)
-    if isinstance(system, TwoSidedSystem):
-        left = functools.cache(lambda c: carrier.mul(c, elems))
-        right = functools.cache(lambda c: carrier.mul(elems, c))
-
-        def lookup(i, j):
-            c_x, x_r = _get(system.left, (i, j), left), _get(system.right, (j, i), right)
-            if c_x is None or x_r is None:
-                return x_r if c_x is None else c_x
-            return carrier.add(c_x, x_r)
-
-        return lookup
-    # NumericalSystem: integer variables below the group's exponent
+        return {key: _multiples(carrier, system._zero, c % d, elems) for key, c in system.entries.items()}
+    # NumericalSystem: the variables are the integers below the group's exponent
     values = np.arange(carrier.exponent())
-    times = functools.cache(lambda g: _multiples(carrier, system._zero, values, g))
-    return lambda i, j: _get(system.entries, (i, j), times)
-
-
-def _get(entries: dict, key, build):
-    c = entries.get(key)
-    return None if c is None else build(c)
+    return {key: _multiples(carrier, system._zero, values, g) for key, g in system.entries.items()}
 
 
 def brute_force_solve(system) -> OracleReport:
@@ -143,9 +129,9 @@ def brute_force_solve(system) -> OracleReport:
     numerical = isinstance(system, NumericalSystem)
     radix = carrier.exponent() if numerical else carrier.size
     space = _check_space(radix, len(cols))
-    lookup = _lookup(system)
+    lookups = _term_lookups(system)
     rows = [
-        ([(pos, t) for pos, j in enumerate(cols) if (t := lookup(i, j)) is not None], system.rhs_idx(i))
+        ([(pos, lookups[(i, j)]) for pos, j in enumerate(cols) if (i, j) in lookups], system.rhs_idx(i))
         for i in system.rows
     ]
     hit = next(_search(carrier, system._zero, radix, len(cols), rows), None)
@@ -164,14 +150,14 @@ def enumerate_witnesses(system: LinSystem, target_tail_idx: int):
     rows = list(system.rows)
     _check_space(ring.size, len(rows))
     elems = np.arange(ring.size)
-    times = functools.cache(lambda c: ring.mul(elems, c))
     zero = ring.zero.index
     equations = [
-        ([(pos, times(system.entries[(i, j)])) for pos, i in enumerate(rows) if (i, j) in system.entries], zero)
+        ([(pos, ring.mul(elems, system.entries[(i, j)])) for pos, i in enumerate(rows) if (i, j) in system.entries],
+         zero)
         for j in system.cols
     ]
     equations.append(
-        ([(pos, times(system.b[i])) for pos, i in enumerate(rows) if i in system.b], target_tail_idx)
+        ([(pos, ring.mul(elems, system.b[i])) for pos, i in enumerate(rows) if i in system.b], target_tail_idx)
     )
     return [
         {i: ring.element(v) for i, v in zip(rows, _digits(hit, ring.size, len(rows)))}
