@@ -150,15 +150,13 @@ def enumerate_witnesses(system: LinSystem, target_tail_idx: int):
     rows = list(system.rows)
     _check_space(ring.size, len(rows))
     elems = np.arange(ring.size)
-    zero = ring.zero.index
+    zero, entries = ring.zero.index, system.entries
     equations = [
-        ([(pos, ring.mul(elems, system.entries[(i, j)])) for pos, i in enumerate(rows) if (i, j) in system.entries],
-         zero)
+        ([(pos, ring.mul(elems, entries[(i, j)])) for pos, i in enumerate(rows) if (i, j) in entries], zero)
         for j in system.cols
     ]
-    equations.append(
-        ([(pos, ring.mul(elems, system.b[i])) for pos, i in enumerate(rows) if i in system.b], target_tail_idx)
-    )
+    tail = [(pos, ring.mul(elems, system.b[i])) for pos, i in enumerate(rows) if i in system.b]
+    equations.append((tail, target_tail_idx))
     return [
         {i: ring.element(v) for i, v in zip(rows, _digits(hit, ring.size, len(rows)))}
         for hit in _search(ring, zero, ring.size, len(rows), equations)

@@ -447,12 +447,23 @@ def _oracle_ids(rng: random.Random, base: int):
     return [f"e{k}" for k in range(n_rows)], [f"x{k}" for k in range(n_cols)]
 
 
+def _planted_rhs(rng: random.Random, system, values: int) -> dict:
+    """The left-hand side of ``system`` at random variable values below ``values``."""
+    x0 = {j: rng.randrange(values) for j in system.cols}
+    return {i: system._lhs(i, x0) for i in system.rows}
+
+
 def _oracle_systems() -> dict:
     """Seeded systems of the four kinds, each with at most 4096 assignments;
     a third of the right-hand sides are planted so that witnesses appear
     away from the first assignment."""
     rng = random.Random(20121218)
     out = {}
+
+    def add(name, k, make, b, values):
+        system = make(b)
+        out[f"{name}-{k}"] = make(_planted_rhs(rng, system, values)) if k % 3 == 0 else system
+
     for label, ring in [("Z4", parse_ring_spec("Z/4")), ("Z6", parse_ring_spec("Z/6")),
                         ("F4", parse_ring_spec(F4_SPEC)), ("GR42", parse_ring_spec("GR(4,2)")),
                         ("Z2xZ3", parse_ring_spec("Z/2 x Z/3"))]:
@@ -460,24 +471,14 @@ def _oracle_systems() -> dict:
             rows, cols = _oracle_ids(rng, ring.size)
             entries = {(i, j): _pick(rng, ring.size, ring.zero.index) for i in rows for j in cols}
             b = {i: rng.randrange(ring.size) for i in rows}
-            system = LinSystem(ring, rows, cols, entries, b)
-            if k % 3 == 0:
-                x0 = {j: rng.randrange(ring.size) for j in cols}
-                b = {i: system._lhs(i, x0) for i in rows}
-                system = LinSystem(ring, rows, cols, entries, b)
-            out[f"ring-{label}-{k}"] = system
+            add(f"ring-{label}", k, functools.partial(LinSystem, ring, rows, cols, entries), b, ring.size)
     for label, spec in [("Z2xZ6", "Z/2 x Z/6"), ("Z2xZ4", "Z/2 x Z/4"), ("Z9", "Z/9")]:
         group = parse_group_spec(spec)
         for k in range(24):
             rows, cols = _oracle_ids(rng, group.size)
             entries = {(i, j): _pick(rng, 14, 0) for i in rows for j in cols}
             b = {i: rng.randrange(group.size) for i in rows}
-            system = GroupSystem(group, rows, cols, entries, b)
-            if k % 3 == 0:
-                x0 = {j: rng.randrange(group.size) for j in cols}
-                b = {i: system._lhs(i, x0) for i in rows}
-                system = GroupSystem(group, rows, cols, entries, b)
-            out[f"group-{label}-{k}"] = system
+            add(f"group-{label}", k, functools.partial(GroupSystem, group, rows, cols, entries), b, group.size)
     for label, ring in [("UT2", upper_triangular_f2()), ("Z2xZ3", parse_ring_spec("Z/2 x Z/3"))]:
         zero = ring.zero.index
         for k in range(24):
@@ -485,12 +486,7 @@ def _oracle_systems() -> dict:
             left = {(i, j): _pick(rng, ring.size, zero, 0.5) for i in rows for j in cols}
             right = {(j, i): _pick(rng, ring.size, zero, 0.5) for i in rows for j in cols}
             b = {i: rng.randrange(ring.size) for i in rows}
-            system = TwoSidedSystem(ring, rows, cols, left, right, b)
-            if k % 3 == 0:
-                x0 = {j: rng.randrange(ring.size) for j in cols}
-                b = {i: system._lhs(i, x0) for i in rows}
-                system = TwoSidedSystem(ring, rows, cols, left, right, b)
-            out[f"twosided-{label}-{k}"] = system
+            add(f"twosided-{label}", k, functools.partial(TwoSidedSystem, ring, rows, cols, left, right), b, ring.size)
     for label, group in [("Z2xZ6", parse_group_spec("Z/2 x Z/6")), ("Z9", parse_group_spec("Z/9")),
                          ("GR42", additive_group(parse_ring_spec("GR(4,2)")))]:
         e = group.identity.index
@@ -498,12 +494,8 @@ def _oracle_systems() -> dict:
             rows, cols = _oracle_ids(rng, group.exponent())
             entries = {(i, j): _pick(rng, group.size, e) for i in rows for j in cols}
             b = {i: rng.randrange(group.size) for i in rows}
-            system = NumericalSystem(group, rows, cols, entries, b)
-            if k % 3 == 0:
-                x0 = {j: rng.randrange(group.exponent()) for j in cols}
-                b = {i: system._lhs(i, x0) for i in rows}
-                system = NumericalSystem(group, rows, cols, entries, b)
-            out[f"numerical-{label}-{k}"] = system
+            add(f"numerical-{label}", k, functools.partial(NumericalSystem, group, rows, cols, entries), b,
+                group.exponent())
     return out
 
 
@@ -580,8 +572,7 @@ def _large_oracle_systems() -> list:
             entries = {(i, j): draw() for i in rows for j in cols}
             b = {i: rng.randrange(ring.size) for i in rows}
             if k % 3 == 0:
-                x0 = {j: rng.randrange(ring.size) for j in cols}
-                b = {i: LinSystem(ring, rows, cols, entries, {})._lhs(i, x0) for i in rows}
+                b = _planted_rhs(rng, LinSystem(ring, rows, cols, entries, {}), ring.size)
             out.append(LinSystem(ring, rows, cols, entries, b))
     return out
 
