@@ -31,7 +31,10 @@ from .ring import AbelianGroup, FiniteRing
 from .structure import decompose_local
 
 SEARCH_CAP = 10**7
-_BATCH = 1 << 16
+# Candidates per batch.  The per-batch temporaries (64 KiB at int64) stay
+# below the allocator's mmap threshold, so they reuse heap memory; at 2^16
+# every batch mapped fresh pages and page-faulted them in.
+_BATCH = 1 << 13
 
 
 @dataclass
