@@ -26,11 +26,20 @@ verdict, ``instances_checked`` and witness of ``brute_force_solve`` on seeded
 systems of all four kinds with at most 4096 assignments, the lists returned
 by ``enumerate_witnesses`` on seeded chain systems, and the standard output
 and exit code of ``ringsolve oracle solve`` on every corpus system file.
+
+A fifth file, ``golden_structure.json``, pins the structure theory of every
+conftest fixture ring, of the rings of the ``cold_structure`` benchmark panel,
+and of ``Z/4096`` and ``GR(16,3)``: the unit indices, the idempotents and the
+base, and per local summand ``chain_data``, the minimal generators of the
+maximal ideal, ``canonical_params``, the canonical ``default_order``, the
+Teichmueller set and ``is_galois_ring``.  Index lists longer than 64 are
+stored as the sha256 of their JSON text.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -38,7 +47,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bivariate_nilpotent, upper_triangular_f2
+from conftest import bivariate_nilpotent, f2x_x2, upper_triangular_f2
 from ringsolve import (
     GroupSystem,
     LinSystem,
@@ -46,18 +55,26 @@ from ringsolve import (
     NumericalSystem,
     TwoSidedSystem,
     UnsupportedRing,
+    base,
+    canonical_params,
     chain_data,
+    decompose_local,
     determinant,
     hermite_normal_form,
+    idempotents,
     inverse,
+    is_galois_ring,
     mat_mul,
+    minimal_generators_maximal_ideal,
     solve,
     solve_chain,
+    teichmuller_set,
     verify_certificate,
 )
 from ringsolve.cli import main
 from ringsolve.oracle import brute_force_solve, enumerate_witnesses
 from ringsolve.ring import additive_group, unit_indices
+from ringsolve.structure import default_order
 from ringsolve.sysio import (
     parse_certificate,
     parse_group_spec,
@@ -72,6 +89,7 @@ EXPECTED = json.loads((Path(__file__).with_name("golden_systems.json")).read_tex
 EXPECTED_LARGE = json.loads((Path(__file__).with_name("golden_large.json")).read_text())
 EXPECTED_MATRICES = json.loads((Path(__file__).with_name("golden_matrices.json")).read_text())
 EXPECTED_ORACLE = json.loads((Path(__file__).with_name("golden_oracle.json")).read_text())
+EXPECTED_STRUCTURE = json.loads((Path(__file__).with_name("golden_structure.json")).read_text())
 
 
 def _pick(rng: random.Random, size: int, zero: int, density: float = 0.7) -> int:
@@ -598,3 +616,61 @@ def test_oracle_large_ring_systems_in_product_order():
             earlier = itertools.islice(itertools.product(system.ring.elements(), repeat=n), position)
             assert not any(system.eval(dict(zip(system.cols, combo))) for combo in earlier)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# structure theory
+
+
+def _structure_rings() -> dict:
+    """Name -> builder.  Spec strings are built afresh, so the cold path runs."""
+    specs = ["Z/2", "Z/3", "Z/4", "Z/6", "Z/8", "Z/9", "Z/12", F4_SPEC, "GR(4,2)",
+             # the cold_structure benchmark panel
+             "phi(Z/2 x Z/4)", "Z/512", "GR(4,3)", "Z/256", "GR(9,2)", "Z/8 x Z/27",
+             "Z/16 x GR(4,2)", "Z/3 x GR(4,3)",
+             "Z/4096", "GR(16,3)"]
+    rings = {spec: functools.partial(parse_ring_spec, spec) for spec in specs}
+    for builder in (bivariate_nilpotent, f2x_x2, upper_triangular_f2):
+        rings[builder().spec] = builder
+    return rings
+
+
+def _pinned(indices) -> list[int] | str:
+    values = sorted(indices) if isinstance(indices, (set, frozenset)) else list(indices)
+    if len(values) <= 64:
+        return values
+    return "sha256:" + hashlib.sha256(json.dumps(values).encode()).hexdigest()
+
+
+def observe_structure(ring) -> dict:
+    out = {
+        "units": _pinned(unit_indices(ring)),
+        "idempotents": _pinned({e.index for e in idempotents(ring)}),
+    }
+    if not ring.commutative:
+        return out
+    out["base"] = _pinned({e.index for e in base(ring)})
+    out["summands"] = []
+    for s in decompose_local(ring):
+        local = s.ring
+        cd = chain_data(local)
+        alpha, pis = canonical_params(local)
+        out["summands"].append({
+            "e": s.e.index,
+            "chain_data": None if cd is None else [cd.pi.index, cd.n, cd.q],
+            "min_generators": [g.index for g in minimal_generators_maximal_ideal(local)],
+            "canonical_params": [alpha.index, [p.index for p in pis]],
+            "default_order": _pinned(default_order(local).sorted_elements),
+            "teichmuller": _pinned({g.index for g in teichmuller_set(local)}),
+            "galois": None if is_galois_ring(local) is None else list(is_galois_ring(local)),
+        })
+    return out
+
+
+def test_golden_structure_covers_every_ring():
+    assert sorted(_structure_rings()) == sorted(EXPECTED_STRUCTURE)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_STRUCTURE))
+def test_golden_structure_outputs(name):
+    assert observe_structure(_structure_rings()[name]()) == EXPECTED_STRUCTURE[name]
