@@ -1,9 +1,10 @@
 """Brute-force oracles: exhaustive, decomposition-free, independent of the solvers.
 
 Nothing here calls into the solver pipeline; only element arithmetic is
-shared with the rest of the package, and for the |GL|-power inverse also
-the local decomposition, ``gl_order_local`` and matrix products.  Enumeration is exact and capacity
-errors are hard, never silent sampling.
+shared with the rest of the package, for the |GL|-power inverse also
+the local decomposition, ``gl_order_local`` and matrix products, and for the
+subset search of minimal generators the maximal ideal and ``ideal_generated``.
+Enumeration is exact and capacity errors are hard, never silent sampling.
 
 All four system kinds, and the row combinations of ``enumerate_witnesses``,
 go through one batched search (``_search``).  Each equation becomes a list of
@@ -27,8 +28,8 @@ import numpy as np
 from .errors import CapacityError, InternalError, InvalidParameter, PreconditionViolation
 from .linsys import GroupSystem, LinSystem, NumericalSystem, TwoSidedSystem
 from .matalg import CharPoly, Matrix, gl_order_local, mat_mul, mat_pow
-from .ring import AbelianGroup, FiniteRing
-from .structure import decompose_local
+from .ring import AbelianGroup, FiniteRing, RingElement
+from .structure import decompose_local, ideal_generated, maximal_ideal
 
 SEARCH_CAP = 10**7
 # Candidates per batch.  The per-batch temporaries (64 KiB at int64) stay
@@ -343,6 +344,25 @@ def inverse_by_power(a: Matrix) -> Matrix | None:
         for key, v in b_e.entries.items():
             combined[key] = ring.add_idx(combined.get(key, ring.zero.index), summand.embed(v))
     return Matrix(ring, a.rows, a.cols, combined)
+
+
+# ---------------------------------------------------------------------------
+# minimal generators by subset search
+
+
+def minimal_generators_by_search(ring: FiniteRing) -> tuple[RingElement, ...]:
+    """The lexicographically first minimal generating tuple of the maximal ideal,
+    smallest k first, by trying every subset; it cross-checks the Nakayama
+    scan of ``structure.minimal_generators_maximal_ideal``."""
+    m = maximal_ideal(ring)
+    if m == {ring.zero.index}:
+        return ()
+    members = sorted(m)
+    for k in range(1, len(members) + 1):
+        for combo in itertools.combinations(members, k):
+            if ideal_generated(ring, combo) == m:
+                return tuple(ring.element(i) for i in combo)
+    raise InternalError("maximal ideal admits no generating set")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CapacityError, InvalidParameter, NotARing
 
 DEFAULT_MAX_ELEMS = 4096
-_CHUNK = 1 << 14  # table entries computed per step of _op_table
+_CHUNK = 1 << 14  # entries computed per step of a row-chunked scan
 
 
 def max_elems() -> int:
@@ -43,14 +43,20 @@ def _index_dtype(size: int):
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= size - 1)
 
 
+def _row_blocks(n_rows: int, n_cols: int):
+    """Consecutive blocks of row indices covering range(n_rows), each of
+    about _CHUNK entries of an n_cols-wide scan, so that temporaries stay small."""
+    step = max(1, _CHUNK // n_cols)
+    return (np.arange(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
+
+
 def _op_table(size: int, op) -> np.ndarray:
     """The size x size table of ``op(rows, cols)`` on broadcast index arrays,
-    filled a chunk of rows at a time so that temporaries stay small."""
+    filled a block of rows at a time."""
     table = np.empty((size, size), dtype=_index_dtype(size))
     cols = np.arange(size)
-    step = max(1, _CHUNK // size)
-    for start in range(0, size, step):
-        table[start:start + step] = op(np.arange(start, min(start + step, size))[:, None], cols)
+    for rows in _row_blocks(size, size):
+        table[rows] = op(rows[:, None], cols)
     return table
 
 
@@ -124,8 +130,8 @@ class _Carrier:
     residues modulo ``size`` when the table is None.
 
     Negation is derived from the table.  The scalar hooks ``_add``/``_neg``
-    are lookups into the same data; the ``*_idx`` methods and the doubling
-    loops go through them.  Instances are immutable after construction;
+    are lookups into the same data; the ``*_idx`` methods, ``scalar_idx`` and
+    ``order_of`` go through them.  Instances are immutable after construction;
     derived data is memoised in ``_cache``.
     """
 
@@ -135,6 +141,7 @@ class _Carrier:
                  names: Sequence[str], spec: str):
         self.rep = rep
         self.size = size
+        self._zero_idx = zero_idx
         self._add_t = add
         if add is None:
             self._neg_t = None
@@ -183,6 +190,28 @@ class _Carrier:
 
     def sub_idx(self, i: int, j: int) -> int:
         return self._add(i, self._neg(j))
+
+    def scalar_idx(self, k: int, i: int) -> int:
+        """k·x for an integer k, by binary doubling."""
+        if k < 0:
+            return self._neg(self.scalar_idx(-k, i))
+        acc, base = self._zero_idx, i
+        while k:
+            if k & 1:
+                acc = self._add(acc, base)
+            base = self._add(base, base)
+            k >>= 1
+        return acc
+
+    def order_of(self, i: int) -> int:
+        """The additive order of x: the least k > 0 with k·x = 0."""
+        acc, order = i, 1
+        while acc != self._zero_idx:
+            acc = self._add(acc, i)
+            order += 1
+            if order > self.size:
+                raise NotARing("element order", self.format_element(i))
+        return order
 
     # -- element handles ------------------------------------------------------
 
@@ -252,36 +281,15 @@ class FiniteRing(_Carrier):
             k >>= 1
         return acc
 
-    def scalar_idx(self, k: int, i: int) -> int:
-        """k·x for an integer k, by binary doubling."""
-        k %= self.characteristic()
-        acc, base = self.zero.index, i
-        while k:
-            if k & 1:
-                acc = self._add(acc, base)
-            base = self._add(base, base)
-            k >>= 1
-        return acc
-
     def from_int(self, k: int) -> RingElement:
         """The image of the integer k under the characteristic map k -> k·1."""
-        return self.element(self.scalar_idx(k, self.one.index))
+        return self.element(self.scalar_idx(k % self.characteristic(), self.one.index))
 
     def characteristic(self) -> int:
         """Additive order of 1."""
         if "char" not in self._cache:
-            self._cache["char"] = self.additive_order(self.one.index)
+            self._cache["char"] = self.order_of(self.one.index)
         return self._cache["char"]
-
-    def additive_order(self, i: int) -> int:
-        acc, order = i, 1
-        zero = self.zero.index
-        while acc != zero:
-            acc = self._add(acc, i)
-            order += 1
-            if order > self.size:
-                raise NotARing("additive order", self.format_element(i))
-        return order
 
     def op_tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """(add, mul) as lists, computed from the carrier on each call; used by
@@ -581,38 +589,25 @@ def build_table_ring(
 
 
 def units(ring: FiniteRing) -> set[RingElement]:
-    """All elements with a two-sided multiplicative inverse."""
-    if "units" not in ring._cache:
-        one = ring.one.index
-        found = set()
-        for x in range(ring.size):
-            for y in range(ring.size):
-                if ring.mul_idx(x, y) == one and ring.mul_idx(y, x) == one:
-                    found.add(x)
-                    break
-        ring._cache["units"] = frozenset(found)
-    return {ring.element(i) for i in ring._cache["units"]}
+    """All elements with a two-sided multiplicative inverse.  A finite ring is
+    Dedekind-finite (xy = 1 implies yx = 1): ``unit_indices`` scans x·R only."""
+    return {ring.element(i) for i in unit_indices(ring)}
 
 
 def unit_indices(ring: FiniteRing) -> frozenset[int]:
-    units(ring)
+    if "units" not in ring._cache:
+        elems = np.arange(ring.size)
+        found = [rows[(ring.mul(rows[:, None], elems) == ring.one.index).any(axis=1)]
+                 for rows in _row_blocks(ring.size, ring.size)]
+        ring._cache["units"] = frozenset(np.concatenate(found).tolist())
     return ring._cache["units"]
-
-
-def inverse_idx(ring: FiniteRing, i: int) -> int | None:
-    one = ring.one.index
-    for y in range(ring.size):
-        if ring.mul_idx(i, y) == one and ring.mul_idx(y, i) == one:
-            return y
-    return None
 
 
 def idempotents(ring: FiniteRing) -> set[RingElement]:
     """All x with x^2 = x."""
     if "idem" not in ring._cache:
-        ring._cache["idem"] = frozenset(
-            x for x in range(ring.size) if ring.mul_idx(x, x) == x
-        )
+        elems = np.arange(ring.size)
+        ring._cache["idem"] = frozenset(np.flatnonzero(ring.mul(elems, elems) == elems).tolist())
     return {ring.element(i) for i in ring._cache["idem"]}
 
 
@@ -652,27 +647,6 @@ class AbelianGroup(_Carrier):
         _check_size(size, f"group {spec!r}")
         super().__init__(rep, size, add, identity_idx, names, spec)
         self.identity = GroupElement(self, identity_idx)
-
-    def scalar_idx(self, k: int, i: int) -> int:
-        if k < 0:
-            return self.neg_idx(self.scalar_idx(-k, i))
-        acc, base = self.identity.index, i
-        while k:
-            if k & 1:
-                acc = self._add(acc, base)
-            base = self._add(base, base)
-            k >>= 1
-        return acc
-
-    def order_of(self, i: int) -> int:
-        acc, order = i, 1
-        e = self.identity.index
-        while acc != e:
-            acc = self._add(acc, i)
-            order += 1
-            if order > self.size:
-                raise NotARing("element order", self.format_element(i))
-        return order
 
     def exponent(self) -> int:
         """The least d > 0 with d·x = 0 for every x: the lcm of the element orders."""

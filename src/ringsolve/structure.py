@@ -19,6 +19,7 @@ from .ring import (
     FiniteRing,
     Poly,
     RingElement,
+    _row_blocks,
     build_table_ring,
     idempotents,
     nilpotency,
@@ -50,15 +51,10 @@ def base(ring: FiniteRing) -> set[RingElement]:
         if is_local(ring):
             found = frozenset({ring.one.index})
         else:
-            trivial = {ring.zero.index, ring.one.index}
-            cand = [e.index for e in idempotents(ring) if e.index not in trivial]
-            found = frozenset(
-                e for e in cand
-                if not any(
-                    ring.mul_idx(x, y) == ring.zero.index and ring.add_idx(x, y) == e
-                    for x in cand for y in cand
-                )
-            )
+            cand = np.array(sorted({e.index for e in idempotents(ring)} - {ring.zero.index, ring.one.index}))
+            # drop the sums x + y of orthogonal pairs
+            orthogonal = ring.mul(cand[:, None], cand) == ring.zero.index
+            found = frozenset(cand.tolist()) - frozenset(ring.add(cand[:, None], cand)[orthogonal].tolist())
         ring._cache["base"] = found
     return {ring.element(i) for i in ring._cache["base"]}
 
@@ -164,13 +160,28 @@ def local_data(ring: FiniteRing) -> LocalData:
     return data
 
 
+def _additive_span(ring: FiniteRing, seed) -> np.ndarray:
+    """The additive subgroup generated by the indices in ``seed``, as a mask.
+
+    Starting from H = {0}, each seed element g outside H adds the cosets
+    H + k·g for k = 1, 2, ... until one lands back in H.
+    """
+    seed = np.asarray(seed, dtype=np.int64).ravel()
+    span = np.zeros(ring.size, dtype=bool)
+    span[ring.zero.index] = True
+    while not span[seed].all():
+        g = seed[span[seed].argmin()]
+        layer = ring.add(np.flatnonzero(span), g)
+        while not span[layer[0]]:
+            span[layer] = True
+            layer = ring.add(layer, g)
+    return span
+
+
 def ideal_generated(ring: FiniteRing, gens: Sequence[int]) -> frozenset[int]:
     """The ideal sum(g*R) over the generators, as an index set."""
-    out = {ring.zero.index}
-    for g in gens:
-        multiples = {ring.mul_idx(g, r) for r in range(ring.size)}
-        out = {ring.add_idx(a, b) for a in out for b in multiples}
-    return frozenset(out)
+    multiples = ring.mul(np.asarray(gens, dtype=np.int64)[:, None], np.arange(ring.size))
+    return frozenset(np.flatnonzero(_additive_span(ring, np.unique(multiples))).tolist())
 
 
 @dataclass
@@ -193,53 +204,60 @@ def chain_data(ring: FiniteRing) -> ChainData | None:
         return ring._cache["chaindata"]
     result = None
     if is_local(ring):
-        m = maximal_ideal(ring)
-        q = ring.size // len(m)
-        if m == {ring.zero.index}:
-            result = ChainData(pi=ring.zero, n=1, q=q)
-        else:
-            for pi in sorted(m):
-                if ideal_generated(ring, [pi]) == m:
-                    n = nilpotency(ring, ring.element(pi))
-                    if n is None:
-                        raise InternalError("maximal-ideal generator is not nilpotent")
-                    result = ChainData(pi=ring.element(pi), n=n, q=q)
-                    break
+        # m is principal iff m/m^2 has dimension <= 1; pi is then the first element outside m^2
+        gens = minimal_generators_maximal_ideal(ring)
+        if len(gens) <= 1:
+            pi = gens[0] if gens else ring.zero
+            n = nilpotency(ring, pi)
+            if n is None:
+                raise InternalError("maximal-ideal generator is not nilpotent")
+            result = ChainData(pi=pi, n=n, q=residue_field_size(ring))
     ring._cache["chaindata"] = result
     return result
 
 
 def minimal_generators_maximal_ideal(ring: FiniteRing) -> tuple[RingElement, ...]:
-    """Lexicographically first minimal generating tuple of m, smallest k first."""
+    """Lexicographically first minimal generating tuple of m, smallest k first.
+
+    By Nakayama a tuple generates m iff it spans m/m^2, so this is the greedy
+    (lexicographically first) basis of m/m^2: walk m in index order and keep
+    x when it lies outside (kept)R + m^2.
+    """
     if not is_local(ring):
         raise PreconditionViolation(f"{ring.spec} is not local")
     if "mingens" in ring._cache:
         return ring._cache["mingens"]
     m = maximal_ideal(ring)
-    result = None
-    if m == {ring.zero.index}:
-        result = ()
-    else:
-        members = sorted(m)
-        for k in range(1, len(members) + 1):
-            for combo in itertools.combinations(members, k):
-                if ideal_generated(ring, combo) == m:
-                    result = tuple(ring.element(i) for i in combo)
-                    break
-            if result is not None:
-                break
-    if result is None:
+    members = np.array(sorted(m))
+    products = np.zeros(ring.size, dtype=bool)
+    for rows in _row_blocks(members.size, members.size):
+        products[ring.mul(members[rows, None], members)] = True
+    kept: list[int] = []
+    covered = _additive_span(ring, np.flatnonzero(products))  # the products are closed under R·: m^2
+    for x in members.tolist():
+        if not covered[x]:
+            kept.append(x)
+            covered = _additive_span(ring, np.concatenate([np.flatnonzero(covered), ring.mul(x, np.arange(ring.size))]))
+    if ideal_generated(ring, kept) != m:
         raise InternalError("maximal ideal admits no generating set")
+    result = tuple(ring.element(i) for i in kept)
     ring._cache["mingens"] = result
     return result
 
 
 def teichmuller_set(ring: FiniteRing) -> set[RingElement]:
-    """Gamma(R) = { r : r^q = r }, a section of the residue field."""
+    """Gamma(R) = { r : r^q = r }, a section of the residue field; memoised."""
     if not is_local(ring):
         raise PreconditionViolation(f"{ring.spec} is not local")
-    q = residue_field_size(ring)
-    return {ring.element(r) for r in range(ring.size) if ring.pow_idx(r, q) == r}
+    if "gamma" not in ring._cache:
+        elems = np.arange(ring.size)
+        power, base, k = np.full(ring.size, ring.one.index), elems, residue_field_size(ring)
+        while k:  # r^q for every r at once, by binary powering
+            if k & 1:
+                power = ring.mul(power, base)
+            base, k = ring.mul(base, base), k >> 1
+        ring._cache["gamma"] = frozenset(np.flatnonzero(power == elems).tolist())
+    return {ring.element(r) for r in ring._cache["gamma"]}
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +310,8 @@ def _gamma_order(ring: FiniteRing, alpha_idx: int) -> list[int]:
     data = local_data(ring)
     field = data.field
     q = data.q
-    gamma = sorted(r for r in range(ring.size) if ring.pow_idx(r, q) == r)
     by_residue = {}
-    for r in gamma:
+    for r in sorted(g.index for g in teichmuller_set(ring)):
         res = data.projection[r]
         if res in by_residue:
             raise InternalError("Teichmuller section is not injective on residues")
@@ -356,11 +373,10 @@ def canonical_order(ring: FiniteRing, alpha: RingElement, pis: Sequence[RingElem
         monomial[t] = acc
     # tail_span[t] = additive span of { M(t')*r : t' > t, r in R }
     tail_span: dict[tuple, frozenset[int]] = {}
-    span: set[int] = {ring.zero.index}
+    span, elems = np.array([ring.zero.index]), np.arange(ring.size)
     for t in reversed(tuples):
-        tail_span[t] = frozenset(span)
-        gens = {ring.mul_idx(monomial[t], r) for r in range(ring.size)}
-        span = _additive_closure(ring, span | gens)
+        tail_span[t] = frozenset(span.tolist())
+        span = np.flatnonzero(_additive_span(ring, np.concatenate([span, ring.mul(monomial[t], elems)])))
     reps: list[list[tuple[tuple[int, ...], int]]] = []
     keys: list[tuple] = []
     for r in range(ring.size):
@@ -397,19 +413,6 @@ def canonical_order(ring: FiniteRing, alpha: RingElement, pis: Sequence[RingElem
         _keys=keys,
         _reps=reps,
     )
-
-
-def _additive_closure(ring: FiniteRing, seed: set[int]) -> set[int]:
-    span = set(seed)
-    frontier = list(span)
-    while frontier:
-        x = frontier.pop()
-        for y in list(span):
-            s = ring.add_idx(x, y)
-            if s not in span:
-                span.add(s)
-                frontier.append(s)
-    return span
 
 
 def canonical_params(ring: FiniteRing) -> tuple[RingElement, tuple[RingElement, ...]]:
@@ -460,7 +463,7 @@ def is_galois_ring(ring: FiniteRing) -> tuple[int, int, int] | None:
         if n is not None:
             m = maximal_ideal(ring)
             p_elem = ring.from_int(p).index
-            p_ideal = frozenset(ring.mul_idx(p_elem, r) for r in range(ring.size))
+            p_ideal = frozenset(ring.mul(p_elem, np.arange(ring.size)).tolist())
             if p_ideal == m:
                 size_log = _exact_log(ring.size, p)
                 if size_log is not None and size_log % n == 0:

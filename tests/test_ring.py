@@ -95,6 +95,24 @@ def test_product_isomorphic_to_z6():
         assert image[z6.add_idx(a, b)] == prod.add_idx(image[a], image[b])
 
 
+def test_ring_and_additive_group_share_scalar_and_order():
+    # one doubling loop and one order loop serve rings and groups alike
+    for ring in (zmod(12), gr42(), build_product([zmod(4), zmod(6)]), upper_triangular_f2()):
+        group = additive_group(ring)
+        for x in range(ring.size):
+            naive = ring.zero.index
+            for k in range(1, 2 * ring.size + 1):
+                naive = ring.add_idx(naive, x)
+                assert ring.scalar_idx(k, x) == group.scalar_idx(k, x) == naive
+                assert ring.scalar_idx(-k, x) == group.scalar_idx(-k, x) == ring.neg_idx(naive)
+            order = ring.order_of(x)
+            assert order == group.order_of(x) and ring.scalar_idx(order, x) == ring.zero.index
+            assert all(ring.scalar_idx(k, x) != ring.zero.index for k in range(1, order))
+        assert characteristic(ring) == ring.order_of(ring.one.index)
+        assert ring.from_int(-1).index == ring.neg_idx(ring.one.index)
+        assert ring.from_int(characteristic(ring) * 10**20 + 5) == ring.from_int(5)
+
+
 def test_product_singleton_and_lcm_characteristic():
     single = build_product([zmod(4)])
     assert single.size == 4 and characteristic(single) == 4

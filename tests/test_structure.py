@@ -1,27 +1,41 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 
-from conftest import bivariate_nilpotent, f4, gr42, local_fixture_rings, upper_triangular_f2, zmod
+from conftest import (
+    bivariate_nilpotent,
+    commutative_fixture_rings,
+    f4,
+    gr42,
+    local_fixture_rings,
+    upper_triangular_f2,
+    zmod,
+)
 from ringsolve import (
     InvalidParameter,
     PreconditionViolation,
     Unsupported,
     base,
     build_product,
+    build_zmod,
     canonical_order,
     canonical_params,
     chain_data,
     decompose_local,
     galois_representation,
+    idempotents,
     is_galois_ring,
     is_local,
     minimal_generators_maximal_ideal,
     teichmuller_set,
 )
-from ringsolve.structure import galois_mul_polys, local_data, residue_field_size
+from ringsolve.oracle import minimal_generators_by_search
+from ringsolve.ring import unit_indices
+from ringsolve.structure import default_order, galois_mul_polys, local_data, residue_field_size
+from ringsolve.sysio import parse_ring_spec
 
 
 def names(elems):
@@ -286,3 +300,68 @@ def test_f4_galois_polynomial_is_irreducible():
     from ringsolve.sysio import _is_irreducible_mod_p
 
     assert _is_irreducible_mod_p(list(rep.g.coeffs), 2)
+
+
+# ---------------------------------------------------------------------------
+# array scans and Nakayama generators against their definitions
+
+
+def _small_local_rings() -> dict:
+    """Every local fixture ring or local summand of a fixture ring with at most
+    64 elements, and further local rings with non-principal maximal ideals."""
+    rings = {s.ring.spec: s.ring for r in commutative_fixture_rings() for s in decompose_local(r) if s.ring.size <= 64}
+    for spec in ("phi(Z/2 x Z/4)", "phi(Z/4 x Z/4)", "phi(Z/2 x Z/2 x Z/2)", "Z/27", "Z/4[X]/(X^2)", "Z/2[X]/(X^3)"):
+        rings[spec] = parse_ring_spec(spec)
+    return rings
+
+
+SMALL_LOCAL_RINGS = _small_local_rings()
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_LOCAL_RINGS))
+def test_nakayama_generators_match_subset_search(name):
+    ring = SMALL_LOCAL_RINGS[name]
+    assert minimal_generators_maximal_ideal(ring) == minimal_generators_by_search(ring)
+
+
+def test_nakayama_generators_cover_non_principal_ideals():
+    # the cross-check must include rings that need more than one generator
+    assert max(len(minimal_generators_maximal_ideal(r)) for r in SMALL_LOCAL_RINGS.values()) == 3
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_zmod(12),
+    lambda: build_zmod(27),
+    lambda: build_product([build_zmod(4), build_zmod(6)]),
+    lambda: parse_ring_spec("GR(4,2) x Z/3"),
+    bivariate_nilpotent.__wrapped__,
+    upper_triangular_f2.__wrapped__,
+], ids=["Z/12", "Z/27", "Z/4 x Z/6", "GR(4,2) x Z/3", "F2[x,y]/(x^2,y^2)", "UT2(F2)"])
+def test_array_scans_match_definitions(build):
+    ring = build()
+    one, elems = ring.one.index, range(ring.size)
+    # units are two-sided by definition; the array scan looks at x·R only
+    two_sided = {x for x in elems if any(ring.mul_idx(x, y) == one == ring.mul_idx(y, x) for y in elems)}
+    assert unit_indices(ring) == two_sided
+    assert {e.index for e in idempotents(ring)} == {x for x in elems if ring.mul_idx(x, x) == x}
+    if not ring.commutative:
+        return
+    for summand in decompose_local(ring):
+        local = summand.ring
+        q = residue_field_size(local)
+        gamma = {r for r in range(local.size) if local.pow_idx(r, q) == r}
+        assert {g.index for g in teichmuller_set(local)} == gamma
+
+
+def test_cold_structure_of_z4096_builds_no_square_array():
+    # a |R|^2 residue array of Z/4096 alone would take 128 MiB
+    ring = build_zmod(4096)
+    tracemalloc.start()
+    try:
+        unit_indices(ring)
+        order = default_order(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(unit_indices(ring)) == 2048 and sorted(order.sorted_elements) == list(range(4096))
+    assert peak < 16 * 2**20, peak
