@@ -551,14 +551,11 @@ def solve_commutative(system: LinSystem) -> Certificate:
     return Certificate("SOLVABLE", assignment=assignment)
 
 
-def _lift_prime_part(rows: list[tuple[object, int, dict, int]], p: int) -> LinSystem | None:
-    """The rows whose modulus p divides, lifted to one chain system over Z/p^cap.
-
-    A row mod p^a is multiplied by p^(cap-a); None when p divides no modulus.
+def _lift_prime_part(rows: list[tuple[object, int, dict, int]], p: int) -> LinSystem:
+    """The rows whose modulus the prime p divides (at least one), lifted to one
+    chain system over Z/p^cap.  A row mod p^a is multiplied by p^(cap-a).
     """
     p_rows = [(rid, _pval(m, p), coeffs, rhs) for rid, m, coeffs, rhs in rows if m % p == 0]
-    if not p_rows:
-        return None
     cap = max(a for _, a, _, _ in p_rows)
     ring = cached_zmod(p**cap)
     entries, b, cols = {}, {}, {}
@@ -635,15 +632,9 @@ def _crt(residues: dict[int, int]) -> int:
     return x % mod
 
 
-def _cyclic_decomposition(group: AbelianGroup):
-    if "cyclicdecomp" not in group._cache:
-        group._cache["cyclicdecomp"] = group_decompose_cyclic(group)
-    return group._cache["cyclicdecomp"]
-
-
 def _group_congruence_rows(system: GroupSystem):
     """Split a group system along the invariant-factor decomposition."""
-    decomp = _cyclic_decomposition(system.group)
+    decomp = group_decompose_cyclic(system.group)
     rows = []
     for i in system.rows:
         b_coords = decomp.coords_of(system.rhs_idx(i))
@@ -679,7 +670,7 @@ def solve_group(system: GroupSystem) -> Certificate:
 
 
 def _numerical_congruence_rows(system: NumericalSystem):
-    decomp = _cyclic_decomposition(system.group)
+    decomp = group_decompose_cyclic(system.group)
     rows = []
     for i in system.rows:
         b_coords = decomp.coords_of(system.rhs_idx(i))
@@ -761,9 +752,7 @@ def verify_certificate(system, cert: Certificate) -> bool:
     if cert.witness is None:
         raise InvalidCertificate("unsolvable certificate without a witness")
     reduced = _replay_reduction(system, cert.witness)
-    if reduced is None:
-        return False
-    if reduced.digest() != cert.witness.digest:
+    if reduced.ring.spec != cert.witness.chain_spec or reduced.digest() != cert.witness.digest:
         return False
     # file-parsed witnesses carry stringified ids; match rows on str()
     by_str = {str(i): i for i in reduced.rows}
@@ -795,9 +784,6 @@ def _replay_reduction(system, witness: UnsolvableWitness):
                 return reductions.ring_to_cyclic(sub, order).target
         raise InvalidCertificate(f"no base idempotent named {witness.summand!r}")
     if isinstance(system, (GroupSystem, NumericalSystem, TwoSidedSystem)):
-        if not witness.summand.startswith("p="):
-            raise InvalidCertificate(f"malformed summand label {witness.summand!r}")
-        prime = int(witness.summand[2:])
         if isinstance(system, GroupSystem):
             _, rows = _group_congruence_rows(system)
         elif isinstance(system, NumericalSystem):
@@ -805,8 +791,9 @@ def _replay_reduction(system, witness: UnsolvableWitness):
         else:
             red = reductions.twosided_to_numerical(system)
             _, rows = _numerical_congruence_rows(red.target)
-        chain_sys = _lift_prime_part(rows, prime)
-        if chain_sys is None:
-            raise InvalidCertificate(f"prime {prime} does not occur in the reduction")
-        return chain_sys
+        # the solver labels a prime part p=<p>, for a prime p dividing a congruence modulus
+        primes = {f"p={p}": p for _, m, _, _ in rows for p in _prime_factors(m)}
+        if witness.summand not in primes:
+            raise InvalidCertificate(f"summand {witness.summand!r} names no prime of the reduction")
+        return _lift_prime_part(rows, primes[witness.summand])
     raise InvalidCertificate(f"cannot verify certificates for {type(system).__name__}")

@@ -46,34 +46,20 @@ class ReductionOutput:
 def _cyclic_structure(ring: FiniteRing, scan: tuple[int, ...]):
     """Additive decomposition and multiplication structure constants of R.
 
-    Generators are chosen greedily along ``scan``; returns (decomposition,
-    b_table) where b_table[r][y][t] is the Z_m coefficient of variable slot t
-    in the y-component expansion of the term r·x.
+    Generators are chosen greedily along ``scan``; returns (decomposition, c,
+    b_table) where c[y][i][j] is coordinate y of g_i·g_j and b_table[r][y][t]
+    is the Z_m coefficient of variable slot t in the y-component expansion of
+    the term r·x.
     """
     key = ("cyclic_structure", scan)
     if key in ring._cache:
         return ring._cache[key]
     m = ring.characteristic()
-    decomp = group_decompose_cyclic(additive_group(ring), scan_order=list(scan))
-    k = len(decomp.pairs)
-    # c[y][i][j]: coordinate y of g_i * g_j
-    c = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i, (gi, _) in enumerate(decomp.pairs):
-        for j, (gj, _) in enumerate(decomp.pairs):
-            coords = decomp.coords_of(ring.mul_idx(gi, gj))
-            for y in range(k):
-                c[y][i][j] = coords[y]
-    b_table = []
-    for r in range(ring.size):
-        r_coords = decomp.coords_of(r)
-        rows = []
-        for y in range(k):
-            rows.append([
-                sum(r_coords[i] * c[y][i][j] for i in range(k)) % m
-                for j in range(k)
-            ])
-        b_table.append(rows)
-    ring._cache[key] = (decomp, c, b_table)
+    decomp = group_decompose_cyclic(additive_group(ring), scan_order=scan)
+    gens = np.array([g for g, _ in decomp.pairs], dtype=np.int64)
+    c = np.moveaxis(decomp.coords[ring.mul(gens[:, None], gens)], 2, 0)
+    b_table = (np.einsum("ri,yij->ryj", decomp.coords, c) % m).tolist()
+    ring._cache[key] = (decomp, c.tolist(), b_table)
     return ring._cache[key]
 
 
@@ -127,12 +113,9 @@ def ring_to_cyclic(system: LinSystem, order: RingOrder | None = None) -> Reducti
     def backward(assignment: Mapping) -> dict:
         out = {}
         for j in system.cols:
-            acc = ring.zero.index
-            for t, (gen, _) in enumerate(decomp.pairs):
-                val = assignment[(j, t)]
-                val = val.index if isinstance(val, RingElement) else int(val)
-                acc = ring.add_idx(acc, ring.scalar_idx(val, gen))
-            out[j] = ring.element(acc)
+            values = (assignment[(j, t)] for t in range(k))
+            coords = [v.index if isinstance(v, RingElement) else int(v) for v in values]
+            out[j] = ring.element(decomp.element_of(coords))
         return out
 
     trace = {

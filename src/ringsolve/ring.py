@@ -130,8 +130,8 @@ class _Carrier:
     residues modulo ``size`` when the table is None.
 
     Negation is derived from the table.  The scalar hooks ``_add``/``_neg``
-    are lookups into the same data; the ``*_idx`` methods, ``scalar_idx`` and
-    ``order_of`` go through them.  Instances are immutable after construction;
+    are lookups into the same data; the ``*_idx`` methods and ``scalar_idx``
+    go through them.  Instances are immutable after construction;
     derived data is memoised in ``_cache``.
     """
 
@@ -205,13 +205,7 @@ class _Carrier:
 
     def order_of(self, i: int) -> int:
         """The additive order of x: the least k > 0 with k·x = 0."""
-        acc, order = i, 1
-        while acc != self._zero_idx:
-            acc = self._add(acc, i)
-            order += 1
-            if order > self.size:
-                raise NotARing("element order", self.format_element(i))
-        return order
+        return int(_orders_modulo(self, np.arange(self.size) == self._zero_idx, [i])[0])
 
     # -- element handles ------------------------------------------------------
 
@@ -649,15 +643,10 @@ class AbelianGroup(_Carrier):
         self.identity = GroupElement(self, identity_idx)
 
     def exponent(self) -> int:
-        """The least d > 0 with d·x = 0 for every x: the lcm of the element orders."""
+        """The least d > 0 with d·x = 0 for every x: the largest element order."""
         if "exponent" not in self._cache:
             elems = np.arange(self.size)
-            multiple, d = elems, 1
-            while (multiple != self.identity.index).any():
-                multiple, d = self.add(multiple, elems), d + 1
-                if d > self.size:
-                    raise NotARing("element order", self.format_element(int((multiple != self.identity.index).argmax())))
-            self._cache["exponent"] = d
+            self._cache["exponent"] = int(_orders_modulo(self, elems == self.identity.index, elems).max())
         return self._cache["exponent"]
 
 
@@ -741,6 +730,57 @@ def additive_group(ring: FiniteRing) -> AbelianGroup:
 
 
 # ---------------------------------------------------------------------------
+# subgroups as index arrays: orders modulo a subgroup, spans
+
+
+def _orders_modulo(carrier: _Carrier, span: np.ndarray, x) -> np.ndarray:
+    """The order modulo a subgroup H (``span``, its mask) of each element of x:
+    the least k > 0 with k·x in H, found by adding x on the shrinking array of
+    elements not yet back in H."""
+    x = np.asarray(x, dtype=np.int64).ravel()
+    orders = np.zeros(x.size, dtype=np.int64)
+    live, acc = np.arange(x.size), x  # acc = k·x[live]
+    for k in range(1, carrier.size + 1):
+        inside = span[acc]
+        if inside.any():
+            orders[live[inside]] = k
+            live, acc = live[~inside], acc[~inside]
+            if not live.size:
+                return orders
+        acc = carrier.add(acc, x[live])
+    raise NotARing("element order", carrier.format_element(int(x[live[0]])))
+
+
+def _extend_span(carrier: _Carrier, members: np.ndarray, span: np.ndarray, g: int) -> np.ndarray:
+    """The subgroup H + <g> listed as the cosets H + k·g, k below the order t
+    of g modulo H, member-major (k varies fastest); H is given by ``members``
+    and by ``span``, its mask, which is updated in place."""
+    multiples, step = np.array([carrier._zero_idx]), g  # k·g for k < len(multiples); step = len·g
+    back = span[multiples[1:]]
+    while not back.any():
+        if multiples.size > carrier.size // members.size:  # t is at most the index of H
+            raise NotARing("element order", carrier.format_element(int(g)))
+        multiples = np.concatenate([multiples, carrier.add(multiples, step)])
+        step = carrier.add_idx(step, step)
+        back = span[multiples[1:]]
+    members = carrier.add(members[:, None], multiples[:1 + int(back.argmax())]).ravel()
+    span[members] = True
+    return members
+
+
+def _additive_span(carrier: _Carrier, seed) -> np.ndarray:
+    """The additive subgroup generated by the indices in ``seed``, as a mask:
+    from H = {0}, extended by each seed element outside H in turn."""
+    seed = np.asarray(seed, dtype=np.int64).ravel()
+    members = np.array([carrier._zero_idx])
+    span = np.zeros(carrier.size, dtype=bool)
+    span[members] = True
+    while not span[seed].all():
+        members = _extend_span(carrier, members, span, seed[span[seed].argmin()])
+    return span
+
+
+# ---------------------------------------------------------------------------
 # invariant-factor decomposition
 
 
@@ -748,39 +788,30 @@ def additive_group(ring: FiniteRing) -> AbelianGroup:
 class CyclicDecomposition:
     """G as an internal direct sum of cyclic subgroups with l_1 | l_2 | ... | l_k.
 
-    ``pairs`` lists (generator index, order); ``coords_of`` maps an element
-    to its unique coordinate tuple (c_1, ..., c_k) with 0 <= c_t < l_t.
+    ``pairs`` lists (generator index, order).  Element i has the unique
+    coordinates (c_1, ..., c_k), 0 <= c_t < l_t, with i = sum(c_t·g_t).
+    ``members[p]`` is the element whose coordinates are the mixed-radix digits
+    of the position p, c_1 least significant; ``coords`` is its inverse, one
+    row of coordinates per element.
     """
 
     group: AbelianGroup
     pairs: list[tuple[int, int]]  # (generator index, order)
-    _coords: dict[int, tuple[int, ...]] = field(repr=False, default_factory=dict)
+    members: list[int]  # the element at each coordinate position
+    coords: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def as_elements(self) -> list[tuple[GroupElement, int]]:
-        return [(self.group.element(g), order) for g, order in self.pairs]
-
-    def __iter__(self):
-        return iter(self.as_elements())
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __getitem__(self, t):
-        return self.as_elements()[t]
-
-    @property
-    def orders(self) -> list[int]:
-        return [order for _, order in self.pairs]
+    def __post_init__(self):
+        self.orders = [order for _, order in self.pairs]
+        self._weights = [math.prod(self.orders[:t]) for t in range(len(self.orders))]
+        position = np.argsort(self.members)
+        self.coords = position[:, None] // np.array(self._weights, dtype=np.int64) % self.orders
+        self._coord_tuples = list(map(tuple, self.coords.tolist()))
 
     def coords_of(self, i: int) -> tuple[int, ...]:
-        return self._coords[i]
+        return self._coord_tuples[i]
 
     def element_of(self, coords: Sequence[int]) -> int:
-        g = self.group
-        acc = g.identity.index
-        for (gen, order), c in zip(self.pairs, coords):
-            acc = g.add_idx(acc, g.scalar_idx(c % order, gen))
-        return acc
+        return self.members[sum(c % order * w for c, order, w in zip(coords, self.orders, self._weights))]
 
 
 def group_decompose_cyclic(group: AbelianGroup, scan_order: Sequence[int] | None = None) -> CyclicDecomposition:
@@ -790,55 +821,50 @@ def group_decompose_cyclic(group: AbelianGroup, scan_order: Sequence[int] | None
     subgroup generated so far (first such element in ``scan_order``, default
     table order), adjusted by a subgroup combination so its order is exact.
     Generators are returned in increasing order, l_1 | l_2 | ... | l_k.
+    Memoised per scan order.
     """
     g = group
-    e = g.identity.index
-    scan = list(scan_order) if scan_order is not None else list(range(g.size))
-    # span: element -> coordinates w.r.t. chosen generators (decreasing order)
-    span: dict[int, tuple[int, ...]] = {e: ()}
+    scan = tuple(scan_order) if scan_order is not None else tuple(range(g.size))
+    key = ("cyclicdecomp", scan)
+    if key in g._cache:
+        return g._cache[key]
+    scan_arr = np.array(scan, dtype=np.int64)
+    identity = np.arange(g.size) == g.identity.index
+    # the span, listed in coordinate order: the first chosen generator most significant
+    members = np.array([g.identity.index])
+    span = identity.copy()
     chosen: list[tuple[int, int]] = []
-    while len(span) < g.size:
-        best, best_ord = None, 0
-        for x in scan:
-            if x in span:
-                continue
-            acc, t = x, 1
-            while acc not in span:
-                acc = g.add_idx(acc, x)
-                t += 1
-            if t > best_ord:
-                best, best_ord = x, t
-        x, t = best, best_ord
+    while members.size < g.size:
+        rest = scan_arr[~span[scan_arr]]
+        orders = _orders_modulo(g, span, rest)
+        x, t = int(rest[orders.argmax()]), int(orders.max())
         # t*x lies in the span; subtract a combination so the order becomes exact
-        tx = x
-        for _ in range(t - 1):
-            tx = g.add_idx(tx, x)
-        coords = span[tx]
+        position = int(np.flatnonzero(members == g.scalar_idx(t, x))[0])
+        coords = []  # of t·x, last chosen generator first
+        for _, order in reversed(chosen):
+            position, c = divmod(position, order)
+            coords.append(c)
         adj = x
         if all(a % t == 0 for a in coords):
-            for (gen, order), a in zip(chosen, coords):
-                adj = g.add_idx(adj, g.neg_idx(g.scalar_idx(a // t, gen)))
-        if g.order_of(adj) != t:
-            # greedy shortcut failed; a shift into the span must exist
-            adj = next(
-                g.add_idx(x, g.neg_idx(s)) for s in span
-                if g.order_of(g.add_idx(x, g.neg_idx(s))) == t
-            )
+            for (gen, _), a in zip(reversed(chosen), coords):
+                adj = g.sub_idx(adj, g.scalar_idx(a // t, gen))
+        if g.scalar_idx(t, adj) != g.identity.index:
+            # greedy shortcut failed (adj has order t modulo the span, so exactly
+            # when t·adj = 0); a shift into the span must exist
+            shifts = g.sub(x, members)
+            exact = np.flatnonzero(_orders_modulo(g, identity, shifts) == t)
+            if not exact.size:
+                raise NotARing("cyclic decomposition", "no shift of exact order")
+            adj = int(shifts[exact[0]])
         chosen.append((adj, t))
-        # rebuild the span with the new generator
-        new_span: dict[int, tuple[int, ...]] = {}
-        for elem, cs in span.items():
-            acc = elem
-            for c in range(t):
-                new_span[acc] = cs + (c,)
-                acc = g.add_idx(acc, adj)
-        if len(new_span) != len(span) * t:
+        grown = members.size * t
+        members = _extend_span(g, members, span, adj)
+        if members.size != grown or np.count_nonzero(span) != grown:
             raise NotARing("cyclic decomposition", "span growth mismatch")
-        span = new_span
     pairs = list(reversed(chosen))
-    coords = {elem: tuple(reversed(cs)) for elem, cs in span.items()}
     orders = [order for _, order in pairs]
     for a, b in zip(orders, orders[1:]):
         if b % a != 0:
             raise NotARing("cyclic decomposition", "divisibility chain failed")
-    return CyclicDecomposition(group=g, pairs=pairs, _coords=coords)
+    g._cache[key] = CyclicDecomposition(group=g, pairs=pairs, members=members.tolist())
+    return g._cache[key]

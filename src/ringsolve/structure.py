@@ -19,6 +19,7 @@ from .ring import (
     FiniteRing,
     Poly,
     RingElement,
+    _additive_span,
     _row_blocks,
     build_table_ring,
     idempotents,
@@ -158,24 +159,6 @@ def local_data(ring: FiniteRing) -> LocalData:
     data = LocalData(maximal_ideal=m, q=len(reps), field=field, projection=projection)
     ring._cache["localdata"] = data
     return data
-
-
-def _additive_span(ring: FiniteRing, seed) -> np.ndarray:
-    """The additive subgroup generated by the indices in ``seed``, as a mask.
-
-    Starting from H = {0}, each seed element g outside H adds the cosets
-    H + k·g for k = 1, 2, ... until one lands back in H.
-    """
-    seed = np.asarray(seed, dtype=np.int64).ravel()
-    span = np.zeros(ring.size, dtype=bool)
-    span[ring.zero.index] = True
-    while not span[seed].all():
-        g = seed[span[seed].argmin()]
-        layer = ring.add(np.flatnonzero(span), g)
-        while not span[layer[0]]:
-            span[layer] = True
-            layer = ring.add(layer, g)
-    return span
 
 
 def ideal_generated(ring: FiniteRing, gens: Sequence[int]) -> frozenset[int]:

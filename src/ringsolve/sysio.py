@@ -367,8 +367,12 @@ def _parse_carrier(carrier, text, lineno):
 
 
 def _rename(ids, prefix):
+    """Names prefix0, prefix1, ... in the string order of the ids, zero-padded
+    to one width so that the names sort as the ids did and a written file
+    reads back to the same names."""
     ordered = sorted(ids, key=str)
-    return {i: f"{prefix}{k}" for k, i in enumerate(ordered)}, ordered
+    width = len(str(len(ordered) - 1))
+    return {i: f"{prefix}{k:0{width}d}" for k, i in enumerate(ordered)}, ordered
 
 
 def write_system(system) -> str:
@@ -487,6 +491,8 @@ def parse_certificate(text: str, system) -> Certificate:
             if not m:
                 raise SpecParseError(f"bad assign line {line!r}", lineno)
             var = _match_id(system.cols, m.group(1).strip(), lineno)
+            if var in assignment:
+                raise SpecParseError(f"repeated assign id {m.group(1).strip()!r}", lineno)
             if isinstance(system, NumericalSystem):
                 assignment[var] = _parse_int(m.group(2).strip(), lineno)
             else:
@@ -507,7 +513,10 @@ def parse_certificate(text: str, system) -> Certificate:
             m = re.fullmatch(r"witness (.+?) = (.+)", line)
             if not m:
                 raise SpecParseError(f"bad witness line {line!r}", lineno)
-            rows[m.group(1).strip()] = m.group(2).strip()
+            rid = m.group(1).strip()
+            if rid in rows:
+                raise SpecParseError(f"repeated witness id {rid!r}", lineno)
+            rows[rid] = m.group(2).strip()
         else:
             raise SpecParseError(f"unexpected certificate line {line!r}", lineno)
     if summand is None or chain_spec is None or digest is None:

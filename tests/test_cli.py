@@ -324,3 +324,49 @@ def test_cli_malformed_table_file_exits_usage(tmp_path, capsys, case):
 def test_cli_ring_over_the_cap_exits_usage(capsys, spec):
     assert main(["ring", "info", spec]) == 2
     assert "exceeding the cap" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# tampered certificates
+
+
+def _solved_certificate(tmp_path, system: str):
+    """Solve ``system`` and return the path of its certificate file."""
+    cert_path = tmp_path / "cert.txt"
+    assert main(["solve", system, "-o", str(cert_path)]) in (0, 1)
+    return cert_path
+
+
+@pytest.mark.parametrize("label", ["p=x", "p=", "p=0", "p=1", "p=-2"])
+def test_cli_verify_rejects_malformed_prime_labels(tmp_path, capsys, label):
+    system = _write(tmp_path, "g4.rls", "group Z/4\nvars x\neq 2*x = 1\n")
+    cert_path = _solved_certificate(tmp_path, system)
+    text = cert_path.read_text()
+    assert "summand p=2\n" in text
+    cert_path.write_text(text.replace("summand p=2\n", f"summand {label}\n"))
+    assert main(["verify", system, str(cert_path)]) == 2
+    assert "names no prime of the reduction" in capsys.readouterr().err
+
+
+def test_cli_verify_checks_the_chain_line(tmp_path, capsys):
+    system = str(_corpus_root() / "z4_unsolvable.rls")
+    cert_path = _solved_certificate(tmp_path, system)
+    assert main(["verify", system, str(cert_path)]) == 0
+    text = cert_path.read_text()
+    assert "chain Z/4\n" in text
+    cert_path.write_text(text.replace("chain Z/4\n", "chain GR(4,2)\n"))
+    capsys.readouterr()
+    assert main(["verify", system, str(cert_path)]) == 1
+    assert capsys.readouterr().out == "invalid\n"
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("z4_solvable.rls", "certificate SOLVABLE\nassign x = 0\nassign x = 1\n", 3),
+    ("z4_unsolvable.rls", "certificate UNSOLVABLE\nsummand 1\nchain Z/4\ndigest 353e77350e968038\n"
+                          "witness ('e1', 0) = 1\nwitness ('e1', 0) = 2\n", 6),
+], ids=["assign", "witness"])
+def test_cli_verify_rejects_repeated_ids(tmp_path, capsys, name, text, line):
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text(text)
+    assert main(["verify", str(_corpus_root() / name), str(cert_path)]) == 2
+    assert f"line {line}: repeated" in capsys.readouterr().err

@@ -34,6 +34,18 @@ base, and per local summand ``chain_data``, the minimal generators of the
 maximal ideal, ``canonical_params``, the canonical ``default_order``, the
 Teichmueller set and ``is_galois_ring``.  Index lists longer than 64 are
 stored as the sha256 of their JSON text.
+
+A sixth file, ``golden_cyclic.json``, pins the invariant-factor decomposition
+``group_decompose_cyclic``: its ``pairs`` and the sha256 of the JSON text of
+``[coords_of(i) for i in range(size)]``, for every ``GROUP_SHAPES`` group of
+``test_ring.py``, for ``Z/2 x Z/4``, ``Z/2 x Z/6`` and ``Z/4 x Z/8 x Z/9``,
+for the additive group of every local summand of the commutative rings
+pinned in ``golden_structure.json`` (in table order and in ``default_order``
+scan order) and for the additive group of ``UT2(F2) x Z/3``.  It also pins,
+for one seeded 2x3 system per such ring, the ``ring_to_cyclic`` trace
+(``generators``, ``orders``, ``structure_constants`` and the sha256 of
+``term_coefficients``) of the whole ring in table order and of every local
+projection in ``default_order``.
 """
 
 from __future__ import annotations
@@ -45,9 +57,11 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import bivariate_nilpotent, f2x_x2, upper_triangular_f2
+from test_ring import GROUP_SHAPES
 from ringsolve import (
     GroupSystem,
     LinSystem,
@@ -56,16 +70,23 @@ from ringsolve import (
     TwoSidedSystem,
     UnsupportedRing,
     base,
+    build_cyclic_group,
+    build_product_group,
+    build_table_ring,
+    build_zmod,
     canonical_params,
     chain_data,
     decompose_local,
     determinant,
+    group_decompose_cyclic,
     hermite_normal_form,
     idempotents,
     inverse,
     is_galois_ring,
     mat_mul,
     minimal_generators_maximal_ideal,
+    project_to_local,
+    ring_to_cyclic,
     solve,
     solve_chain,
     teichmuller_set,
@@ -90,6 +111,7 @@ EXPECTED_LARGE = json.loads((Path(__file__).with_name("golden_large.json")).read
 EXPECTED_MATRICES = json.loads((Path(__file__).with_name("golden_matrices.json")).read_text())
 EXPECTED_ORACLE = json.loads((Path(__file__).with_name("golden_oracle.json")).read_text())
 EXPECTED_STRUCTURE = json.loads((Path(__file__).with_name("golden_structure.json")).read_text())
+EXPECTED_CYCLIC = json.loads((Path(__file__).with_name("golden_cyclic.json")).read_text())
 
 
 def _pick(rng: random.Random, size: int, zero: int, density: float = 0.7) -> int:
@@ -674,3 +696,89 @@ def test_golden_structure_covers_every_ring():
 @pytest.mark.parametrize("name", sorted(EXPECTED_STRUCTURE))
 def test_golden_structure_outputs(name):
     assert observe_structure(_structure_rings()[name]()) == EXPECTED_STRUCTURE[name]
+
+
+# ---------------------------------------------------------------------------
+# cyclic decomposition
+
+
+def _digest(value) -> str:
+    return "sha256:" + hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+@functools.cache
+def _commutative_structure_rings() -> dict:
+    """Name -> (ring, its local summands), built once for the whole module."""
+    rings = {name: build() for name, build in _structure_rings().items()}
+    return {name: (ring, decompose_local(ring)) for name, ring in rings.items() if ring.commutative}
+
+
+@functools.cache
+def _cyclic_cases() -> dict:
+    """Name -> builder of (group, scan order or None)."""
+    cases = {}
+    for shape in GROUP_SHAPES:
+        factors = [build_cyclic_group(m) for m in shape]
+        cases[f"group {shape}"] = functools.partial(
+            lambda fs: (fs[0] if len(fs) == 1 else build_product_group(fs), None), factors)
+    for spec in ["Z/2 x Z/4", "Z/2 x Z/6", "Z/4 x Z/8 x Z/9"]:
+        cases[f"spec {spec}"] = functools.partial(lambda s: (parse_group_spec(s), None), spec)
+    for name, (_, summands) in _commutative_structure_rings().items():
+        for s in summands:
+            label = f"summand {name} e={s.e.index}"
+            cases[f"{label} table"] = functools.partial(lambda r: (additive_group(r), None), s.ring)
+            cases[f"{label} default"] = functools.partial(
+                lambda r: (additive_group(r), default_order(r).sorted_elements), s.ring)
+    cases["UT2(F2) x Z/3 table"] = lambda: (additive_group(_ut2_times_z3()), None)
+    return cases
+
+
+def _ut2_times_z3():
+    """UT2(F2) x Z/3 as a table ring (the last factor fastest), the carrier of
+    the two-sided ``oracle_check`` benchmark op."""
+    ut2, z3 = upper_triangular_f2(), build_zmod(3)
+    a, b = np.divmod(np.arange(ut2.size * 3), 3)
+    add = ut2.add(a[:, None], a) * 3 + z3.add(b[:, None], b)
+    mul = ut2.mul(a[:, None], a) * 3 + z3.mul(b[:, None], b)
+    return build_table_ring(add.tolist(), mul.tolist(), commutative=False, spec="UT2(F2) x Z/3")
+
+
+def observe_cyclic(group, scan) -> dict:
+    d = group_decompose_cyclic(group, scan_order=scan)
+    return {"pairs": [list(p) for p in d.pairs],
+            "coords": _digest([d.coords_of(i) for i in range(group.size)])}
+
+
+def _trace_pins(trace: dict) -> dict:
+    return {
+        "generators": [list(g) for g in trace["generators"]],
+        "orders": list(trace["orders"]),
+        "structure_constants": trace["structure_constants"],
+        "term_coefficients": _digest(trace["term_coefficients"]),
+    }
+
+
+def observe_cyclic_trace(ring, summands) -> dict:
+    rng = random.Random(f"cyclic trace {ring.spec}")
+    rows, cols = ["e0", "e1"], ["x0", "x1", "x2"]
+    entries = {(i, j): rng.randrange(ring.size) for i in rows for j in cols}
+    system = LinSystem(ring, rows, cols, entries, {i: rng.randrange(ring.size) for i in rows})
+    out = {"table": _trace_pins(ring_to_cyclic(system).trace)}
+    for s in summands:
+        sub = project_to_local(system, s.e)
+        out[f"e={s.e.index}"] = _trace_pins(ring_to_cyclic(sub, default_order(s.ring)).trace)
+    return out
+
+
+def test_golden_cyclic_covers_every_case():
+    names = list(_cyclic_cases()) + [f"trace {name}" for name in _commutative_structure_rings()]
+    assert sorted(names) == sorted(EXPECTED_CYCLIC)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_CYCLIC))
+def test_golden_cyclic_outputs(name):
+    if name.startswith("trace "):
+        observed = observe_cyclic_trace(*_commutative_structure_rings()[name[len("trace "):]])
+    else:
+        observed = observe_cyclic(*_cyclic_cases()[name]())
+    assert json.loads(json.dumps(observed)) == EXPECTED_CYCLIC[name]
