@@ -1,7 +1,7 @@
 """Linear equation systems over rings and groups, with certified solvers.
 
-Systems carry unordered row/column id sets; entries are stored sparsely as
-element indices.  The chain-ring solver produces either a satisfying
+Systems carry unordered row/column id sets; coefficients are element indices,
+held sparsely and as a dense grid derived on first use.  The chain-ring solver produces either a satisfying
 assignment or a row-combination witness x with x·(A|b) = (0,...,0,pi^(n-1)),
 and the composed solvers reduce arbitrary commutative rings, abelian groups
 and two-sided non-commutative systems to that case.
@@ -9,9 +9,10 @@ and two-sided non-commutative systems to that case.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     PreconditionViolation,
     Unsupported,
 )
-from .ring import AbelianGroup, FiniteRing, GroupElement, RingElement, cached_zmod, group_decompose_cyclic
+from .ring import AbelianGroup, FiniteRing, GroupElement, RingElement, _index_dtype, cached_zmod, group_decompose_cyclic
 from .structure import ChainData, chain_data, decompose_local, default_order
 
 
@@ -40,28 +41,130 @@ def _norm_idx(value, carrier) -> int:
     raise InvalidParameter(f"cannot interpret {value!r} as an element")
 
 
-def _sort_key(x):
-    return str(x)
+def _fold(carrier, terms: np.ndarray) -> np.ndarray:
+    """The sum of each row of ``terms`` under the carrier's elementwise add,
+    folded pairwise over column halves."""
+    while terms.shape[1] > 1:
+        half = terms.shape[1] // 2
+        head = carrier.add(terms[:, :half], terms[:, half:2 * half])
+        if terms.shape[1] % 2:
+            head[:, 0] = carrier.add(head[:, 0], terms[:, -1])
+        terms = head
+    return terms[:, 0]
 
 
-class _System:
-    """What every system kind shares: ids, right-hand side, evaluation, text.
+def _by_str(ids: list) -> list[int]:
+    """Positions of ``ids`` in the order of their string forms (stable)."""
+    return sorted(range(len(ids)), key=lambda n: str(ids[n]))
 
-    Row and column ids are deduplicated lists; coefficients and right-hand
-    sides are stored sparsely, zeros dropped.  Subclasses supply the header
-    ``keyword``, coefficient coercion, the per-row left-hand side and the
-    term text.
+
+class _Indexed:
+    """Row and column ids over a carrier, sparse entries and a dense grid.
+
+    Shared by systems and matrices.  The public constructors validate a
+    sparse {(row, col): value} mapping (``_coefficients``); ``_from_arrays``
+    takes index arrays that are valid by construction and skips every check.
+    Each view is derived from the other on first use and then kept:
+    ``entries`` from the grid ``A`` (rows x cols, row-major in id order), or
+    ``A`` from ``entries``.  Instances are not modified after construction.
     """
 
-    keyword: str
-
-    def __init__(self, carrier, rows: Sequence, cols: Sequence, b: Mapping):
+    def _set_ids(self, carrier, rows: Sequence, cols: Sequence):
         if not rows or not cols:
             raise InvalidParameter("row and column id sets must be non-empty")
         self.carrier = carrier
         self.rows = list(dict.fromkeys(rows))
         self.cols = list(dict.fromkeys(cols))
         self._zero = carrier.zero.index if isinstance(carrier, FiniteRing) else carrier.identity.index
+
+    @classmethod
+    def _from_arrays(cls, carrier, rows: list, cols: list, **grids):
+        """An instance from distinct ids and grids of valid values (``A``,
+        ``b_vec``, ``A_r``), unchecked."""
+        self = cls.__new__(cls)
+        self.carrier, self.rows, self.cols = carrier, rows, cols
+        self._zero = carrier.zero.index if isinstance(carrier, FiniteRing) else carrier.identity.index
+        self.__dict__.update(grids)
+        return self
+
+    def _zero_coef(self):
+        """The coefficient that means "no term"."""
+        return self._zero
+
+    def _coerce(self, value) -> int:
+        """A coefficient as stored: an element index of the carrier."""
+        return _norm_idx(value, self.carrier)
+
+    def _coefficients(self, mapping: Mapping, transposed: bool = False) -> dict:
+        """Validated copy of {(row, col): value}, keyed (col, row) if ``transposed``."""
+        row_set, col_set = set(self.rows), set(self.cols)
+        coerce, bound, zero = self._coerce, self._bound(), self._zero_coef()
+        out: dict = {}
+        for key, v in mapping.items():
+            i, j = key
+            if transposed:
+                i, j = j, i
+            if i not in row_set or j not in col_set:
+                raise InvalidParameter(f"entry ({i!r},{j!r}) outside the index sets")
+            if v.__class__ is not int or not 0 <= v < bound:
+                v = coerce(v)
+            if v != zero:
+                out[key] = v
+        return out
+
+    def _bound(self):
+        """Plain ints below this bound are valid coefficients as they are."""
+        return self.carrier.size
+
+    def _grid(self, mapping: Mapping, transposed: bool = False) -> np.ndarray:
+        """The rows x cols grid of a validated mapping, absent keys zero."""
+        zero = self._zero_coef()
+        grid = np.full((len(self.rows), len(self.cols)), zero, dtype=self._dtype(mapping.values()))
+        if mapping:
+            pos_r = dict(zip(self.rows, range(len(self.rows))))
+            pos_c = dict(zip(self.cols, range(len(self.cols))))
+            keys = [(j, i) for i, j in mapping] if transposed else mapping.keys()
+            grid[[pos_r[i] for i, _ in keys], [pos_c[j] for _, j in keys]] = list(mapping.values())
+        return grid
+
+    def _dtype(self, values):
+        return _index_dtype(self.carrier.size)
+
+    def _sparse(self, grid: np.ndarray, transposed: bool = False) -> dict:
+        """The nonzero cells of a grid as {(row, col): value}, keyed (col, row)
+        if ``transposed``."""
+        r, c = np.nonzero(grid != self._zero_coef())
+        values = grid[r, c].tolist()
+        rows, cols = map(self.rows.__getitem__, r.tolist()), map(self.cols.__getitem__, c.tolist())
+        return dict(zip(zip(cols, rows) if transposed else zip(rows, cols), values))
+
+    @functools.cached_property
+    def A(self) -> np.ndarray:
+        return self._grid(self.entries)
+
+    @functools.cached_property
+    def entries(self) -> dict:
+        return self._sparse(self.A)
+
+    def entry_idx(self, i, j) -> int:
+        return self.entries.get((i, j), self._zero_coef())
+
+    def entry(self, i, j) -> RingElement:
+        return self.carrier.element(self.entry_idx(i, j))
+
+
+class _System(_Indexed):
+    """What every system kind shares: ids, right-hand side, evaluation, text.
+
+    The right-hand side is ``b`` (sparse, zeros dropped) or ``b_vec`` (one
+    element index per row).  Subclasses supply the header ``keyword``, the
+    coefficient coercion, the term array of ``eval`` and the term text.
+    """
+
+    keyword: str
+
+    def __init__(self, carrier, rows: Sequence, cols: Sequence, b: Mapping):
+        self._set_ids(carrier, rows, cols)
         row_set = set(self.rows)
         self.b: dict = {}
         for i, v in b.items():
@@ -71,66 +174,52 @@ class _System:
             if idx != self._zero:
                 self.b[i] = idx
 
-    def _coefficients(self, mapping: Mapping, zero, transposed: bool = False) -> dict:
-        """Validated copy of {(row, col): value}, keyed (col, row) if ``transposed``."""
-        row_set, col_set = set(self.rows), set(self.cols)
-        coerce = self._coerce
-        out: dict = {}
-        for key, v in mapping.items():
-            i, j = key
-            if transposed:
-                i, j = j, i
-            if i not in row_set or j not in col_set:
-                raise InvalidParameter(f"entry ({i!r},{j!r}) outside the index sets")
-            c = coerce(v)
-            if c != zero:
-                out[key] = c
-        return out
+    @functools.cached_property
+    def b_vec(self) -> np.ndarray:
+        b, zero = self.b, self._zero
+        return np.array([b.get(i, zero) for i in self.rows], dtype=_index_dtype(self.carrier.size))
 
-    def _coerce(self, value) -> int:
-        """A coefficient as stored: an element index of the carrier."""
-        return _norm_idx(value, self.carrier)
+    @functools.cached_property
+    def b(self) -> dict:
+        nz = np.nonzero(self.b_vec != self._zero)[0]
+        return dict(zip(map(self.rows.__getitem__, nz.tolist()), self.b_vec[nz].tolist()))
 
-    def _values(self, assignment: Mapping) -> dict:
-        """Variable values as carrier element indices."""
+    def _values(self, assignment: Mapping) -> np.ndarray:
+        """Variable values as carrier element indices, in column order."""
         carrier = self.carrier
-        return {j: _norm_idx(assignment[j], carrier) for j in self.cols}
+        return np.array([_norm_idx(assignment[j], carrier) for j in self.cols], dtype=np.int64)
 
     def rhs_idx(self, i) -> int:
         return self.b.get(i, self._zero)
 
-    def rhs(self, i):
-        return self.carrier.element(self.rhs_idx(i))
-
     def eval(self, assignment: Mapping) -> bool:
         missing = [j for j in self.cols if j not in assignment]
         if missing:
-            raise InvalidParameter(f"assignment misses variables {sorted(missing, key=_sort_key)}")
-        values = self._values(assignment)
-        lhs, b, zero = self._lhs, self.b, self._zero
-        for i in self.rows:
-            if lhs(i, values) != b.get(i, zero):
-                return False
-        return True
+            raise InvalidParameter(f"assignment misses variables {sorted(missing, key=str)}")
+        return bool((self._lhs(self._values(assignment)) == self.b_vec).all())
 
-    def _terms(self, i, cols: list, col_name) -> list[str]:
-        text, entries = self._coefficient_text, self.entries
-        return [f"{text(entries[(i, j)])}*{col_name(j)}" for j in cols if (i, j) in entries]
+    def _lhs(self, x: np.ndarray) -> np.ndarray:
+        """The left-hand side of every row at the value vector x."""
+        return _fold(self.carrier, self._terms(x))
 
-    def _coefficient_text(self, c) -> str:
-        return self.carrier.format_element(c)
+    def _terms(self, x: np.ndarray) -> np.ndarray:
+        """The grid of terms A(i,j)·x_j for the value vector x."""
+        return self.carrier.mul(self.A, x)
+
+    def _row_texts(self, rpos: list, cpos: list, names: list) -> list[list[str]]:
+        """The term texts of the rows at ``rpos``, columns in ``cpos`` order."""
+        text, zero = self.carrier.names, self._zero_coef()
+        return [[f"{text[c]}*{name}" for c, name in zip(row, names) if c != zero]
+                for row in self.A[np.ix_(rpos, cpos)].tolist()]
 
     def eq_lines(self, row_name=str, col_name=str) -> list[str]:
         """One ``eq`` line per row, rows and columns sorted by their string
         form and named through ``row_name``/``col_name``."""
-        fmt = self.carrier.format_element
-        cols = sorted(self.cols, key=_sort_key)
-        lines = []
-        for i in sorted(self.rows, key=_sort_key):
-            terms = self._terms(i, cols, col_name)
-            lhs = " + ".join(terms) if terms else "0"
-            lines.append(f"eq {row_name(i)}: {lhs} = {fmt(self.rhs_idx(i))}")
-        return lines
+        rpos, cpos = _by_str(self.rows), _by_str(self.cols)
+        names = [col_name(self.cols[n]) for n in cpos]
+        fmt, rhs = self.carrier.names, self.b_vec.tolist()
+        return [f"eq {row_name(self.rows[n])}: {' + '.join(terms) if terms else '0'} = {fmt[rhs[n]]}"
+                for n, terms in zip(rpos, self._row_texts(rpos, cpos, names))]
 
     def canonical_text(self) -> str:
         return "\n".join([f"{self.keyword} {self.carrier.spec}", *self.eq_lines()])
@@ -146,27 +235,12 @@ class LinSystem(_System):
     """A·x = b over a finite ring, with opaque row/column ids."""
 
     keyword = "ring"
+    ring = property(lambda self: self.carrier)
 
     def __init__(self, ring: FiniteRing, rows: Sequence, cols: Sequence,
                  entries: Mapping, b: Mapping):
         super().__init__(ring, rows, cols, b)
-        self.ring = ring
-        self.entries = self._coefficients(entries, self._zero)
-
-    def entry_idx(self, i, j) -> int:
-        return self.entries.get((i, j), self._zero)
-
-    def entry(self, i, j) -> RingElement:
-        return self.ring.element(self.entry_idx(i, j))
-
-    def _lhs(self, i, values) -> int:
-        add, mul, entries = self.ring.add_idx, self.ring.mul_idx, self.entries
-        acc = self._zero
-        for j in self.cols:
-            c = entries.get((i, j))
-            if c is not None:
-                acc = add(acc, mul(c, values[j]))
-        return acc
+        self.entries = self._coefficients(entries)
 
 
 class GroupSystem(_System):
@@ -181,60 +255,81 @@ class GroupSystem(_System):
     def __init__(self, group: AbelianGroup, rows: Sequence, cols: Sequence,
                  entries: Mapping, b: Mapping):
         super().__init__(group, rows, cols, b)
-        self.group = group
-        self.entries = self._coefficients(entries, 0)
+        self.entries = self._coefficients(entries)
+
+    group = property(lambda self: self.carrier)
 
     def _coerce(self, value) -> int:
         if not isinstance(value, int) or value < 0:
             raise InvalidParameter("group-system coefficients are non-negative integers")
         return value
 
-    def _coefficient_text(self, c) -> str:
-        return str(c)
+    def _zero_coef(self):
+        return 0
 
-    def _lhs(self, i, values) -> int:
-        add, scalar, entries = self.group.add_idx, self.group.scalar_idx, self.entries
-        acc = self._zero
-        for j in self.cols:
-            c = entries.get((i, j))
-            if c:
-                acc = add(acc, scalar(c, values[j]))
-        return acc
+    def _bound(self):
+        return math.inf
+
+    def _dtype(self, values):
+        return np.int64 if max(values, default=0) < 2**63 else object
+
+    def _terms(self, x: np.ndarray) -> np.ndarray:
+        return self.carrier.scalar((self.A % self.carrier.size).astype(np.int64), x)
+
+    def _row_texts(self, rpos: list, cpos: list, names: list) -> list[list[str]]:
+        return [[f"{c}*{name}" for c, name in zip(row, names) if c]
+                for row in self.A[np.ix_(rpos, cpos)].tolist()]
 
 
 class TwoSidedSystem(_System):
-    """A_l·x + (x^t·A_r)^t = b over a possibly non-commutative ring."""
+    """A_l·x + (x^t·A_r)^t = b over a possibly non-commutative ring.
+
+    ``right`` is keyed (column, row); its grid ``A_r`` is row-major like
+    ``A``, the grid of ``left``.
+    """
 
     keyword = "twosided"
+    ring = property(lambda self: self.carrier)
+    entries = property(doc="Two-sided systems keep ``left`` and ``right`` instead.")
 
     def __init__(self, ring: FiniteRing, rows: Sequence, cols: Sequence,
                  left: Mapping, right: Mapping, b: Mapping):
         super().__init__(ring, rows, cols, b)
-        self.ring = ring
-        self.left = self._coefficients(left, self._zero)
-        self.right = self._coefficients(right, self._zero, transposed=True)
+        self.left = self._coefficients(left)
+        self.right = self._coefficients(right, transposed=True)
 
-    def _lhs(self, i, values) -> int:
-        add, mul, left, right = self.ring.add_idx, self.ring.mul_idx, self.left, self.right
-        acc = self._zero
-        for j in self.cols:
-            c = left.get((i, j))
-            if c is not None:
-                acc = add(acc, mul(c, values[j]))
-            c = right.get((j, i))
-            if c is not None:
-                acc = add(acc, mul(values[j], c))
-        return acc
+    @functools.cached_property
+    def A(self) -> np.ndarray:
+        return self._grid(self.left)
 
-    def _terms(self, i, cols: list, col_name) -> list[str]:
-        fmt = self.ring.format_element
-        terms = []
-        for j in cols:
-            if (i, j) in self.left:
-                terms.append(f"{fmt(self.left[(i, j)])}*{col_name(j)}")
-            if (j, i) in self.right:
-                terms.append(f"{col_name(j)}*{fmt(self.right[(j, i)])}")
-        return terms
+    @functools.cached_property
+    def A_r(self) -> np.ndarray:
+        return self._grid(self.right, transposed=True)
+
+    @functools.cached_property
+    def left(self) -> dict:
+        return self._sparse(self.A)
+
+    @functools.cached_property
+    def right(self) -> dict:
+        return self._sparse(self.A_r, transposed=True)
+
+    def _terms(self, x: np.ndarray) -> np.ndarray:
+        ring = self.carrier
+        return ring.add(ring.mul(self.A, x), ring.mul(x, self.A_r))
+
+    def _row_texts(self, rpos: list, cpos: list, names: list) -> list[list[str]]:
+        fmt, zero, cells = self.carrier.names, self._zero, np.ix_(rpos, cpos)
+        texts = []
+        for left, right in zip(self.A[cells].tolist(), self.A_r[cells].tolist()):
+            terms = []
+            for lc, rc, name in zip(left, right, names):
+                if lc != zero:
+                    terms.append(f"{fmt[lc]}*{name}")
+                if rc != zero:
+                    terms.append(f"{name}*{fmt[rc]}")
+            texts.append(terms)
+        return texts
 
 
 class NumericalSystem(_System):
@@ -249,23 +344,19 @@ class NumericalSystem(_System):
     def __init__(self, group: AbelianGroup, rows: Sequence, cols: Sequence,
                  entries: Mapping, b: Mapping):
         super().__init__(group, rows, cols, b)
-        self.group = group
-        self.entries = self._coefficients(entries, self._zero)
+        self.entries = self._coefficients(entries)
 
-    def _values(self, assignment: Mapping) -> dict:
-        for j in self.cols:
-            if not isinstance(assignment[j], int):
-                raise InvalidParameter("numerical-system assignments are integers")
-        return assignment
+    group = property(lambda self: self.carrier)
 
-    def _lhs(self, i, values) -> int:
-        add, scalar, entries = self.group.add_idx, self.group.scalar_idx, self.entries
-        acc = self._zero
-        for j in self.cols:
-            a = entries.get((i, j))
-            if a is not None:
-                acc = add(acc, scalar(values[j], a))
-        return acc
+    def _values(self, assignment: Mapping) -> np.ndarray:
+        values = [assignment[j] for j in self.cols]
+        if not all(isinstance(v, int) for v in values):
+            raise InvalidParameter("numerical-system assignments are integers")
+        # size·a = 0 for every group element a
+        return np.array([v % self.carrier.size for v in values], dtype=np.int64)
+
+    def _terms(self, x: np.ndarray) -> np.ndarray:
+        return self.carrier.scalar(x, self.A)
 
 
 def eval_system(system, assignment: Mapping) -> bool:
@@ -309,7 +400,7 @@ class Certificate:
 # chain-ring machinery
 
 
-def _chain_valuations(ring: FiniteRing, cd: ChainData) -> list[int]:
+def _chain_valuations(ring: FiniteRing, cd: ChainData) -> np.ndarray:
     """val[x] = largest t <= n with x in pi^t·R (val[0] = n)."""
     if "chainval" not in ring._cache:
         elems = np.arange(ring.size)
@@ -318,27 +409,42 @@ def _chain_valuations(ring: FiniteRing, cd: ChainData) -> list[int]:
         for t in range(1, cd.n + 1):
             power = ring.mul_idx(power, cd.pi.index)
             val[ring.mul(power, elems)] = t
-        ring._cache["chainval"] = val.tolist()
+        ring._cache["chainval"] = val
     return ring._cache["chainval"]
+
+
+def _pivot_order(ring: FiniteRing, cd: ChainData) -> np.ndarray:
+    """Pivot preference per element: valuation, then element index; zero
+    gets (n + 1)·size and never pivots."""
+    if "pivotorder" not in ring._cache:
+        order = _chain_valuations(ring, cd) * ring.size + np.arange(ring.size)
+        order[ring.zero.index] = (cd.n + 1) * ring.size
+        ring._cache["pivotorder"] = order
+    return ring._cache["pivotorder"]
+
+
+_DIVIDER_CELLS = 1 << 20  # table cells kept per ring by _divider
 
 
 def _divider(ring: FiniteRing):
     """divide(by, x): the least z with by·z = x, elementwise over x.
 
-    One lookup table per divisor, built on first use and kept for the
-    lifetime of the returned function (one elimination).
+    One lookup table per divisor, built on first use and kept on the ring
+    while the ring's tables hold fewer than _DIVIDER_CELLS cells.
     """
-    elems = np.arange(ring.size)
-    tables: dict = {}
+    tables = ring._cache.setdefault("divider", {})
 
     def divide(by, x):
         by = int(by)
-        if by not in tables:
+        table = tables.get(by)
+        if table is None:
+            elems = np.arange(ring.size)
             table = np.full(ring.size, ring.size, dtype=np.int64)
             np.minimum.at(table, ring.mul(by, elems), elems)
-            tables[by] = table
-        z = tables[by][x]
-        if (z == ring.size).any():
+            if (len(tables) + 1) * ring.size <= _DIVIDER_CELLS:
+                tables[by] = table
+        z = table[x]
+        if np.count_nonzero(z == ring.size):
             bad = int(np.extract(z == ring.size, x)[0])
             raise InternalError(f"{ring.format_element(by)} does not divide {ring.format_element(bad)}")
         return z
@@ -372,23 +478,8 @@ def _require_chain(ring: FiniteRing) -> ChainData:
     return cd
 
 
-def _dense(source, rows: list, cols: list, rhs: bool = False) -> np.ndarray:
-    """The coefficient grid of a LinSystem or Matrix as an int64 array, with
-    the right-hand side appended as a last column when ``rhs``."""
-    zero = source.ring.zero.index
-    grid = np.full((len(rows), len(cols) + rhs), zero, dtype=np.int64)
-    if source.entries:
-        pos_r = {i: n for n, i in enumerate(rows)}
-        pos_c = {j: n for n, j in enumerate(cols)}
-        keys = source.entries.keys()
-        grid[[pos_r[i] for i, _ in keys], [pos_c[j] for _, j in keys]] = list(source.entries.values())
-    if rhs:
-        grid[:, -1] = [source.rhs_idx(i) for i in rows]
-    return grid
-
-
-def _hermite(ring: FiniteRing, a: np.ndarray, ell: int, cd: ChainData, divide):
-    """Triangularise the first ``ell`` columns of ``a``.
+def _hermite(ring: FiniteRing, blocks: list[np.ndarray], ell: int, cd: ChainData, divide):
+    """Triangularise the first ``ell`` columns of the blocks side by side.
 
     Columns past ``ell`` are carried through the row operations only, and
     so is an identity block appended on the right, which ends up as S.  The
@@ -396,15 +487,14 @@ def _hermite(ring: FiniteRing, a: np.ndarray, ell: int, cd: ChainData, divide):
     least (valuation, element index, row, column); every row below it is
     cleared in one broadcast update.  Returns (a | S, col_perm, rank).
     """
-    size, zero = ring.size, ring.zero.index
-    # pivot order: valuation, then element index; zero never pivots
-    order = np.asarray(_chain_valuations(ring, cd)) * size + np.arange(size)
-    order[zero] = no_pivot = (cd.n + 1) * size
-    k = a.shape[0]
+    zero = ring.zero.index
+    order = _pivot_order(ring, cd)
+    no_pivot = order[zero]
+    k = blocks[0].shape[0]
     s = np.full((k, k), zero, dtype=np.int64)
     np.fill_diagonal(s, ring.one.index)
-    a = np.hstack([a, s])
-    perm = np.arange(ell)
+    a = np.concatenate([*blocks, s], axis=1)
+    perm = list(range(ell))
     t = 0
     for step in range(min(k, ell)):
         key = order[a[step:, step:ell]]
@@ -413,29 +503,29 @@ def _hermite(ring: FiniteRing, a: np.ndarray, ell: int, cd: ChainData, divide):
             break
         r, c = r + step, c + step
         if r != step:
-            a[[step, r]] = a[[r, step]]
+            a[step], a[r] = a[r], a[step].copy()
         if c != step:
-            a[:, [step, c]] = a[:, [c, step]]
-            perm[[step, c]] = perm[[c, step]]
-        below = step + 1 + np.flatnonzero(a[step + 1:, step] != zero)
+            a[:, step], a[:, c] = a[:, c], a[:, step].copy()
+            perm[step], perm[c] = perm[c], perm[step]
+        below = step + 1 + np.nonzero(a[step + 1:, step] != zero)[0]
         if below.size:
             z = divide(a[step, step], a[below, step])[:, None]
             a[below] = ring.sub(a[below], ring.mul(z, a[step]))
         t += 1
-    if (a[t:, :ell] != zero).any():
+    if np.count_nonzero(a[t:, :ell] != zero):
         raise InternalError("elimination left a nonzero residual row")
     return a, perm, t
 
 
 def hermite_normal_form(matrix) -> HermiteResult:
-    """Triangularise a matrix over a chain ring: S·A·T = (Q ; 0)."""
+    """Triangularise a matrix (or a system's coefficients) over a chain
+    ring: S·A·T = (Q ; 0)."""
     ring = matrix.ring
     cd = _require_chain(ring)
-    rows, cols = list(matrix.rows), list(matrix.cols)
-    ell = len(cols)
-    a, perm, t = _hermite(ring, _dense(matrix, rows, cols), ell, cd, _divider(ring))
-    return HermiteResult(ring=ring, row_ids=rows, col_ids=cols, S=a[:, ell:].tolist(), col_perm=perm.tolist(),
-                         Q=a[:t, :ell].tolist(), diag=a.diagonal()[:t].tolist())
+    ell = len(matrix.cols)
+    a, perm, t = _hermite(ring, [matrix.A], ell, cd, _divider(ring))
+    return HermiteResult(ring=ring, row_ids=list(matrix.rows), col_ids=list(matrix.cols), S=a[:, ell:].tolist(),
+                         col_perm=perm, Q=a[:t, :ell].tolist(), diag=a.diagonal()[:t].tolist())
 
 
 def solve_chain(system: LinSystem) -> Certificate:
@@ -447,50 +537,45 @@ def solve_chain(system: LinSystem) -> Certificate:
     """
     ring = system.ring
     cd = _require_chain(ring)
-    rows, cols = list(system.rows), list(system.cols)
+    rows, cols = system.rows, system.cols
     k, ell = len(rows), len(cols)
     divide = _divider(ring)
     # b rides along as column ell, so it ends up as S·b
-    a, perm, t = _hermite(ring, _dense(system, rows, cols, rhs=True), ell, cd, divide)
+    a, perm, t = _hermite(ring, [system.A, system.b_vec[:, None]], ell, cd, divide)
     bprime, diag = a[:, ell], a.diagonal()[:t]
-    val = np.asarray(_chain_valuations(ring, cd))
+    val = _chain_valuations(ring, cd)
     diag_val = np.full(k, cd.n)
     diag_val[:t] = val[diag]
-    failing = np.flatnonzero(val[bprime] < diag_val)
+    failing = np.nonzero(val[bprime] < diag_val)[0]
     if failing.size:
         # the first failing transformed row is a certificate of unsolvability
         r = failing[0]
         tail = ring.pow_idx(cd.pi.index, cd.n - 1)
-        scalings = np.flatnonzero(ring.mul(bprime[r], np.arange(ring.size)) == tail)
+        scalings = np.nonzero(ring.mul(bprime[r], np.arange(ring.size)) == tail)[0]
         if not scalings.size:
             raise InternalError("no scaling maps the failing row onto the witness tail")
-        combo = dict(zip(rows, ring.mul(scalings[0], a[r, ell + 1:]).tolist()))
-        witness = UnsolvableWitness(
-            summand="chain",
-            chain_spec=ring.spec,
-            digest=system.digest(),
-            rows={i: ring.format_element(x) for i, x in combo.items()},
-        )
+        combo = ring.mul(scalings[0], a[r, ell + 1:])
+        names = map(ring.names.__getitem__, combo.tolist())
+        witness = UnsolvableWitness("chain", ring.spec, system.digest(), dict(zip(rows, names)))
         _assert_witness(system, combo, tail)
         return Certificate("UNSOLVABLE", witness=witness, reduced=system)
     values = np.full(ell, ring.zero.index, dtype=np.int64)
     rhs = bprime[:t].copy()
     for r in range(t - 1, -1, -1):
         values[r] = divide(diag[r], rhs[r])
-        rhs[:r] = ring.sub(rhs[:r], ring.mul(values[r], a[:r, r]))
-    assignment = {cols[pos]: ring.element(v) for pos, v in zip(perm.tolist(), values.tolist())}
+        if r:
+            rhs[:r] = ring.sub(rhs[:r], ring.mul(values[r], a[:r, r]))
+    assignment = {cols[pos]: ring.element(v) for pos, v in zip(perm, values.tolist())}
     if not system.eval(assignment):
         raise InternalError("back-substituted assignment fails the system")
     return Certificate("SOLVABLE", assignment=assignment)
 
 
-def _assert_witness(system: LinSystem, combo: dict, tail: int):
+def _assert_witness(system: LinSystem, combo: np.ndarray, tail: int):
+    """InternalError unless combo·(A|b) = (0,...,0,tail); combo in row order."""
     ring = system.ring
-    rows, cols = list(system.rows), list(system.cols)
-    a = _dense(system, rows, cols, rhs=True)
-    acc = np.full(len(cols) + 1, ring.zero.index, dtype=np.int64)
-    for i, row in zip(rows, a):
-        acc = ring.add(acc, ring.mul(combo[i], row))
+    ab = np.concatenate([system.A, system.b_vec[:, None]], axis=1)
+    acc = _fold(ring, ring.mul(np.asarray(combo)[:, None], ab).T)
     if (acc[:-1] != ring.zero.index).any():
         raise InternalError("witness does not annihilate the coefficient columns")
     if acc[-1] != tail:
@@ -503,7 +588,7 @@ def check_witness(system: LinSystem, rows: Mapping) -> bool:
     cd = _require_chain(ring)
     if set(rows) != set(system.rows):
         raise InvalidCertificate("witness rows do not match the system's rows")
-    combo = {i: _norm_idx(v, ring) for i, v in rows.items()}
+    combo = [_norm_idx(rows[i], ring) for i in system.rows]
     tail = ring.pow_idx(cd.pi.index, cd.n - 1)
     try:
         _assert_witness(system, combo, tail)
@@ -535,12 +620,7 @@ def solve_commutative(system: LinSystem) -> Certificate:
         red = reductions.ring_to_cyclic(sub, order)
         cert = solve_chain(red.target)
         if not cert.solvable:
-            witness = UnsolvableWitness(
-                summand=summand.e.name,
-                chain_spec=red.target.ring.spec,
-                digest=cert.witness.digest,
-                rows=cert.witness.rows,
-            )
+            witness = replace(cert.witness, summand=summand.e.name)
             return Certificate("UNSOLVABLE", witness=witness, reduced=red.target)
         back = red.backward(cert.assignment)
         for j, elem in back.items():
@@ -551,48 +631,60 @@ def solve_commutative(system: LinSystem) -> Certificate:
     return Certificate("SOLVABLE", assignment=assignment)
 
 
-def _lift_prime_part(rows: list[tuple[object, int, dict, int]], p: int) -> LinSystem:
+@dataclass
+class _Congruences:
+    """Rows sum_v c(r,v)·x_v = rhs(r) (mod mods(r)) over integer variables.
+
+    ``grid`` holds the coefficients (rows x variables); ``present`` marks the
+    pairs the source system mentions, which fixes the column order of the
+    lifted chain systems also where a coefficient vanishes.
+    """
+
+    rows: list
+    mods: np.ndarray
+    grid: np.ndarray
+    present: np.ndarray
+    rhs: np.ndarray
+    variables: list
+
+    def primes(self) -> list[int]:
+        return sorted({p for m in set(self.mods.tolist()) for p in _prime_factors(m)})
+
+
+def _lift_prime_part(cong: _Congruences, p: int) -> LinSystem:
     """The rows whose modulus the prime p divides (at least one), lifted to one
     chain system over Z/p^cap.  A row mod p^a is multiplied by p^(cap-a).
+    Columns are the variables in the order of their first mention, scanning
+    those rows in order.
     """
-    p_rows = [(rid, _pval(m, p), coeffs, rhs) for rid, m, coeffs, rhs in rows if m % p == 0]
-    cap = max(a for _, a, _, _ in p_rows)
-    ring = cached_zmod(p**cap)
-    entries, b, cols = {}, {}, {}
-    for rid, a, coeffs, rhs in p_rows:
-        lift = p ** (cap - a)
-        for var, c in coeffs.items():
-            cols[var] = True
-            c_lift = (c * lift) % ring.size
-            if c_lift:
-                entries[(rid, var)] = c_lift
-        r_lift = (rhs * lift) % ring.size
-        if r_lift:
-            b[rid] = r_lift
-    if not cols:
+    sel = np.flatnonzero(cong.mods % p == 0)
+    exps = np.array([_pval(m, p) for m in cong.mods[sel].tolist()])
+    cap = int(exps.max())
+    q, lift = p**cap, p ** (cap - exps)
+    present = cong.present[sel]
+    order = np.argsort(present.argmax(axis=0), kind="stable")
+    order = order[present.any(axis=0)[order]]
+    if order.size:
+        cols, grid = [cong.variables[v] for v in order.tolist()], cong.grid[sel][:, order] * lift[:, None] % q
+    else:
         # rows constrain no variable; keep a placeholder column
-        cols[("free", p)] = True
-    return LinSystem(ring, [rid for rid, _, _, _ in p_rows], list(cols), entries, b)
+        cols, grid = [("free", p)], np.zeros((sel.size, 1), dtype=np.int64)
+    rows = [cong.rows[r] for r in sel.tolist()]
+    return LinSystem._from_arrays(cached_zmod(q), rows, cols, A=grid, b_vec=cong.rhs[sel] * lift % q)
 
 
-def _solve_congruences(rows: list[tuple[object, int, dict, int]]) -> dict | Certificate:
-    """Solve sum(c·x) = rhs (mod m_row) over the integers, row by row moduli.
+def _solve_congruences(cong: _Congruences) -> dict | Certificate:
+    """Solve the congruences over the integers, one prime at a time.
 
     Returns the assignment var -> int, or the UNSOLVABLE certificate of the
     first prime whose lifted chain system is unsolvable.
     """
-    primes = sorted({p for _, m, _, _ in rows for p in _prime_factors(m)})
     assignment: dict = {}
-    for p in primes:
-        chain_sys = _lift_prime_part(rows, p)
+    for p in cong.primes():
+        chain_sys = _lift_prime_part(cong, p)
         cert = solve_chain(chain_sys)
         if not cert.solvable:
-            witness = UnsolvableWitness(
-                summand=f"p={p}",
-                chain_spec=chain_sys.ring.spec,
-                digest=chain_sys.digest(),
-                rows=cert.witness.rows,
-            )
+            witness = replace(cert.witness, summand=f"p={p}")
             return Certificate("UNSOLVABLE", witness=witness, reduced=chain_sys)
         for var, elem in cert.assignment.items():
             assignment.setdefault(var, {})[chain_sys.ring.size] = elem.index
@@ -632,32 +724,41 @@ def _crt(residues: dict[int, int]) -> int:
     return x % mod
 
 
-def _group_congruence_rows(system: GroupSystem):
-    """Split a group system along the invariant-factor decomposition."""
+def _congruences(system) -> tuple:
+    """Split a group or numerical system along the invariant-factor
+    decomposition of its group: row (i, t) is coordinate t of equation i,
+    modulo l_t; factors of order 1 give no rows.  A group system's variable j
+    splits into one variable (j, t) per factor; a numerical system keeps its
+    variables and splits its coefficients into their coordinates.
+    """
     decomp = group_decompose_cyclic(system.group)
-    rows = []
-    for i in system.rows:
-        b_coords = decomp.coords_of(system.rhs_idx(i))
-        for t, (_, order) in enumerate(decomp.pairs):
-            if order == 1:
-                continue
-            coeffs = {}
-            for j in system.cols:
-                c = system.entries.get((i, j))
-                if c:
-                    coeffs[(j, t)] = c % order
-            rows.append(((i, t), order, coeffs, b_coords[t] % order))
-    return decomp, rows
+    ts = [t for t, order in enumerate(decomp.orders) if order != 1]
+    orders = np.array([decomp.orders[t] for t in ts], dtype=np.int64)
+    n, ell, k = len(system.rows), len(system.cols), len(ts)
+    if isinstance(system, GroupSystem):
+        diag = np.arange(k)
+        grid = np.zeros((n, k, ell, k), dtype=np.int64)
+        present = np.zeros((n, k, ell, k), dtype=bool)
+        grid[:, diag, :, diag] = (system.A % orders[:, None, None]).astype(np.int64)
+        present[:, diag, :, diag] = system.A != 0
+        grid, present = grid.reshape(n * k, ell * k), present.reshape(n * k, ell * k)
+        variables = [(j, t) for j in system.cols for t in ts]
+    else:
+        grid = decomp.coords[system.A][:, :, ts].transpose(0, 2, 1).reshape(n * k, ell)
+        present, variables = grid != 0, system.cols
+    rhs = decomp.coords[system.b_vec][:, ts].ravel()
+    rows = [(i, t) for i in system.rows for t in ts]
+    return decomp, _Congruences(rows, np.tile(orders, n), grid, present, rhs, variables)
 
 
 def solve_group(system: GroupSystem) -> Certificate:
     """Decide solvability over an abelian group via its cyclic decomposition."""
-    decomp, rows = _group_congruence_rows(system)
+    decomp, cong = _congruences(system)
     group = system.group
-    if not rows:
+    if not cong.rows:
         assignment = {j: group.identity for j in system.cols}
         return Certificate("SOLVABLE", assignment=assignment)
-    values = _solve_congruences(rows)
+    values = _solve_congruences(cong)
     if isinstance(values, Certificate):
         return values
     assignment = {}
@@ -669,31 +770,12 @@ def solve_group(system: GroupSystem) -> Certificate:
     return Certificate("SOLVABLE", assignment=assignment)
 
 
-def _numerical_congruence_rows(system: NumericalSystem):
-    decomp = group_decompose_cyclic(system.group)
-    rows = []
-    for i in system.rows:
-        b_coords = decomp.coords_of(system.rhs_idx(i))
-        for t, (_, order) in enumerate(decomp.pairs):
-            if order == 1:
-                continue
-            coeffs = {}
-            for j in system.cols:
-                a = system.entries.get((i, j))
-                if a is not None:
-                    c = decomp.coords_of(a)[t]
-                    if c:
-                        coeffs[j] = c
-            rows.append(((i, t), order, coeffs, b_coords[t] % order))
-    return decomp, rows
-
-
 def solve_numerical(system: NumericalSystem) -> Certificate:
     """Solve an integer-variable system over a Z_d-module."""
-    _, rows = _numerical_congruence_rows(system)
-    if not rows:
+    _, cong = _congruences(system)
+    if not cong.rows:
         return Certificate("SOLVABLE", assignment={j: 0 for j in system.cols})
-    values = _solve_congruences(rows)
+    values = _solve_congruences(cong)
     if isinstance(values, Certificate):
         return values
     assignment = {j: values.get(j, 0) for j in system.cols}
@@ -755,17 +837,15 @@ def verify_certificate(system, cert: Certificate) -> bool:
     if reduced.ring.spec != cert.witness.chain_spec or reduced.digest() != cert.witness.digest:
         return False
     # file-parsed witnesses carry stringified ids; match rows on str()
-    by_str = {str(i): i for i in reduced.rows}
-    if {str(i) for i in cert.witness.rows} != set(by_str):
+    if {str(i) for i in cert.witness.rows} != {str(i) for i in reduced.rows}:
         raise InvalidCertificate("witness rows do not match the reduced system")
-    combo = {}
-    for key, v in cert.witness.rows.items():
-        idx = reduced.ring.parse_element(v).index if isinstance(v, str) else _norm_idx(v, reduced.ring)
-        combo[by_str[str(key)]] = idx
-    cd = chain_data(reduced.ring)
-    tail = reduced.ring.pow_idx(cd.pi.index, cd.n - 1)
+    ring = reduced.ring
+    combo = {str(i): ring.parse_element(v).index if isinstance(v, str) else _norm_idx(v, ring)
+             for i, v in cert.witness.rows.items()}
+    cd = chain_data(ring)
+    tail = ring.pow_idx(cd.pi.index, cd.n - 1)
     try:
-        _assert_witness(reduced, combo, tail)
+        _assert_witness(reduced, [combo[str(i)] for i in reduced.rows], tail)
     except InternalError:
         return False
     return True
@@ -784,16 +864,12 @@ def _replay_reduction(system, witness: UnsolvableWitness):
                 return reductions.ring_to_cyclic(sub, order).target
         raise InvalidCertificate(f"no base idempotent named {witness.summand!r}")
     if isinstance(system, (GroupSystem, NumericalSystem, TwoSidedSystem)):
-        if isinstance(system, GroupSystem):
-            _, rows = _group_congruence_rows(system)
-        elif isinstance(system, NumericalSystem):
-            _, rows = _numerical_congruence_rows(system)
-        else:
-            red = reductions.twosided_to_numerical(system)
-            _, rows = _numerical_congruence_rows(red.target)
+        if isinstance(system, TwoSidedSystem):
+            system = reductions.twosided_to_numerical(system).target
+        _, cong = _congruences(system)
         # the solver labels a prime part p=<p>, for a prime p dividing a congruence modulus
-        primes = {f"p={p}": p for _, m, _, _ in rows for p in _prime_factors(m)}
+        primes = {f"p={p}": p for p in cong.primes()}
         if witness.summand not in primes:
             raise InvalidCertificate(f"summand {witness.summand!r} names no prime of the reduction")
-        return _lift_prime_part(rows, primes[witness.summand])
+        return _lift_prime_part(cong, primes[witness.summand])
     raise InvalidCertificate(f"cannot verify certificates for {type(system).__name__}")

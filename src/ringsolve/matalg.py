@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InternalError, InvalidParameter, PreconditionViolation, UnsupportedRing
+from .linsys import _Indexed
 from .ring import FiniteRing, RingElement, unit_indices
 from .structure import (
     decompose_local,
@@ -28,40 +29,20 @@ from .structure import (
 )
 
 
-class Matrix:
-    """A finitely indexed matrix over a ring; entries stored sparsely."""
+class Matrix(_Indexed):
+    """A finitely indexed matrix over a ring; entries stored sparsely, with
+    the dense grid ``A`` derived on first use."""
+
+    ring = property(lambda self: self.carrier)
 
     def __init__(self, ring: FiniteRing, rows: Sequence, cols: Sequence, entries: Mapping):
-        if not rows or not cols:
-            raise InvalidParameter("matrix index sets must be non-empty")
-        self.ring = ring
-        self.rows = list(dict.fromkeys(rows))
-        self.cols = list(dict.fromkeys(cols))
-        row_set, col_set = set(self.rows), set(self.cols)
-        zero = ring.zero.index
-        self.entries: dict = {}
-        for (i, j), v in entries.items():
-            if i not in row_set or j not in col_set:
-                raise InvalidParameter(f"entry ({i!r},{j!r}) outside the index sets")
-            if isinstance(v, RingElement):
-                if v.ring is not ring:
-                    raise InvalidParameter("entry from a different ring")
-                v = v.index
-            if not isinstance(v, int) or not 0 <= v < ring.size:
-                raise InvalidParameter(f"bad entry value {v!r}")
-            if v != zero:
-                self.entries[(i, j)] = v
+        self._set_ids(ring, rows, cols)
+        self.entries = self._coefficients(entries)
 
     @staticmethod
     def identity(ring: FiniteRing, ids: Sequence) -> "Matrix":
         one = ring.one.index
         return Matrix(ring, ids, ids, {(i, i): one for i in ids})
-
-    def entry_idx(self, i, j) -> int:
-        return self.entries.get((i, j), self.ring.zero.index)
-
-    def entry(self, i, j) -> RingElement:
-        return self.ring.element(self.entry_idx(i, j))
 
     def is_square(self) -> bool:
         return set(self.rows) == set(self.cols)

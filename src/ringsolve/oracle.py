@@ -92,18 +92,6 @@ def _digits(index: int, radix: int, nvars: int) -> list[int]:
     return values[::-1]
 
 
-def _multiples(carrier, zero: int, ks, xs):
-    """k·x elementwise for integers k >= 0 and element indices x (broadcast
-    together), by binary doubling through the carrier's elementwise add."""
-    ks, base = np.broadcast_arrays(np.asarray(ks, dtype=np.int64), np.asarray(xs))
-    acc = np.full(ks.shape, zero, dtype=np.int64)
-    while ks.any():
-        acc = np.where(ks & 1, carrier.add(acc, base), acc)
-        base = carrier.add(base, base)
-        ks = ks >> 1
-    return acc
-
-
 def _term_lookups(system) -> dict:
     """{(row, column): lookup} for every term of the system, where
     ``lookup[v]`` is the element the term contributes when the variable is v."""
@@ -119,10 +107,10 @@ def _term_lookups(system) -> dict:
         return {key: carrier.mul(c, elems) for key, c in system.entries.items()}
     if isinstance(system, GroupSystem):
         d = carrier.exponent()
-        return {key: _multiples(carrier, system._zero, c % d, elems) for key, c in system.entries.items()}
+        return {key: carrier.scalar(c % d, elems) for key, c in system.entries.items()}
     # NumericalSystem: the variables are the integers below the group's exponent
     values = np.arange(carrier.exponent())
-    return {key: _multiples(carrier, system._zero, values, g) for key, g in system.entries.items()}
+    return {key: carrier.scalar(values, g) for key, g in system.entries.items()}
 
 
 def brute_force_solve(system) -> OracleReport:

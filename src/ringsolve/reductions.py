@@ -47,9 +47,11 @@ def _cyclic_structure(ring: FiniteRing, scan: tuple[int, ...]):
     """Additive decomposition and multiplication structure constants of R.
 
     Generators are chosen greedily along ``scan``; returns (decomposition, c,
-    b_table) where c[y][i][j] is coordinate y of g_i·g_j and b_table[r][y][t]
-    is the Z_m coefficient of variable slot t in the y-component expansion of
-    the term r·x.
+    b_table, rows, rhs) where c[y][i][j] is coordinate y of g_i·g_j and
+    b_table[r][y][t] is the Z_m coefficient of variable slot t in the
+    y-component expansion of the term r·x (both nested lists).  The arrays
+    rows[r, y, t] = b_table[r][y][t]·m/l_y and rhs[r, y] = (coordinate y of
+    r)·m/l_y, mod m, are the target's coefficients and right-hand sides.
     """
     key = ("cyclic_structure", scan)
     if key in ring._cache:
@@ -58,8 +60,10 @@ def _cyclic_structure(ring: FiniteRing, scan: tuple[int, ...]):
     decomp = group_decompose_cyclic(additive_group(ring), scan_order=scan)
     gens = np.array([g for g, _ in decomp.pairs], dtype=np.int64)
     c = np.moveaxis(decomp.coords[ring.mul(gens[:, None], gens)], 2, 0)
-    b_table = (np.einsum("ri,yij->ryj", decomp.coords, c) % m).tolist()
-    ring._cache[key] = (decomp, c.tolist(), b_table)
+    b_table = np.einsum("ri,yij->ryj", decomp.coords, c) % m
+    mult = m // np.array(decomp.orders, dtype=np.int64)
+    rows, rhs = b_table * mult[:, None] % m, decomp.coords * mult % m
+    ring._cache[key] = (decomp, c.tolist(), b_table.tolist(), rows, rhs)
     return ring._cache[key]
 
 
@@ -68,7 +72,9 @@ def ring_to_cyclic(system: LinSystem, order: RingOrder | None = None) -> Reducti
 
     Variables split into one Z_m variable per additive generator; each
     equation splits into one congruence per generator, enforced over Z_m by
-    the multiplier m/l_y.  The backward mapper reassembles x = sum(x_t·g_t).
+    the multiplier m/l_y.  Row (i, y) and column (j, t) carry the
+    coefficient b_table[A(i,j), y, t]·m/l_y.  The backward mapper
+    reassembles x = sum(x_t·g_t).
     """
     ring = system.ring
     if not ring.commutative:
@@ -78,37 +84,18 @@ def ring_to_cyclic(system: LinSystem, order: RingOrder | None = None) -> Reducti
     if order.ring is not ring:
         raise InvalidParameter("the order does not belong to the system's ring")
     m = ring.characteristic()
-    zm = cached_zmod(m)
-    decomp, c_table, b_table = _cyclic_structure(ring, tuple(order.sorted_elements))
+    decomp, c_table, b_table, row_table, rhs_table = _cyclic_structure(ring, tuple(order.sorted_elements))
     k = len(decomp.pairs)
     orders = decomp.orders
-    rows, cols, entries, b = [], [], {}, {}
-    for j in system.cols:
-        for t in range(k):
-            cols.append((j, t))
-    for i in system.rows:
-        b_coords = decomp.coords_of(system.rhs_idx(i))
-        for y in range(k):
-            rid = (i, y)
-            rows.append(rid)
-            mult = m // orders[y]
-            acc: dict = {}
-            for j in system.cols:
-                r = system.entries.get((i, j))
-                if r is None:
-                    continue
-                for t in range(k):
-                    coeff = b_table[r][y][t]
-                    if coeff:
-                        acc[(j, t)] = (acc.get((j, t), 0) + coeff) % m
-            for var, coeff in acc.items():
-                v = (coeff * mult) % m
-                if v:
-                    entries[(rid, var)] = v
-            rhs = (b_coords[y] * mult) % m
-            if rhs:
-                b[rid] = rhs
-    target = LinSystem(zm, rows, cols, entries, b)
+    n, ell = len(system.rows), len(system.cols)
+    target = LinSystem._from_arrays(
+        cached_zmod(m),
+        [(i, y) for i in system.rows for y in range(k)],
+        [(j, t) for j in system.cols for t in range(k)],
+        # axes (row, y, column, t)
+        A=row_table[system.A].transpose(0, 2, 1, 3).reshape(n * k, ell * k),
+        b_vec=rhs_table[system.b_vec].ravel(),
+    )
 
     def backward(assignment: Mapping) -> dict:
         out = {}
@@ -124,9 +111,7 @@ def ring_to_cyclic(system: LinSystem, order: RingOrder | None = None) -> Reducti
         "modulus": m,
         "multipliers": [m // o for o in orders],
         "structure_constants": c_table,
-        "term_coefficients": {
-            ring.format_element(r): b_table[r] for r in range(ring.size)
-        },
+        "term_coefficients": dict(zip(ring.names, b_table)),
     }
     return ReductionOutput(target=target, backward=backward, trace=trace)
 
@@ -223,66 +208,38 @@ def twosided_to_numerical(system: TwoSidedSystem) -> ReductionOutput:
     """
     ring = system.ring
     g = additive_group(ring)
-    left_occ = {j for (_, j) in system.left}
-    right_occ = {j for (j, _) in system.right}
-    var_sides: dict = {}
-    for j in system.cols:
-        if j in left_occ and j in right_occ:
-            var_sides[j] = ("both", ("L", j), ("R", j))
-        elif j in right_occ:
-            var_sides[j] = ("right", ("R", j), None)
-        else:
-            var_sides[j] = ("left", ("L", j), None)
-    rows, cols, entries, b = [], [], {}, {}
-    split_vars = []
-    for j in system.cols:
-        kind, first, second = var_sides[j]
-        split_vars.append(first)
-        if second is not None:
-            split_vars.append(second)
-    for sv in split_vars:
-        for s in range(ring.size):
-            cols.append((sv, s))
-    for i in system.rows:
-        rows.append(i)
-        for j in system.cols:
-            kind, first, second = var_sides[j]
-            r = system.left.get((i, j))
-            if r is not None:
-                target_var = first  # ("L", j)
-                for s in range(ring.size):
-                    prod = ring.mul_idx(r, s)
-                    if prod != ring.zero.index:
-                        entries[(i, (target_var, s))] = prod
-            r = system.right.get((j, i))
-            if r is not None:
-                target_var = second if kind == "both" else first
-                for s in range(ring.size):
-                    prod = ring.mul_idx(s, r)
-                    if prod != ring.zero.index:
-                        entries[(i, (target_var, s))] = prod
-        if system.rhs_idx(i) != ring.zero.index:
-            b[i] = system.rhs_idx(i)
+    zero = ring.zero.index
+    left_occ = (system.A != zero).any(axis=0).tolist()
+    right_occ = (system.A_r != zero).any(axis=0).tolist()
+    # x_j becomes ("L", j), or ("R", j) if it has right coefficients only;
+    # with both it becomes ("L", j) and ("R", j), tied by a row ("tie", j)
+    split_vars, left_pos, right_pos, ties = [], [], [], []
+    for j, on_left, on_right in zip(system.cols, left_occ, right_occ):
+        left_pos.append(len(split_vars))
+        split_vars.append(("R" if on_right and not on_left else "L", j))
+        if on_left and on_right:
+            ties.append((j, left_pos[-1], len(split_vars)))
+            split_vars.append(("R", j))
+        right_pos.append(len(split_vars) - 1)
+    elems = np.arange(ring.size)
+    n_rows = len(system.rows)
+    # axes (row, split variable, s): the coefficient of x_v^s
+    grid = np.full((n_rows + len(ties), len(split_vars), ring.size), zero, dtype=np.int64)
+    on_left, on_right = np.flatnonzero(left_occ), np.flatnonzero(right_occ)
+    grid[:n_rows, np.array(left_pos)[on_left]] = ring.mul(system.A[:, on_left, None], elems)
+    grid[:n_rows, np.array(right_pos)[on_right]] = ring.mul(elems, system.A_r[:, on_right, None])
     minus_one = ring.neg_idx(ring.one.index)
-    for j in system.cols:
-        kind, first, second = var_sides[j]
-        if kind != "both":
-            continue
-        rid = ("tie", j)
-        rows.append(rid)
-        for s in range(ring.size):
-            lv = ring.mul_idx(ring.one.index, s)
-            if lv != ring.zero.index:
-                entries[(rid, (first, s))] = lv
-            rv = ring.mul_idx(s, minus_one)
-            if rv != ring.zero.index:
-                entries[(rid, (second, s))] = rv
-    target = NumericalSystem(g, rows, cols, entries, b)
+    for row, (_, first, second) in enumerate(ties, start=n_rows):
+        grid[row, first], grid[row, second] = elems, ring.mul(elems, minus_one)
+    cols = [(sv, s) for sv in split_vars for s in range(ring.size)]
+    rows = [*system.rows, *(("tie", j) for j, _, _ in ties)]
+    b_vec = np.concatenate([system.b_vec, np.full(len(ties), zero, dtype=system.b_vec.dtype)])
+    target = NumericalSystem._from_arrays(g, rows, cols, A=grid.reshape(len(rows), len(cols)), b_vec=b_vec)
 
     def backward(assignment: Mapping) -> dict:
         out = {}
-        for j in system.cols:
-            _, first, _ = var_sides[j]
+        for j, pos in zip(system.cols, left_pos):
+            first = split_vars[pos]
             acc = ring.zero.index
             for s in range(ring.size):
                 count = assignment[(first, s)]
@@ -290,10 +247,7 @@ def twosided_to_numerical(system: TwoSidedSystem) -> ReductionOutput:
             out[j] = ring.element(acc)
         return out
 
-    trace = {
-        "duplicated": [j for j in system.cols if var_sides[j][0] == "both"],
-        "variables": len(cols),
-    }
+    trace = {"duplicated": [j for j, _, _ in ties], "variables": len(cols)}
     return ReductionOutput(target=target, backward=backward, trace=trace)
 
 
@@ -302,7 +256,8 @@ def twosided_to_numerical(system: TwoSidedSystem) -> ReductionOutput:
 
 
 def project_to_local(system: LinSystem, e: RingElement) -> LinSystem:
-    """The entrywise projection of a system onto the local summand eR."""
+    """The entrywise projection of a system onto the local summand eR; the
+    system itself when R is local."""
     ring = system.ring
     summand = next(
         (s for s in decompose_local(ring) if s.e.index == e.index and e.ring is ring),
@@ -310,11 +265,10 @@ def project_to_local(system: LinSystem, e: RingElement) -> LinSystem:
     )
     if summand is None:
         raise InvalidParameter(f"{e!r} is not a base idempotent of {ring.spec}")
-    entries = {
-        key: summand.project(v) for key, v in system.entries.items()
-    }
-    b = {i: summand.project(v) for i, v in system.b.items()}
-    return LinSystem(summand.ring, list(system.rows), list(system.cols), entries, b)
+    if summand.ring is ring:
+        return system
+    return LinSystem._from_arrays(summand.ring, system.rows, system.cols, A=summand.proj[system.A],
+                                  b_vec=summand.proj[system.b_vec])
 
 
 # ---------------------------------------------------------------------------

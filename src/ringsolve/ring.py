@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidParameter, NotARing
+from .errors import CapacityError, InternalError, InvalidParameter, NotARing
 
 DEFAULT_MAX_ELEMS = 4096
 _CHUNK = 1 << 14  # entries computed per step of a row-chunked scan
@@ -38,6 +38,7 @@ def _check_size(size: int, what: str):
         raise CapacityError(f"{what} has {size} elements, exceeding the cap of {cap}")
 
 
+@functools.cache
 def _index_dtype(size: int):
     """The smallest signed integer type that holds every index below ``size``."""
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= size - 1)
@@ -174,6 +175,17 @@ class _Carrier:
         if self._add_t is None:
             return _reduce(np.subtract(x, y, dtype=np.int64), self.size)
         return self._add_t[x, self._neg_t[y]]
+
+    def scalar(self, k, x):
+        """k·x for integers k >= 0 and element indices x, broadcast together,
+        by binary doubling with the elementwise add."""
+        k, base = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(x))
+        acc = np.full(k.shape, self._zero_idx, dtype=np.int64)
+        while k.any():
+            acc = np.where(k & 1, self.add(acc, base), acc)
+            base = self.add(base, base)
+            k = k >> 1
+        return acc
 
     def add_table(self) -> list[list[int]]:
         """The addition table as lists, computed from the carrier on each call."""
@@ -312,9 +324,6 @@ class Poly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_monic(self) -> bool:
-        return self.coeffs[-1] == 1
 
     def __str__(self):
         terms = []
@@ -817,11 +826,19 @@ class CyclicDecomposition:
 def group_decompose_cyclic(group: AbelianGroup, scan_order: Sequence[int] | None = None) -> CyclicDecomposition:
     """Decompose a finite abelian group into cyclic factors of dividing orders.
 
-    Greedy selection: repeatedly take the element of maximal order modulo the
-    subgroup generated so far (first such element in ``scan_order``, default
-    table order), adjusted by a subgroup combination so its order is exact.
-    Generators are returned in increasing order, l_1 | l_2 | ... | l_k.
-    Memoised per scan order.
+    Greedy selection: repeatedly take the element x of maximal order t modulo
+    the span H of the generators chosen so far (first such element in
+    ``scan_order``, default table order), and subtract a combination of
+    those generators so that its order becomes exactly t.  Generators are
+    returned in increasing order, l_1 | l_2 | ... | l_k.  Memoised per scan
+    order.
+
+    The adjustment always succeeds.  Let o_j be the order chosen at step j:
+    the exponent of G/H_{j-1}, so t divides o_j.  Write t·x = sum_i a_i·g_i
+    with 0 <= a_i < o_i.  Then o_j·x = (o_j/t)·(t·x) lies in H_{j-1}, so its
+    coordinate j vanishes: o_j divides (o_j/t)·a_j, hence t divides a_j.  So
+    adj = x - sum_i (a_i/t)·g_i has t·adj = 0, and it is still of order t
+    modulo H.  A failure raises InternalError.
     """
     g = group
     scan = tuple(scan_order) if scan_order is not None else tuple(range(g.size))
@@ -829,33 +846,21 @@ def group_decompose_cyclic(group: AbelianGroup, scan_order: Sequence[int] | None
     if key in g._cache:
         return g._cache[key]
     scan_arr = np.array(scan, dtype=np.int64)
-    identity = np.arange(g.size) == g.identity.index
     # the span, listed in coordinate order: the first chosen generator most significant
     members = np.array([g.identity.index])
-    span = identity.copy()
+    span = np.arange(g.size) == g.identity.index
     chosen: list[tuple[int, int]] = []
     while members.size < g.size:
         rest = scan_arr[~span[scan_arr]]
         orders = _orders_modulo(g, span, rest)
         x, t = int(rest[orders.argmax()]), int(orders.max())
-        # t*x lies in the span; subtract a combination so the order becomes exact
         position = int(np.flatnonzero(members == g.scalar_idx(t, x))[0])
-        coords = []  # of t·x, last chosen generator first
-        for _, order in reversed(chosen):
-            position, c = divmod(position, order)
-            coords.append(c)
         adj = x
-        if all(a % t == 0 for a in coords):
-            for (gen, _), a in zip(reversed(chosen), coords):
-                adj = g.sub_idx(adj, g.scalar_idx(a // t, gen))
+        for gen, order in reversed(chosen):  # coordinates of t·x, last chosen generator first
+            position, a = divmod(position, order)
+            adj = g.sub_idx(adj, g.scalar_idx(a // t, gen))
         if g.scalar_idx(t, adj) != g.identity.index:
-            # greedy shortcut failed (adj has order t modulo the span, so exactly
-            # when t·adj = 0); a shift into the span must exist
-            shifts = g.sub(x, members)
-            exact = np.flatnonzero(_orders_modulo(g, identity, shifts) == t)
-            if not exact.size:
-                raise NotARing("cyclic decomposition", "no shift of exact order")
-            adj = int(shifts[exact[0]])
+            raise InternalError(f"cyclic decomposition of {g.spec}: no exact order {t} for {g.format_element(x)}")
         chosen.append((adj, t))
         grown = members.size * t
         members = _extend_span(g, members, span, adj)

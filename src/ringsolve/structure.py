@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,12 +62,24 @@ def base(ring: FiniteRing) -> set[RingElement]:
 
 @dataclass
 class LocalSummand:
-    """One local summand eR of a decomposition, with its transfer maps."""
+    """One local summand eR of a decomposition, with its transfer maps.
+
+    ``members[k]`` is the R index of summand element k, and ``proj[r]`` the
+    summand index of e·r.
+    """
 
     e: RingElement
     ring: FiniteRing
-    embed: Callable[[int], int]    # summand index -> R index
-    project: Callable[[int], int]  # R index -> summand index
+    members: np.ndarray
+    proj: np.ndarray
+
+    def embed(self, i: int) -> int:
+        """Summand index -> R index."""
+        return int(self.members[i])
+
+    def project(self, r: int) -> int:
+        """R index -> summand index."""
+        return int(self.proj[r])
 
 
 def decompose_local(ring: FiniteRing) -> list[LocalSummand]:
@@ -76,12 +88,11 @@ def decompose_local(ring: FiniteRing) -> list[LocalSummand]:
     if "summands" in ring._cache:
         return ring._cache["summands"]
     base_set = sorted(e.index for e in base(ring))
+    elems = np.arange(ring.size)
     summands = []
     if base_set == [ring.one.index]:
-        identity = lambda i: i
-        summands.append(LocalSummand(ring.one, ring, identity, identity))
+        summands.append(LocalSummand(ring.one, ring, elems, elems))
     else:
-        elems = np.arange(ring.size)
         for e in base_set:
             in_summand = np.zeros(ring.size, dtype=bool)
             in_summand[ring.mul(e, elems)] = True
@@ -96,15 +107,7 @@ def decompose_local(ring: FiniteRing) -> list[LocalSummand]:
                 spec=f"local({ring.spec},{ring.format_element(e)})",
                 _validate=False,
             )
-            members_tuple, pos_list = tuple(members.tolist()), pos.tolist()
-            summands.append(
-                LocalSummand(
-                    e=ring.element(e),
-                    ring=sub,
-                    embed=lambda i, m=members_tuple: m[i],
-                    project=lambda r, p=pos_list, rr=ring, ee=e: p[rr.mul_idx(ee, r)],
-                )
-            )
+            summands.append(LocalSummand(ring.element(e), sub, members, pos[ring.mul(e, elems)]))
     ring._cache["summands"] = summands
     return summands
 
@@ -265,16 +268,10 @@ class RingOrder:
     def key(self, i: int) -> tuple:
         return self._keys[i]
 
-    def less(self, a: int, b: int) -> bool:
-        return self._keys[a] < self._keys[b]
-
     def rep(self, i: int) -> list[tuple[tuple[int, ...], int]]:
         if self._reps is None:
             raise Unsupported("this order carries no canonical representations")
         return self._reps[i]
-
-    def rank(self, i: int) -> int:
-        return self.sorted_elements.index(i)
 
 
 def table_order(ring: FiniteRing) -> RingOrder:
@@ -495,9 +492,6 @@ class GaloisRep:
     @property
     def q(self) -> int:
         return self.p**self.n
-
-    def to_poly(self, elem: RingElement) -> tuple[int, ...]:
-        return self.iota[elem.index]
 
     def from_poly(self, coeffs: Sequence[int]) -> RingElement:
         key = tuple(c % self.q for c in coeffs)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import random
@@ -133,6 +134,26 @@ def count_scalar_calls(ring, ops=("_add", "_mul", "_neg")) -> list[int]:
     for name in ops:
         setattr(ring, name, counted(getattr(ring, name)))
     return calls
+
+
+@contextlib.contextmanager
+def count_validations():
+    """Count the calls of the validating path of systems and matrices
+    (``_Indexed._coefficients``) inside the block; yields the counter list."""
+    from ringsolve.linsys import _Indexed
+
+    calls = [0]
+    real = _Indexed._coefficients
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return real(self, *args, **kwargs)
+
+    _Indexed._coefficients = counted
+    try:
+        yield calls
+    finally:
+        _Indexed._coefficients = real
 
 
 def same_inverse(x, y) -> bool:

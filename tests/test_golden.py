@@ -490,7 +490,7 @@ def _oracle_ids(rng: random.Random, base: int):
 def _planted_rhs(rng: random.Random, system, values: int) -> dict:
     """The left-hand side of ``system`` at random variable values below ``values``."""
     x0 = {j: rng.randrange(values) for j in system.cols}
-    return {i: system._lhs(i, x0) for i in system.rows}
+    return dict(zip(system.rows, system._lhs(system._values(x0)).tolist()))
 
 
 def _oracle_systems() -> dict:

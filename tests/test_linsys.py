@@ -9,6 +9,7 @@ from conftest import (
     all_small_systems,
     bivariate_nilpotent,
     count_scalar_calls,
+    count_validations,
     f4,
     gr42,
     random_linsystem,
@@ -30,6 +31,7 @@ from ringsolve import (
     eval_system,
     hermite_normal_form,
     is_invertible,
+    solve,
     solve_chain,
     solve_commutative,
     solve_group,
@@ -378,6 +380,29 @@ def test_solve_twosided_random_agreement(rng):
             assert system.eval(cert.assignment)
         else:
             assert verify_certificate(system, cert)
+
+
+def test_internal_targets_skip_validation(rng):
+    """Reductions build their targets from arrays: solving and verifying a
+    prebuilt system never runs the validating constructor path."""
+    z12, group, ut2 = zmod(12), build_product_group([build_cyclic_group(4), build_cyclic_group(6)]), upper_triangular_f2()
+    systems = []
+    for n, m in ((2, 3), (3, 2), (3, 4), (4, 3)):
+        rows, cols = [f"e{i}" for i in range(n)], [f"x{j}" for j in range(m)]
+        cells = [(i, j) for i in rows for j in cols]
+        systems.append(random_linsystem(rng, z12, n, m))
+        systems.append(GroupSystem(group, rows, cols, {c: rng.randrange(5) for c in cells},
+                                   {i: rng.randrange(group.size) for i in rows}))
+        systems.append(TwoSidedSystem(ut2, rows, cols, {c: rng.randrange(8) for c in cells},
+                                      {(j, i): rng.randrange(8) for i, j in cells}, {i: rng.randrange(8) for i in rows}))
+    verdicts = set()
+    for system in systems:
+        with count_validations() as calls:
+            cert = solve(system)
+            assert verify_certificate(system, cert)
+        assert calls[0] == 0
+        verdicts.add((type(system).__name__, cert.verdict))
+    assert len(verdicts) == 6  # both verdicts of every kind
 
 
 def test_numerical_system_solving(rng):

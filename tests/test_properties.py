@@ -8,26 +8,37 @@ matrices over local and non-local commutative rings: ``inverse`` must agree
 with the oracle's |GL|-power inverse and be a two-sided inverse.  Random
 ring, group, two-sided and numerical systems and random matrices: writing,
 parsing and writing again must give the same file text, and a system parsed
-from its file must get the same verdict.  Examples are derandomized and
-bounded so that every run checks the same cases.
+from its file must get the same verdict.  The same systems: ``eval`` and
+``canonical_text`` must agree with term-by-term definitions written here,
+and a certificate with one tampered value or digest must be rejected, by
+``verify_certificate`` and by ``ringsolve verify``, unless it still holds.
+Random scan orders over product groups: the cyclic decomposition must give
+a divisibility chain whose coordinates round-trip.  Examples are
+derandomized and bounded so that every run checks the same cases.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bivariate_nilpotent, f4, gr42, same_inverse, zmod
 from ringsolve import (
+    Certificate,
     GroupSystem,
     LinSystem,
     Matrix,
     NumericalSystem,
     TwoSidedSystem,
+    UnsolvableWitness,
     hermite_normal_form,
     inverse,
     mat_mul,
@@ -35,11 +46,20 @@ from ringsolve import (
     solve_chain,
     verify_certificate,
 )
+from ringsolve.cli import main
 from ringsolve.linsys import _chain_valuations
 from ringsolve.oracle import brute_force_solve, inverse_by_power
-from ringsolve.ring import additive_group, unit_indices
+from ringsolve.ring import additive_group, group_decompose_cyclic, unit_indices
 from ringsolve.structure import chain_data
-from ringsolve.sysio import parse_group_spec, parse_matrix, parse_ring_spec, parse_system, write_matrix, write_system
+from ringsolve.sysio import (
+    parse_group_spec,
+    parse_matrix,
+    parse_ring_spec,
+    parse_system,
+    write_certificate,
+    write_matrix,
+    write_system,
+)
 
 RINGS = {"Z/4": lambda: zmod(4), "Z/8": lambda: zmod(8), "Z/9": lambda: zmod(9), "F4": f4, "GR(4,2)": gr42}
 
@@ -225,3 +245,155 @@ def test_system_files_round_trip(system):
 def test_matrix_files_round_trip(matrix):
     text = write_matrix(matrix)
     assert write_matrix(parse_matrix(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# eval and canonical text against definitions written here
+
+
+def _scalar_lhs(system, assignment: dict, i) -> int:
+    """The left-hand side of row i, term by term through the scalar ops."""
+    c = system.carrier
+    acc = c.zero.index if isinstance(system, (LinSystem, TwoSidedSystem)) else c.identity.index
+    for j in system.cols:
+        x = assignment[j]
+        if isinstance(system, TwoSidedSystem):
+            if (i, j) in system.left:
+                acc = c.add_idx(acc, c.mul_idx(system.left[(i, j)], x.index))
+            if (j, i) in system.right:
+                acc = c.add_idx(acc, c.mul_idx(x.index, system.right[(j, i)]))
+        elif (i, j) in system.entries:
+            coef = system.entries[(i, j)]
+            if isinstance(system, LinSystem):
+                term = c.mul_idx(coef, x.index)
+            elif isinstance(system, GroupSystem):
+                term = c.scalar_idx(coef, x.index)
+            else:
+                term = c.scalar_idx(x, coef)
+            acc = c.add_idx(acc, term)
+    return acc
+
+
+def _satisfies(system, assignment: dict) -> bool:
+    return all(_scalar_lhs(system, assignment, i) == system.rhs_idx(i) for i in system.rows)
+
+
+def _value(system, k: int):
+    """A variable value of the system's kind from a drawn integer."""
+    return k if isinstance(system, NumericalSystem) else system.carrier.element(k % system.carrier.size)
+
+
+@PROPERTY_SETTINGS
+@given(file_systems(), st.data())
+def test_eval_agrees_with_scalar_sum(system, data):
+    drawn = data.draw(st.lists(st.integers(-50, 50), min_size=len(system.cols), max_size=len(system.cols)))
+    assignment = {j: _value(system, k) for j, k in zip(system.cols, drawn)}
+    assert system.eval(assignment) == _satisfies(system, assignment)
+    cert = solve(system)
+    if cert.solvable:
+        assert system.eval(cert.assignment) and _satisfies(system, cert.assignment)
+
+
+def _rendered(system) -> str:
+    """The canonical text, one row at a time from the sparse coefficients."""
+    fmt = system.carrier.format_element
+    lines = [f"{system.keyword} {system.carrier.spec}"]
+    cols = sorted(system.cols, key=str)
+    for i in sorted(system.rows, key=str):
+        terms = []
+        for j in cols:
+            if isinstance(system, TwoSidedSystem):
+                if (i, j) in system.left:
+                    terms.append(f"{fmt(system.left[(i, j)])}*{j}")
+                if (j, i) in system.right:
+                    terms.append(f"{j}*{fmt(system.right[(j, i)])}")
+            elif (i, j) in system.entries:
+                c = system.entries[(i, j)]
+                terms.append(f"{c if isinstance(system, GroupSystem) else fmt(c)}*{j}")
+        lines.append(f"eq {i}: {' + '.join(terms) if terms else '0'} = {fmt(system.rhs_idx(i))}")
+    return "\n".join(lines)
+
+
+@PROPERTY_SETTINGS
+@given(file_systems())
+def test_canonical_text_agrees_with_rendering(system):
+    parsed = parse_system(write_system(system))
+    assert parsed.canonical_text() == _rendered(parsed)
+
+
+# ---------------------------------------------------------------------------
+# cyclic decomposition under any scan order
+
+PRODUCT_GROUPS = ["Z/2 x Z/4", "Z/2 x Z/2 x Z/6", "Z/3 x Z/9", "Z/4 x Z/8 x Z/9", "Z/2 x Z/6 x Z/4", "Z/5 x Z/25"]
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(PRODUCT_GROUPS), st.data())
+def test_cyclic_decomposition_under_random_scan_order(spec, data):
+    group = parse_group_spec(spec)
+    scan = data.draw(st.permutations(range(group.size)))
+    decomp = group_decompose_cyclic(group, scan)
+    orders = [order for _, order in decomp.pairs]
+    assert all(b % a == 0 for a, b in zip(orders, orders[1:]))
+    assert math.prod(orders) == group.size
+    assert all(group.order_of(g) == order for g, order in decomp.pairs)
+    assert all(decomp.element_of(decomp.coords_of(i)) == i for i in range(group.size))
+
+
+# ---------------------------------------------------------------------------
+# tampered certificates
+
+
+def _witness_holds(reduced, rows: dict) -> bool:
+    """x·(A|b) = (0,...,0,pi^(n-1)) on the reduced chain system, term by term."""
+    ring = reduced.ring
+    cd = chain_data(ring)
+    x = {i: ring.parse_element(v).index for i, v in rows.items()}
+
+    def column(coef):
+        acc = ring.zero.index
+        for i in reduced.rows:
+            acc = ring.add_idx(acc, ring.mul_idx(x[i], coef(i)))
+        return acc
+
+    if any(column(lambda i: reduced.entry_idx(i, j)) != ring.zero.index for j in reduced.cols):
+        return False
+    return column(reduced.rhs_idx) == ring.pow_idx(cd.pi.index, cd.n - 1)
+
+
+def _verify_cli(system, cert) -> int:
+    with tempfile.TemporaryDirectory() as work:
+        system_path, cert_path = Path(work) / "system.rls", Path(work) / "cert.txt"
+        system_path.write_text(write_system(system))
+        cert_path.write_text(write_certificate(cert, system))
+        with contextlib.redirect_stdout(io.StringIO()):
+            return main(["verify", str(system_path), str(cert_path)])
+
+
+@PROPERTY_SETTINGS
+@given(file_systems(), st.data())
+def test_tampered_certificates_are_rejected(generated, data):
+    system = parse_system(write_system(generated))
+    cert = solve(system)
+    what = data.draw(st.sampled_from(["value", "digest"]))
+    if cert.solvable:
+        j = data.draw(st.sampled_from(system.cols))
+        old = cert.assignment[j]
+        k = data.draw(st.integers(-50, 50).filter(lambda k: _value(system, k) != old))
+        tampered = Certificate("SOLVABLE", assignment={**cert.assignment, j: _value(system, k)})
+        valid = _satisfies(system, tampered.assignment)
+    else:
+        w = cert.witness
+        if what == "digest":
+            digest = data.draw(st.text("0123456789abcdef", min_size=16, max_size=16).filter(lambda d: d != w.digest))
+            rows, valid = w.rows, False
+        else:
+            ring = cert.reduced.ring
+            i = data.draw(st.sampled_from(sorted(w.rows, key=str)))
+            name = ring.format_element(data.draw(st.integers(0, ring.size - 1)))
+            assume(name != w.rows[i])
+            digest, rows = w.digest, {**w.rows, i: name}
+            valid = _witness_holds(cert.reduced, rows)
+        tampered = Certificate("UNSOLVABLE", witness=UnsolvableWitness(w.summand, w.chain_spec, digest, rows))
+    assert verify_certificate(system, tampered) == valid
+    assert _verify_cli(system, tampered) == (0 if valid else 1)
