@@ -46,6 +46,18 @@ for one seeded 2x3 system per such ring, the ``ring_to_cyclic`` trace
 (``generators``, ``orders``, ``structure_constants`` and the sha256 of
 ``term_coefficients``) of the whole ring in table order and of every local
 projection in ``default_order``.
+
+A seventh file, ``golden_reductions.json``, pins the targets of the closure
+reductions on seeded systems over ``Z/2``, ``Z/3``, ``Z/4``, ``Z/8`` and
+``Z/9`` and seeded group systems over two product groups: for
+``normal_form`` and its right-hand-side stage ``_rhs_normalize``,
+``complement_chain``, ``and_compose``, ``or_compose``, ``collapse_nested``
+and ``group_to_ring``, the target's row and column ids as strings in order
+(the sha256 of their JSON text past 64 ids), its ``digest()``, its verdict
+and the sha256 of its certificate text.  Row and column order fixes the
+pivot ties of Hermite elimination, so it is pinned, not only the digest.
+It also pins the standard output, exit code and written file of
+``ringsolve reduce --trace`` on the corpus system files.
 """
 
 from __future__ import annotations
@@ -74,17 +86,23 @@ from ringsolve import (
     build_product_group,
     build_table_ring,
     build_zmod,
+    and_compose,
     canonical_params,
+    collapse_nested,
+    complement_chain,
     chain_data,
     decompose_local,
     determinant,
     group_decompose_cyclic,
+    group_to_ring,
     hermite_normal_form,
     idempotents,
     inverse,
     is_galois_ring,
     mat_mul,
     minimal_generators_maximal_ideal,
+    normal_form,
+    or_compose,
     project_to_local,
     ring_to_cyclic,
     solve,
@@ -94,8 +112,9 @@ from ringsolve import (
 )
 from ringsolve.cli import main
 from ringsolve.oracle import brute_force_solve, enumerate_witnesses
+from ringsolve.reductions import _rhs_normalize
 from ringsolve.ring import additive_group, unit_indices
-from ringsolve.structure import default_order
+from ringsolve.structure import default_order, table_order
 from ringsolve.sysio import (
     parse_certificate,
     parse_group_spec,
@@ -112,6 +131,7 @@ EXPECTED_MATRICES = json.loads((Path(__file__).with_name("golden_matrices.json")
 EXPECTED_ORACLE = json.loads((Path(__file__).with_name("golden_oracle.json")).read_text())
 EXPECTED_STRUCTURE = json.loads((Path(__file__).with_name("golden_structure.json")).read_text())
 EXPECTED_CYCLIC = json.loads((Path(__file__).with_name("golden_cyclic.json")).read_text())
+EXPECTED_REDUCTIONS = json.loads((Path(__file__).with_name("golden_reductions.json")).read_text())
 
 
 def _pick(rng: random.Random, size: int, zero: int, density: float = 0.7) -> int:
@@ -782,3 +802,139 @@ def test_golden_cyclic_outputs(name):
     else:
         observed = observe_cyclic(*_cyclic_cases()[name]())
     assert json.loads(json.dumps(observed)) == EXPECTED_CYCLIC[name]
+
+
+# ---------------------------------------------------------------------------
+# closure reductions
+
+
+REDUCTION_MODULI = (2, 3, 4, 8, 9)
+REDUCTION_GROUPS = ("Z/2 x Z/4", "Z/3 x Z/3")
+
+
+def _reduction_ids(rng: random.Random, n: int, prefix: str) -> list:
+    """n distinct ids whose order differs from their string order, as
+    strings, tuples or ints."""
+    kind = rng.randrange(3)
+    ids = [f"{prefix}{k}" if kind == 0 else (prefix, k) if kind == 1 else 10 * k + 3 for k in range(n)]
+    rng.shuffle(ids)
+    return ids
+
+
+def _reduction_system(rng: random.Random, ring, max_rows: int, max_cols: int) -> LinSystem:
+    rows = _reduction_ids(rng, rng.randint(1, max_rows), "e")
+    cols = _reduction_ids(rng, rng.randint(1, max_cols), "x")
+    zero = ring.zero.index
+    entries = {(i, j): _pick(rng, ring.size, zero) for i in rows for j in cols}
+    return LinSystem(ring, rows, cols, entries, {i: _pick(rng, ring.size, zero) for i in rows})
+
+
+def _reduction_normal(rng: random.Random, ring) -> LinSystem:
+    """An all-ones system with {0,1} coefficients over a prime field."""
+    rows = _reduction_ids(rng, rng.randint(1, 2), "e")
+    cols = _reduction_ids(rng, rng.randint(1, 2), "x")
+    entries = {(i, j): 1 for i in rows for j in cols if rng.random() < 0.6}
+    return LinSystem(ring, rows, cols, entries, {i: 1 for i in rows})
+
+
+@functools.cache
+def _reduction_targets() -> dict:
+    """Name -> builder of a reduction target, from seeded sources."""
+    rng = random.Random(20120514)
+    cases = {}
+    for m in REDUCTION_MODULI:
+        ring = build_zmod(m)
+        small = 3 if m < 8 else 2
+        sources = [_reduction_system(rng, ring, small, small) for _ in range(6)]
+        for k, s in enumerate(sources):
+            label = f"Z{m}-{k}"
+            cases[f"normal_form {label}"] = functools.partial(lambda s: normal_form(s).target, s)
+            cases[f"rhs_normalize {label}"] = functools.partial(
+                lambda s: _rhs_normalize(ring_to_cyclic(s, table_order(s.ring)).target), s)
+            cases[f"complement_chain {label}"] = functools.partial(lambda s: complement_chain(s).target, s)
+            other = sources[(k + 1) % len(sources)]
+            cases[f"and_compose {label}"] = functools.partial(and_compose, s, other)
+            cases[f"or_compose {label}"] = functools.partial(or_compose, s, other)
+    for p in (2, 3):
+        ring = build_zmod(p)
+        for k in range(4):
+            outer_rows = _reduction_ids(rng, rng.randint(1, 2), "a")
+            outer_cols = _reduction_ids(rng, rng.randint(1, 2), "b")
+            inner = {(a, c): _reduction_normal(rng, ring) for a in outer_rows for c in outer_cols}
+            cases[f"collapse_nested Z{p}-{k}"] = functools.partial(collapse_nested, outer_rows, outer_cols, inner)
+    for spec in REDUCTION_GROUPS:
+        group = parse_group_spec(spec)
+        for k in range(6):
+            rows = _reduction_ids(rng, rng.randint(1, 3), "e")
+            cols = _reduction_ids(rng, rng.randint(1, 3), "x")
+            entries = {(i, j): _pick(rng, 7, 0) for i in rows for j in cols}
+            b = {i: _pick(rng, group.size, group.identity.index) for i in rows}
+            source = GroupSystem(group, rows, cols, entries, b)
+            cases[f"group_to_ring {spec}-{k}"] = functools.partial(lambda s: group_to_ring(s).target, source)
+    return cases
+
+
+def _id_list(ids: list) -> list[str] | str:
+    names = [str(i) for i in ids]
+    if len(names) <= 64:
+        return names
+    return "sha256:" + hashlib.sha256(json.dumps(names).encode()).hexdigest()
+
+
+def observe_reduction(target: LinSystem) -> dict:
+    cert = solve(target)
+    return {
+        "rows": _id_list(target.rows),
+        "cols": _id_list(target.cols),
+        "digest": target.digest(),
+        "verdict": cert.verdict,
+        "certificate": hashlib.sha256(write_certificate(cert, target).encode()).hexdigest()[:16],
+    }
+
+
+REDUCE_SINGLE = ("ring-to-cyclic", "group-to-ring", "twosided-numerical", "normal-form", "complement")
+
+
+def _reduce_cli_cases() -> dict:
+    """Name -> argument list (without ``-o``) of a ``ringsolve reduce`` run on
+    corpus files: every single-input reduction on every system file, and
+    ``and``/``or`` on every ordered pair of ring files over one ring."""
+    files = sorted(p for p in (ROOT / "corpus").glob("*.rls") if p.name != "matrix_z9.rls")
+    cases = {}
+    for path in files:
+        for name in REDUCE_SINGLE:
+            cases[f"cli {name} {path.stem}"] = [name, f"corpus/{path.name}"]
+    headers = {p: next(line for line in p.read_text().splitlines() if line and not line.startswith("#"))
+               for p in files}
+    for first, second in itertools.product(files, repeat=2):
+        if headers[first].startswith("ring ") and headers[first] == headers[second]:
+            for name in ("and", "or"):
+                cases[f"cli {name} {first.stem} {second.stem}"] = [name, f"corpus/{first.name}",
+                                                                   f"corpus/{second.name}"]
+    return cases
+
+
+def observe_reduce_cli(args: list, tmp_path: Path, capsys) -> dict:
+    out = tmp_path / "target.rls"
+    code = main(["reduce", *args, "-o", str(out), "--trace"])
+    captured = capsys.readouterr()
+    return {"exit": code, "stdout": captured.out, "file": out.read_text() if out.exists() else None}
+
+
+def test_golden_reductions_cover_every_case():
+    names = list(_reduction_targets()) + list(_reduce_cli_cases())
+    assert sorted(names) == sorted(EXPECTED_REDUCTIONS)
+    verdicts = {(name.split()[0], EXPECTED_REDUCTIONS[name]["verdict"])
+                for name in EXPECTED_REDUCTIONS if not name.startswith("cli ")}
+    for kind in ("normal_form", "complement_chain", "and_compose", "or_compose", "collapse_nested"):
+        assert (kind, "SOLVABLE") in verdicts and (kind, "UNSOLVABLE") in verdicts, kind
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_REDUCTIONS))
+def test_golden_reduction_outputs(monkeypatch, tmp_path, capsys, name):
+    if name.startswith("cli "):
+        monkeypatch.chdir(ROOT)
+        observed = observe_reduce_cli(_reduce_cli_cases()[name], tmp_path, capsys)
+    else:
+        observed = observe_reduction(_reduction_targets()[name]())
+    assert observed == EXPECTED_REDUCTIONS[name]
