@@ -60,7 +60,6 @@ from .reductions import (
     group_to_ring,
     normal_form,
     or_compose,
-    or_compose_general,
     project_to_local,
     ring_to_cyclic,
     twosided_to_numerical,

@@ -121,7 +121,6 @@ REDUCTION_NAMES = [
     "complement",
     "and",
     "or",
-    "or-general",
     "collapse",
 ]
 
@@ -159,7 +158,6 @@ REDUCTION_INPUT = {
     "complement": linsys.LinSystem,
     "and": linsys.LinSystem,
     "or": linsys.LinSystem,
-    "or-general": linsys.LinSystem,
 }
 
 
@@ -201,9 +199,6 @@ def _run_reduction(name: str, systems: list, args):
         if len(systems) != 2:
             raise SpecParseError("or takes exactly two system files")
         return reductions.or_compose(systems[0], systems[1]), {}
-    if name == "or-general":
-        out = reductions.or_compose_general(systems)
-        return out.target, out.trace
     raise SpecParseError(f"unknown reduction {name!r}")
 
 
@@ -230,9 +225,7 @@ def _square_view(matrix: matalg.Matrix) -> matalg.Matrix:
     """Relabel columns by row ids positionally so square ops apply."""
     if set(matrix.rows) == set(matrix.cols) or len(matrix.rows) != len(matrix.cols):
         return matrix
-    relabel = dict(zip(matrix.cols, matrix.rows))
-    entries = {(i, relabel[j]): v for (i, j), v in matrix.entries.items()}
-    return matalg.Matrix(matrix.ring, matrix.rows, matrix.rows, entries)
+    return matalg.Matrix._from_arrays(matrix.ring, matrix.rows, matrix.rows, A=matrix.A)
 
 
 def _cmd_mat(args) -> int:

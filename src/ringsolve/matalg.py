@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import InternalError, InvalidParameter, PreconditionViolation, UnsupportedRing
-from .linsys import _Indexed
+from .linsys import _Indexed, _fold
 from .ring import FiniteRing, RingElement, unit_indices
 from .structure import (
     decompose_local,
@@ -29,9 +31,27 @@ from .structure import (
 )
 
 
+def _positions(ids: list, order: list) -> list[int]:
+    """The position in ``ids`` of each id of ``order``."""
+    pos = dict(zip(ids, range(len(ids))))
+    return [pos[i] for i in order]
+
+
+def _identity_grid(ring: FiniteRing, n: int) -> np.ndarray:
+    grid = np.full((n, n), ring.zero.index, dtype=np.int64)
+    np.fill_diagonal(grid, ring.one.index)
+    return grid
+
+
+def _product(ring: FiniteRing, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The grid product: (XY)(i,j) = sum_k X(i,k)·Y(k,j)."""
+    return _fold(ring, ring.mul(x[:, :, None], y[None, :, :]))
+
+
 class Matrix(_Indexed):
     """A finitely indexed matrix over a ring; entries stored sparsely, with
-    the dense grid ``A`` derived on first use."""
+    the dense grid ``A`` derived on first use.  Results of matrix operations
+    are built from grids and skip validation."""
 
     ring = property(lambda self: self.carrier)
 
@@ -41,8 +61,17 @@ class Matrix(_Indexed):
 
     @staticmethod
     def identity(ring: FiniteRing, ids: Sequence) -> "Matrix":
-        one = ring.one.index
-        return Matrix(ring, ids, ids, {(i, i): one for i in ids})
+        matrix = Matrix.__new__(Matrix)
+        matrix._set_ids(ring, ids, ids)
+        matrix.A = _identity_grid(ring, len(matrix.rows))
+        return matrix
+
+    def _grid_in(self, rows: list, cols: list) -> np.ndarray:
+        """The grid with rows and columns in the given orders of this
+        matrix's row and column ids."""
+        if rows == self.rows and cols == self.cols:
+            return self.A
+        return self.A[np.ix_(_positions(self.rows, rows), _positions(self.cols, cols))]
 
     def is_square(self) -> bool:
         return set(self.rows) == set(self.cols)
@@ -53,11 +82,7 @@ class Matrix(_Indexed):
     def equals(self, other: "Matrix") -> bool:
         if self.ring is not other.ring or not self.same_shape(other):
             return False
-        return all(
-            self.entry_idx(i, j) == other.entry_idx(i, j)
-            for i in self.rows
-            for j in self.cols
-        )
+        return bool((self.A == other._grid_in(self.rows, self.cols)).all())
 
     def __repr__(self):
         return f"Matrix({self.ring.spec}, {len(self.rows)}x{len(self.cols)})"
@@ -66,14 +91,7 @@ class Matrix(_Indexed):
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     if a.ring is not b.ring or not a.same_shape(b):
         raise InvalidParameter("matrix addition requires matching index sets and ring")
-    ring = a.ring
-    entries = {}
-    for i in a.rows:
-        for j in a.cols:
-            v = ring.add_idx(a.entry_idx(i, j), b.entry_idx(i, j))
-            if v != ring.zero.index:
-                entries[(i, j)] = v
-    return Matrix(ring, a.rows, a.cols, entries)
+    return Matrix._from_arrays(a.ring, a.rows, a.cols, A=a.ring.add(a.A, b._grid_in(a.rows, a.cols)))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -82,26 +100,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise InvalidParameter("matrix product requires a common ring")
     if set(a.cols) != set(b.rows):
         raise InvalidParameter("inner index sets do not match")
-    ring = a.ring
-    entries = {}
-    b_by_row: dict = {}
-    for (k, j), v in b.entries.items():
-        b_by_row.setdefault(k, []).append((j, v))
-    for i in a.rows:
-        acc: dict = {}
-        for k in a.cols:
-            av = a.entries.get((i, k))
-            if av is None:
-                continue
-            for j, bv in b_by_row.get(k, ()):
-                prod = ring.mul_idx(av, bv)
-                if prod != ring.zero.index:
-                    prev = acc.get(j)
-                    acc[j] = prod if prev is None else ring.add_idx(prev, prod)
-        for j, v in acc.items():
-            if v != ring.zero.index:
-                entries[(i, j)] = v
-    return Matrix(ring, a.rows, b.cols, entries)
+    return Matrix._from_arrays(a.ring, a.rows, b.cols, A=_product(a.ring, a.A, b._grid_in(a.cols, b.cols)))
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:
@@ -110,24 +109,25 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
         raise InvalidParameter("matrix power requires a square matrix")
     if e < 0:
         raise InvalidParameter("negative matrix exponent")
-    result = Matrix.identity(a.ring, a.rows)
-    base = a
+    ring = a.ring
+    base = a._grid_in(a.rows, a.rows)
+    result = _identity_grid(ring, len(a.rows))
     while e:
         if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result = _product(ring, result, base)
+        base = _product(ring, base, base)
         e >>= 1
-    return result
+    return _square_result(a, result)
+
+
+def _square_result(a: Matrix, grid: np.ndarray) -> Matrix:
+    """A matrix with the ids of the square matrix a, from a grid whose
+    columns are in a's row order."""
+    return Matrix._from_arrays(a.ring, a.rows, a.cols, A=grid[:, _positions(a.rows, a.cols)])
 
 
 def mat_scale(c: RingElement, a: Matrix) -> Matrix:
-    ring = a.ring
-    entries = {}
-    for key, v in a.entries.items():
-        prod = ring.mul_idx(c.index, v)
-        if prod != ring.zero.index:
-            entries[key] = prod
-    return Matrix(ring, a.rows, a.cols, entries)
+    return Matrix._from_arrays(a.ring, a.rows, a.cols, A=a.ring.mul(c.index, a.A))
 
 
 # ---------------------------------------------------------------------------
@@ -156,42 +156,30 @@ def gl_order(ring: FiniteRing, n: int) -> int:
 # inverse
 
 
-def _project_matrix(a: Matrix, summand) -> Matrix:
-    entries = {key: summand.project(v) for key, v in a.entries.items()}
-    return Matrix(summand.ring, a.rows, a.cols, entries)
-
-
-def _invert_local(ring: FiniteRing, grid: list[list[int]]) -> list[list[int]] | None:
+def _invert_local(ring: FiniteRing, grid: np.ndarray) -> np.ndarray | None:
     """Gauss–Jordan on [A | I] over a local ring; None when A is singular.
 
     The pivot of column c is the first row at or below c holding a unit.  If
     there is none, A is singular modulo the maximal ideal, hence singular.
     """
     n = len(grid)
-    zero, one = ring.zero.index, ring.one.index
-    units = unit_indices(ring)
-    unit_order = len(units)
-    rows = [row + [one if k == r else zero for k in range(n)] for r, row in enumerate(grid)]
+    is_unit = np.zeros(ring.size, dtype=bool)
+    is_unit[list(unit_indices(ring))] = True
+    unit_order = int(is_unit.sum())
+    a = np.concatenate([grid, _identity_grid(ring, n)], axis=1)
     for c in range(n):
-        pivot = next((r for r in range(c, n) if rows[r][c] in units), None)
-        if pivot is None:
+        candidates = np.flatnonzero(is_unit[a[c:, c]])
+        if not candidates.size:
             return None
-        rows[c], rows[pivot] = rows[pivot], rows[c]
+        pivot = c + int(candidates[0])
+        if pivot != c:
+            a[[c, pivot]] = a[[pivot, c]]
         # u^(|U|-1) = u^(-1) in the unit group; columns left of c are zero
-        pivot_row = rows[c]
-        scale = ring.pow_idx(pivot_row[c], unit_order - 1)
-        tail = [(k, ring.mul_idx(scale, pivot_row[k])) for k in range(c, 2 * n) if pivot_row[k] != zero]
-        for k, v in tail:
-            pivot_row[k] = v
-        for r in range(n):
-            factor = rows[r][c]
-            if r == c or factor == zero:
-                continue
-            factor = ring.neg_idx(factor)
-            row = rows[r]
-            for k, v in tail:
-                row[k] = ring.add_idx(row[k], ring.mul_idx(factor, v))
-    return [row[n:] for row in rows]
+        a[c] = ring.mul(ring.pow_idx(int(a[c, c]), unit_order - 1), a[c])
+        factors = a[:, c].copy()
+        factors[c] = ring.zero.index
+        a = ring.sub(a, ring.mul(factors[:, None], a[c]))
+    return a[:, n:]
 
 
 def inverse(a: Matrix) -> Matrix | None:
@@ -202,19 +190,14 @@ def inverse(a: Matrix) -> Matrix | None:
     if not a.is_square():
         raise InvalidParameter("inverse requires a square matrix")
     ring = a.ring
-    ids = a.rows
-    combined: dict = {}
+    grid = a._grid_in(a.rows, a.rows)
+    combined = np.full(grid.shape, ring.zero.index, dtype=np.int64)
     for summand in decompose_local(ring):
-        grid = [[summand.project(a.entry_idx(i, j)) for j in ids] for i in ids]
-        inv = _invert_local(summand.ring, grid)
+        inv = _invert_local(summand.ring, summand.proj[grid])
         if inv is None:
             return None
-        zero_e = summand.ring.zero.index
-        for i, row in zip(ids, inv):
-            for j, v in zip(ids, row):
-                if v != zero_e:
-                    combined[i, j] = ring.add_idx(combined.get((i, j), ring.zero.index), summand.embed(v))
-    result = Matrix(ring, a.rows, a.cols, combined)
+        combined = ring.add(combined, summand.members[inv])
+    result = _square_result(a, combined)
     if not mat_mul(a, result).equals(Matrix.identity(ring, a.rows)):
         raise InternalError("Gauss–Jordan inverse fails A·A^(-1) = I")
     return result
@@ -244,14 +227,15 @@ class CharPoly:
         return self.coefficients[k]
 
     def evaluate_at_matrix(self, a: Matrix) -> Matrix:
-        """chi(A), for Cayley-Hamilton checks."""
-        result = Matrix(a.ring, a.rows, a.cols, {})
-        power = Matrix.identity(a.ring, a.rows)
-        for k, c in enumerate(self.coefficients):
-            result = mat_add(result, mat_scale(c, power))
-            if k < self.degree:
-                power = mat_mul(power, a)
-        return result
+        """chi(A), for Cayley-Hamilton checks, by Horner's rule."""
+        ring, n = a.ring, len(a.rows)
+        x = a._grid_in(a.rows, a.rows)
+        result = np.full((n, n), ring.zero.index, dtype=np.int64)
+        diag = np.arange(n)
+        for c in reversed(self.coefficients):
+            result = _product(ring, result, x)
+            result[diag, diag] = ring.add(result[diag, diag], c.index)
+        return _square_result(a, result)
 
     def equals(self, other: "CharPoly") -> bool:
         return self.ring is other.ring and [c.index for c in self.coefficients] == [
@@ -375,7 +359,7 @@ def determinant(a: Matrix) -> RingElement:
             raise UnsupportedRing(
                 f"local summand {sub.spec} is not a Galois ring; determinant undefined here"
             )
-        chi = charpoly_galois(_project_matrix(a, summand))
+        chi = charpoly_galois(Matrix._from_arrays(sub, a.rows, a.cols, A=summand.proj[a.A]))
         det_idx = chi.coefficients[0].index
         if n % 2 == 1:
             det_idx = sub.neg_idx(det_idx)

@@ -323,15 +323,14 @@ def inverse_by_power(a: Matrix) -> Matrix | None:
         raise InvalidParameter("inverse requires a square matrix")
     ring = a.ring
     n = len(a.rows)
-    combined: dict = {}
+    combined = np.full(a.A.shape, ring.zero.index, dtype=np.int64)
     for summand in decompose_local(ring):
-        a_e = Matrix(summand.ring, a.rows, a.cols, {key: summand.project(v) for key, v in a.entries.items()})
+        a_e = Matrix._from_arrays(summand.ring, a.rows, a.cols, A=summand.proj[a.A])
         b_e = mat_pow(a_e, gl_order_local(summand.ring, n) - 1)
         if not mat_mul(a_e, b_e).equals(Matrix.identity(summand.ring, a.rows)):
             return None
-        for key, v in b_e.entries.items():
-            combined[key] = ring.add_idx(combined.get(key, ring.zero.index), summand.embed(v))
-    return Matrix(ring, a.rows, a.cols, combined)
+        combined = ring.add(combined, summand.members[b_e.A])
+    return Matrix._from_arrays(ring, a.rows, a.cols, A=combined)
 
 
 # ---------------------------------------------------------------------------

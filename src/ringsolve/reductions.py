@@ -9,7 +9,6 @@ application never collides.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -169,19 +168,9 @@ def group_to_ring(system: GroupSystem) -> ReductionOutput:
     group = system.group
     phi = build_phi_ring(group)
     d = phi.phi_d
-    e_idx = group.identity.index
-
-    def num(c: int) -> int:
-        return e_idx * d + (c % d)
-
-    def grp(g: int) -> int:
-        return g * d
-
-    entries = {
-        (i, j): num(c) for (i, j), c in system.entries.items() if c % d
-    }
-    b = {i: grp(v) for i, v in system.b.items()}
-    target = LinSystem(phi, list(system.rows), list(system.cols), entries, b)
+    target = LinSystem._from_arrays(phi, list(system.rows), list(system.cols),
+                                    A=group.identity.index * d + (system.A % d).astype(np.int64),
+                                    b_vec=system.b_vec.astype(np.int64) * d)
 
     def backward(assignment: Mapping) -> dict:
         out = {}
@@ -280,45 +269,25 @@ def _rhs_normalize(system: LinSystem) -> LinSystem:
 
     Original variables are wrapped as ("x", v); auxiliary variables v_e per
     row and w_r per ring element satisfy (1-r)·w_1 + w_r = 1, pinning w_r = r.
+    Rows: every ("weq", r), then ("veq", e), ("vdef", e) per row e; columns:
+    the ("x", v), the ("w", r), the ("v", e).
     """
     zm = system.ring
     m = zm.size
     if zm.rep != "zmod":
         raise PreconditionViolation("rhs normalization expects a system over Z_m")
-    rows, cols, entries, b = [], [], {}, {}
-    for j in system.cols:
-        cols.append(("x", j))
-    for r in range(m):
-        cols.append(("w", r))
-    for r in range(m):
-        rid = ("weq", r)
-        rows.append(rid)
-        acc = {("w", 1 % m): (1 - r) % m}
-        acc[("w", r)] = (acc.get(("w", r), 0) + 1) % m
-        for var, cf in acc.items():
-            if cf:
-                entries[(rid, var)] = cf
-        b[rid] = 1 % m
-    for i in system.rows:
-        cols.append(("v", i))
-        rid = ("veq", i)
-        rows.append(rid)
-        entries[(rid, ("v", i))] = 1 % m
-        for j in system.cols:
-            cf = system.entries.get((i, j))
-            if cf:
-                entries[(rid, ("x", j))] = cf
-        b[rid] = 1 % m
-        rid = ("vdef", i)
-        rows.append(rid)
-        acc = {("v", i): 1 % m}
-        wv = ("w", system.rhs_idx(i))
-        acc[wv] = (acc.get(wv, 0) + 1) % m
-        for var, cf in acc.items():
-            if cf:
-                entries[(rid, var)] = cf
-        b[rid] = 1 % m
-    return LinSystem(zm, rows, cols, entries, b)
+    n, ell = len(system.rows), len(system.cols)
+    a = np.zeros((m + 2 * n, ell + m + n), dtype=np.int64)
+    r = np.arange(m)
+    a[r, ell + 1] = (1 - r) % m
+    a[r, ell + r] = (a[r, ell + r] + 1) % m
+    veq, vdef, v = m + 2 * np.arange(n), m + 2 * np.arange(n) + 1, ell + m + np.arange(n)
+    a[veq, :ell] = system.A
+    a[veq, v] = a[vdef, v] = 1
+    a[vdef, ell + system.b_vec] = 1
+    rows = [("weq", r) for r in range(m)] + [(tag, i) for i in system.rows for tag in ("veq", "vdef")]
+    cols = [("x", j) for j in system.cols] + [("w", r) for r in range(m)] + [("v", i) for i in system.rows]
+    return LinSystem._from_arrays(zm, rows, cols, A=a, b_vec=np.ones(len(rows), dtype=np.int64))
 
 
 def _flatten_coefficients(system: LinSystem) -> LinSystem:
@@ -327,58 +296,41 @@ def _flatten_coefficients(system: LinSystem) -> LinSystem:
     Each variable v becomes m equal copies ("c", v, t); a term r·v is the sum
     of the first r copies.  Copy equality is enforced through negation
     variables: v_t + v_t^- + u = 1 and v_t + v_{t+1}^- + u = 1 with u pinned
-    to 1 by its own normal-form equation.
+    to 1 by its own normal-form equation.  Columns: u, then per variable its
+    copies and negations; rows: u's equation, the flattened rows, then per
+    variable its ("ndef", v, t) and ("eqch", v, t) rows.
     """
     zm = system.ring
     m = zm.size
-    rows, cols, entries, b = [], [], {}, {}
-    u = ("u",)
-    cols.append(u)
-    rows.append(("ueq",))
-    entries[(("ueq",), u)] = 1
-    b[("ueq",)] = 1 % m
+    if (system.b_vec != 1).any():
+        raise PreconditionViolation("coefficient flattening expects all-ones right-hand sides")
+    n, ell = len(system.rows), len(system.cols)
+    # one variable's columns (copies 0..m-1, negations 1..m-1) in its ndef and eqch rows
+    block = np.zeros((2 * m - 2, 2 * m - 1), dtype=np.int64)
+    t = np.arange(1, m)
+    block[t - 1, t] = block[t - 1, m + t - 1] = 1
+    block[m + t - 2, t - 1] = block[m + t - 2, m + t - 1] = 1
+    copies = (t <= system.A[:, :, None]).astype(np.int64)
+    flat = np.concatenate([np.zeros((n, ell, 1), dtype=np.int64), copies, np.zeros((n, ell, m - 1), dtype=np.int64)],
+                          axis=2).reshape(n, ell * (2 * m - 1))
+    body = np.concatenate([flat, np.kron(np.eye(ell, dtype=np.int64), block)])
+    a = np.concatenate([np.zeros((1, body.shape[1]), dtype=np.int64), body])
+    u = np.ones((len(a), 1), dtype=np.int64)
+    u[1:n + 1] = 0
+    rows = [("ueq",), *(("f", i) for i in system.rows)]
+    cols = [("u",)]
     for j in system.cols:
-        for t in range(m):
-            cols.append(("c", j, t))
-        for t in range(1, m):
-            cols.append(("n", j, t))
-    for i in system.rows:
-        if system.rhs_idx(i) != 1 % m:
-            raise PreconditionViolation("coefficient flattening expects all-ones right-hand sides")
-        rid = ("f", i)
-        rows.append(rid)
-        for j in system.cols:
-            cf = system.entries.get((i, j))
-            if cf:
-                for t in range(1, cf + 1):
-                    entries[(rid, ("c", j, t % m))] = 1
-        b[rid] = 1 % m
-    for j in system.cols:
-        for t in range(1, m):
-            rid = ("ndef", j, t)
-            rows.append(rid)
-            entries[(rid, ("c", j, t))] = 1
-            entries[(rid, ("n", j, t))] = 1
-            entries[(rid, u)] = 1
-            b[rid] = 1 % m
-        for t in range(m - 1):
-            rid = ("eqch", j, t)
-            rows.append(rid)
-            entries[(rid, ("c", j, t))] = 1
-            entries[(rid, ("n", j, t + 1))] = 1
-            entries[(rid, u)] = 1
-            b[rid] = 1 % m
-    return LinSystem(zm, rows, cols, entries, b)
+        rows += [("ndef", j, t) for t in range(1, m)] + [("eqch", j, t) for t in range(m - 1)]
+        cols += [("c", j, t) for t in range(m)] + [("n", j, t) for t in range(1, m)]
+    return LinSystem._from_arrays(zm, rows, cols, A=np.concatenate([u, a], axis=1),
+                                  b_vec=np.ones(len(rows), dtype=np.int64))
 
 
 def is_normal_form(system: LinSystem) -> bool:
     """{0,1} coefficients and right-hand sides all equal to 1."""
     if system.ring.rep != "zmod":
         return False
-    one = 1 % system.ring.size
-    return all(v == one for v in system.entries.values()) and all(
-        system.rhs_idx(i) == one for i in system.rows
-    )
+    return bool(((system.A == 0) | (system.A == 1)).all() and (system.b_vec == 1).all())
 
 
 def normal_form(system: LinSystem) -> ReductionOutput:
@@ -442,25 +394,11 @@ def complement_chain(system: LinSystem) -> ReductionOutput:
     if pk is None:
         raise PreconditionViolation(f"modulus {zm.size} is not a prime power")
     p, k = pk
-    tail = p ** (k - 1) % zm.size
-    rows, cols, entries, b = [], [], {}, {}
-    for i in system.rows:
-        cols.append(("y", i))
-    for j in system.cols:
-        rid = ("t", j)
-        rows.append(rid)
-        for i in system.rows:
-            cf = system.entries.get((i, j))
-            if cf:
-                entries[(rid, ("y", i))] = cf
-    rid = ("tail",)
-    rows.append(rid)
-    for i in system.rows:
-        cf = system.rhs_idx(i)
-        if cf:
-            entries[(rid, ("y", i))] = cf
-    b[rid] = tail
-    target = LinSystem(zm, rows, cols, entries, b)
+    rows = [("t", j) for j in system.cols] + [("tail",)]
+    b_vec = np.zeros(len(rows), dtype=np.int64)
+    b_vec[-1] = p ** (k - 1) % zm.size
+    target = LinSystem._from_arrays(zm, rows, [("y", i) for i in system.rows],
+                                    A=np.concatenate([system.A.T, system.b_vec[None, :]]), b_vec=b_vec)
     return ReductionOutput(target=target, backward=None, trace={"pi": p, "n": k})
 
 
@@ -473,18 +411,19 @@ def _same_zmod(s1: LinSystem, s2: LinSystem) -> FiniteRing:
 def and_compose(s1: LinSystem, s2: LinSystem) -> LinSystem:
     """Disjoint union: solvable iff both are."""
     zm = _same_zmod(s1, s2)
-    rows, cols, entries, b = [], [], {}, {}
-    for tag, s in ((1, s1), (2, s2)):
-        for i in s.rows:
-            rows.append((tag, i))
-            rv = s.rhs_idx(i)
-            if rv:
-                b[(tag, i)] = rv
-        for j in s.cols:
-            cols.append((tag, j))
-        for (i, j), v in s.entries.items():
-            entries[((tag, i), (tag, j))] = v
-    return LinSystem(zm, rows, cols, entries, b)
+    return LinSystem._from_arrays(zm, [*((1, i) for i in s1.rows), *((2, i) for i in s2.rows)],
+                                  [*((1, j) for j in s1.cols), *((2, j) for j in s2.cols)],
+                                  A=_block_diagonal([s1.A, s2.A]), b_vec=np.concatenate([s1.b_vec, s2.b_vec]))
+
+
+def _block_diagonal(grids: list[np.ndarray]) -> np.ndarray:
+    """The grids along the diagonal of one zero grid."""
+    out = np.zeros((sum(g.shape[0] for g in grids), sum(g.shape[1] for g in grids)), dtype=np.int64)
+    r = c = 0
+    for g in grids:
+        out[r:r + g.shape[0], c:c + g.shape[1]] = g
+        r, c = r + g.shape[0], c + g.shape[1]
+    return out
 
 
 def or_compose(s1: LinSystem, s2: LinSystem) -> LinSystem:
@@ -495,77 +434,6 @@ def or_compose(s1: LinSystem, s2: LinSystem) -> LinSystem:
     c1 = complement_chain(s1).target
     c2 = complement_chain(s2).target
     return complement_chain(and_compose(c1, c2)).target
-
-
-def or_compose_general(components: list[LinSystem]) -> ReductionOutput:
-    """Disjunction gadget over Z_m for m a product of distinct prime powers.
-
-    Experimental: each all-ones component is embedded into Z_m via the
-    isomorphism (m/p^n)Z_m = Z_{p^n}, its right-hand sides are re-normalized
-    to 1, every equation is extended by unit and selector variables y^i, z^i
-    with right-hand side P = prod(p^(n-1)), pinned by P·y^i = P, and a global
-    equation sum(z^i) = P forces at least one selector on.
-    """
-    if not components:
-        raise InvalidParameter("or_compose_general requires at least one component")
-    pks = []
-    for s in components:
-        if s.ring.rep != "zmod":
-            raise PreconditionViolation("components must live over prime-power Z_m rings")
-        pk = _prime_power(s.ring.size)
-        if pk is None:
-            raise PreconditionViolation(f"modulus {s.ring.size} is not a prime power")
-        if not is_normal_form(s):
-            raise InvalidParameter("components must be in all-ones normal form")
-        pks.append(pk)
-    primes = [p for p, _ in pks]
-    if len(set(primes)) != len(primes):
-        raise InvalidParameter("component moduli must use pairwise distinct primes")
-    m = math.prod(s.ring.size for s in components)
-    big_p = math.prod(p ** (k - 1) for p, k in pks)
-    zm = cached_zmod(m)
-    rows, cols, entries, b = [], [], {}, {}
-    for idx, s in enumerate(components):
-        scale = m // s.ring.size
-        embedded = LinSystem(
-            zm,
-            [(idx, i) for i in s.rows],
-            [(idx, j) for j in s.cols],
-            {((idx, i), (idx, j)): (v * scale) % m for (i, j), v in s.entries.items()},
-            {(idx, i): (s.rhs_idx(i) * scale) % m for i in s.rows},
-        )
-        normalized = _rhs_normalize(embedded)
-        y, z = ("y", idx), ("z", idx)
-        cols.extend([(idx, v) for v in normalized.cols])
-        cols.extend([y, z])
-        for i in normalized.rows:
-            rid = (idx, i)
-            rows.append(rid)
-            for j in normalized.cols:
-                cf = normalized.entries.get((i, j))
-                if cf:
-                    entries[(rid, (idx, j))] = cf
-            entries[(rid, y)] = 1
-            entries[(rid, z)] = 1
-            b[rid] = big_p % m
-        rid = ("ypin", idx)
-        rows.append(rid)
-        if big_p % m:
-            entries[(rid, y)] = big_p % m
-        b[rid] = big_p % m
-    rid = ("zsum",)
-    rows.append(rid)
-    for idx in range(len(components)):
-        entries[(rid, ("z", idx))] = 1
-    b[rid] = big_p % m
-    target = LinSystem(zm, rows, cols, entries, b)
-    trace = {
-        "status": "experimental",
-        "modulus": m,
-        "P": big_p % m,
-        "component_moduli": [s.ring.size for s in components],
-    }
-    return ReductionOutput(target=target, backward=None, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +459,7 @@ def collapse_nested(outer_rows: list, outer_cols: list, inner: Mapping) -> LinSy
     """
     if not outer_rows or not outer_cols:
         raise InvalidParameter("outer index sets must be non-empty")
+    outer_rows, outer_cols = list(dict.fromkeys(outer_rows)), list(dict.fromkeys(outer_cols))
     systems = {}
     ring = None
     for a in outer_rows:
@@ -608,42 +477,34 @@ def collapse_nested(outer_rows: list, outer_cols: list, inner: Mapping) -> LinSy
                 raise InvalidParameter(f"inner system at ({a!r},{bcol!r}) is not in normal form")
             systems[(a, bcol)] = s
     p = ring.size
-    rows, cols, entries, b = [], [], {}, {}
-    for a in outer_rows:
-        for bcol in outer_cols:
-            cols.append(("v", a, bcol))
-    for a in outer_rows:
-        rid = ("outer", a)
-        rows.append(rid)
-        for bcol in outer_cols:
-            entries[(rid, ("v", a, bcol))] = 1
-        b[rid] = 1 % p
-    # condition (1): a nonzero v_{a,b} forces inner(a,b) to be solvable
+    v_pos = {key: k for k, key in enumerate(systems)}
+    rows, cols = [("outer", a) for a in outer_rows], [("v", a, bcol) for a, bcol in systems]
+    # the v columns and the other columns of each block of rows
+    v_parts = [np.repeat(np.eye(len(outer_rows), dtype=np.int64), len(outer_cols), axis=1)]
+    grids = [np.zeros((len(outer_rows), 0), dtype=np.int64)]
+
+    def add_block(row_ids: list, col_ids: list, grid: np.ndarray, v_coefficients: dict):
+        rows.extend(row_ids)
+        cols.extend(col_ids)
+        grids.append(grid)
+        v_parts.append(np.zeros((len(row_ids), len(systems)), dtype=np.int64))
+        for key, c in v_coefficients.items():
+            v_parts[-1][:, v_pos[key]] = c
+
+    # condition (1): a nonzero v_{a,b} forces inner(a,b) to be solvable;
+    # rhs stays 0: the (v+1) extension moves the constant across
     for (a, bcol), s in systems.items():
-        for j in s.cols:
-            cols.append(("iv", a, bcol, j))
-        for i in s.rows:
-            rid = ("inner", a, bcol, i)
-            rows.append(rid)
-            for j in s.cols:
-                if (i, j) in s.entries:
-                    entries[(rid, ("iv", a, bcol, j))] = s.entries[(i, j)]
-            entries[(rid, ("v", a, bcol))] = 1
-            # rhs stays 0: the (v+1) extension moves the constant across
+        add_block([("inner", a, bcol, i) for i in s.rows], [("iv", a, bcol, j) for j in s.cols], s.A,
+                  {(a, bcol): 1})
     # condition (2): differing v-values in a column force the XOR system
     for bcol in outer_cols:
         for pos_a in range(len(outer_rows)):
             for pos_c in range(pos_a + 1, len(outer_rows)):
                 a, c = outer_rows[pos_a], outer_rows[pos_c]
                 xor = _xor_system(systems[(a, bcol)], systems[(c, bcol)])
-                for j in xor.cols:
-                    cols.append(("xv", a, c, bcol, j))
-                for i in xor.rows:
-                    rid = ("xor", a, c, bcol, i)
-                    rows.append(rid)
-                    for j in xor.cols:
-                        if (i, j) in xor.entries:
-                            entries[(rid, ("xv", a, c, bcol, j))] = xor.entries[(i, j)]
-                    entries[(rid, ("v", a, bcol))] = 1
-                    entries[(rid, ("v", c, bcol))] = (p - 1) % p
-    return LinSystem(ring, rows, cols, entries, b)
+                add_block([("xor", a, c, bcol, i) for i in xor.rows], [("xv", a, c, bcol, j) for j in xor.cols],
+                          xor.A, {(a, bcol): 1, (c, bcol): p - 1})
+    b_vec = np.zeros(len(rows), dtype=np.int64)
+    b_vec[:len(outer_rows)] = 1
+    return LinSystem._from_arrays(ring, rows, cols, A=np.concatenate([np.concatenate(v_parts), _block_diagonal(grids)],
+                                                                      axis=1), b_vec=b_vec)

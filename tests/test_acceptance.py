@@ -38,7 +38,6 @@ from ringsolve import (
     mat_mul,
     normal_form,
     or_compose,
-    or_compose_general,
     project_to_local,
     ring_to_cyclic,
     solve_commutative,
@@ -390,38 +389,6 @@ def test_criterion_7_hermite_normal_form():
                        {(r, c): res.S[r][c] for r in range(n_rows) for c in range(n_rows)})
         assert is_invertible(s_mat)
     _report(7, "Hermite normal form", "500 random chain-ring matrices", t0, 30)
-
-
-def test_criterion_8_or_general_adjudication():
-    t0 = time.perf_counter()
-    rng = random.Random(SEED + 8)
-    z2, z3 = zmod(2), zmod(3)
-
-    def normal_instance(ring, want_solvable):
-        while True:
-            s = _random_normal_form(rng, ring, rng.randint(1, 2), rng.randint(1, 2))
-            if brute_force_solve(s).solvable == want_solvable:
-                return s
-
-    outcomes = {}
-    for v2, v3 in itertools.product((True, False), repeat=2):
-        verdicts = set()
-        for _ in range(100):
-            s2 = normal_instance(z2, v2)
-            s3 = normal_instance(z3, v3)
-            out = or_compose_general([s2, s3])
-            assert out.trace["status"] == "experimental"
-            verdicts.add(solve_commutative(out.target).solvable)
-        outcomes[(v2, v3)] = verdicts
-        # the gadget's verdict must be a function of the component verdicts
-        assert len(verdicts) == 1, f"verdict not constant at {(v2, v3)}: {verdicts}"
-    agreement = sum(
-        1 for combo, verdicts in outcomes.items() if (combo[0] or combo[1]) == next(iter(verdicts))
-    )
-    table = {f"{c}": next(iter(v)) for c, v in sorted(outcomes.items())}
-    _report(8, "or-general adjudication (experimental)",
-            f"verdict table {table}; agreement with OR on {agreement}/4 combos (recorded, not asserted)",
-            t0)
 
 
 def test_criterion_9_canonical_order():

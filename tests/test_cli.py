@@ -191,13 +191,12 @@ def test_cli_reduce_twosided_then_solve(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_reduce_or_general_trace(tmp_path, capsys):
+def test_cli_reduce_or_general_is_gone(tmp_path, capsys):
     a = _write(tmp_path, "a.rls", "ring Z/2\nvars x\neq 1*x = 1\n")
     b = _write(tmp_path, "b.rls", "ring Z/3\nvars x\neq 1*x = 1\n")
-    out = str(tmp_path / "org.rls")
-    assert main(["reduce", "or-general", a, b, "-o", out, "--trace"]) == 0
-    trace = capsys.readouterr().out
-    assert "experimental" in trace
+    assert main(["reduce", "or-general", a, b, "-o", str(tmp_path / "org.rls")]) == 2
+    assert "invalid choice: 'or-general'" in capsys.readouterr().err
+    assert not (tmp_path / "org.rls").exists()
 
 
 def test_cli_reduce_collapse_manifest(tmp_path, capsys):

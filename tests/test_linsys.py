@@ -27,10 +27,22 @@ from ringsolve import (
     TwoSidedSystem,
     build_cyclic_group,
     build_product_group,
+    and_compose,
     build_zmod,
+    charpoly_galois,
+    collapse_nested,
+    complement_chain,
+    determinant,
     eval_system,
+    group_to_ring,
     hermite_normal_form,
+    inverse,
     is_invertible,
+    mat_add,
+    mat_mul,
+    mat_pow,
+    normal_form,
+    or_compose,
     solve,
     solve_chain,
     solve_commutative,
@@ -39,6 +51,7 @@ from ringsolve import (
     verify_certificate,
 )
 from ringsolve.linsys import check_witness, solve_numerical
+from ringsolve.matalg import mat_scale
 from ringsolve.oracle import brute_force_solve, enumerate_witnesses
 from ringsolve.ring import additive_group
 from ringsolve.structure import chain_data
@@ -403,6 +416,45 @@ def test_internal_targets_skip_validation(rng):
         assert calls[0] == 0
         verdicts.add((type(system).__name__, cert.verdict))
     assert len(verdicts) == 6  # both verdicts of every kind
+
+
+def test_matrix_algebra_and_closure_reductions_skip_validation(rng):
+    """Matrix results and the targets of the closure reductions are built from
+    arrays: only the prebuilt inputs below run the validating path."""
+    z9, z12, group = zmod(9), zmod(12), build_product_group([build_cyclic_group(2), build_cyclic_group(4)])
+    ids = [f"r{i}" for i in range(4)]
+
+    def matrix(ring, cols):
+        return Matrix(ring, ids, cols, {(i, j): rng.randrange(ring.size) for i in ids for j in cols})
+
+    matrices = [matrix(z9, ids), matrix(z9, ids[::-1]), matrix(z12, ids), matrix(z12, ids[1:] + ids[:1])]
+    invertible = Matrix(z9, ids, ids[::-1], {(i, i): 1 for i in ids})
+    z4, z3 = zmod(4), zmod(3)
+    s4 = [random_linsystem(rng, z4, 2, 3) for _ in range(2)]
+    normal = [LinSystem(z3, ["e"], ["y"], {("e", "y"): 1}, {"e": 1}), LinSystem(z3, ["e"], ["y"], {}, {"e": 1})]
+    gs = GroupSystem(group, ["e0", "e1"], ["x0", "x1"], {("e0", "x0"): 3, ("e1", "x1"): 2}, {"e0": 5})
+    a9, a9_reversed, a12, a12_rotated = matrices
+    ops = {
+        "mat_mul": lambda: (mat_mul(a9_reversed, a9), mat_mul(a12_rotated, a12)),
+        "mat_add": lambda: (mat_add(a9, a9_reversed), mat_add(a12_rotated, a12)),
+        "mat_scale": lambda: mat_scale(z9.one, a9_reversed),
+        "mat_pow": lambda: (mat_pow(a9_reversed, 5), mat_pow(a12, 7)),
+        "inverse": lambda: [inverse(a) for a in [*matrices, invertible]],
+        "determinant": lambda: [determinant(a) for a in matrices],
+        "evaluate_at_matrix": lambda: charpoly_galois(a9_reversed).evaluate_at_matrix(a9_reversed),
+        "normal_form": lambda: normal_form(s4[0]),
+        "complement_chain": lambda: complement_chain(s4[0]),
+        "and_compose": lambda: and_compose(*s4),
+        "or_compose": lambda: or_compose(*s4),
+        "collapse_nested": lambda: collapse_nested(["a", "b"], ["c"], {("a", "c"): normal[0], ("b", "c"): normal[1]}),
+        "group_to_ring": lambda: group_to_ring(gs),
+    }
+    counts = {}
+    for name, op in ops.items():
+        with count_validations() as calls:
+            op()
+        counts[name] = calls[0]
+    assert counts == dict.fromkeys(ops, 0)
 
 
 def test_numerical_system_solving(rng):

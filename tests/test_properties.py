@@ -12,6 +12,9 @@ from its file must get the same verdict.  The same systems: ``eval`` and
 ``canonical_text`` must agree with term-by-term definitions written here,
 and a certificate with one tampered value or digest must be rejected, by
 ``verify_certificate`` and by ``ringsolve verify``, unless it still holds.
+Random matrices whose operands list the same ids in different orders, also
+over the non-commutative UT2(F2): ``mat_mul``, ``mat_add``, ``mat_scale`` and
+``evaluate_at_matrix`` must agree with scalar definitions written here.
 Random scan orders over product groups: the cyclic decomposition must give
 a divisibility chain whose coordinates round-trip.  Examples are
 derandomized and bounded so that every run checks the same cases.
@@ -30,8 +33,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bivariate_nilpotent, f4, gr42, same_inverse, zmod
+from conftest import bivariate_nilpotent, f4, gr42, same_inverse, upper_triangular_f2, zmod
 from ringsolve import (
+    CharPoly,
     Certificate,
     GroupSystem,
     LinSystem,
@@ -41,6 +45,7 @@ from ringsolve import (
     UnsolvableWitness,
     hermite_normal_form,
     inverse,
+    mat_add,
     mat_mul,
     solve,
     solve_chain,
@@ -48,6 +53,7 @@ from ringsolve import (
 )
 from ringsolve.cli import main
 from ringsolve.linsys import _chain_valuations
+from ringsolve.matalg import mat_scale
 from ringsolve.oracle import brute_force_solve, inverse_by_power
 from ringsolve.ring import additive_group, group_decompose_cyclic, unit_indices
 from ringsolve.structure import chain_data
@@ -167,6 +173,73 @@ def test_inverse_agrees_with_power_construction(ring_name, data):
     if inv is not None:
         identity = Matrix.identity(a.ring, a.rows)
         assert mat_mul(a, inv).equals(identity) and mat_mul(inv, a).equals(identity)
+
+
+MATRIX_OP_RINGS = {**INVERSE_RINGS, "UT2(F2)": upper_triangular_f2}
+
+
+@st.composite
+def _matrix_over(draw, ring, rows: list, cols: list) -> Matrix:
+    element = st.integers(0, ring.size - 1)
+    values = draw(st.lists(element, min_size=len(rows) * len(cols), max_size=len(rows) * len(cols)))
+    return Matrix(ring, rows, cols, dict(zip([(i, j) for i in rows for j in cols], values)))
+
+
+@st.composite
+def matrix_operands(draw):
+    """(ring, A, B, C): A is rows x inner, B inner x cols with the inner ids
+    in another order, C the ids of A in other orders."""
+    ring = MATRIX_OP_RINGS[draw(st.sampled_from(sorted(MATRIX_OP_RINGS)))]()
+    rows, inner, cols = ([f"{p}{k}" for k in range(draw(st.integers(1, 4)))] for p in "rkc")
+    a = draw(_matrix_over(ring, rows, inner))
+    b = draw(_matrix_over(ring, draw(st.permutations(inner)), cols))
+    c = draw(_matrix_over(ring, draw(st.permutations(rows)), draw(st.permutations(inner))))
+    return ring, a, b, c
+
+
+def _scalar_product(ring, a: Matrix, b: Matrix) -> dict:
+    out = {}
+    for i in a.rows:
+        for j in b.cols:
+            acc = ring.zero.index
+            for k in a.cols:
+                acc = ring.add_idx(acc, ring.mul_idx(a.entry_idx(i, k), b.entry_idx(k, j)))
+            out[i, j] = acc
+    return out
+
+
+def _cells(m: Matrix) -> dict:
+    return {(i, j): m.entry_idx(i, j) for i in m.rows for j in m.cols}
+
+
+@PROPERTY_SETTINGS
+@given(matrix_operands(), st.data())
+def test_matrix_ops_agree_with_scalar_definitions(operands, data):
+    ring, a, b, c = operands
+    product = mat_mul(a, b)
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert _cells(product) == _scalar_product(ring, a, b)
+    total = mat_add(a, c)
+    assert (total.rows, total.cols) == (a.rows, a.cols)
+    assert _cells(total) == {(i, j): ring.add_idx(a.entry_idx(i, j), c.entry_idx(i, j)) for i in a.rows for j in a.cols}
+    x = ring.element(data.draw(st.integers(0, ring.size - 1)))
+    assert _cells(mat_scale(x, a)) == {key: ring.mul_idx(x.index, v) for key, v in _cells(a).items()}
+
+
+@PROPERTY_SETTINGS
+@given(matrix_operands(), st.data())
+def test_evaluate_at_matrix_is_the_sum_of_scaled_powers(operands, data):
+    ring, a, _, _ = operands
+    square = data.draw(_matrix_over(ring, a.rows, data.draw(st.permutations(a.rows))))
+    coefficients = data.draw(st.lists(st.integers(0, ring.size - 1), min_size=1, max_size=5))
+    power = {(i, j): ring.one.index if i == j else ring.zero.index for i in square.rows for j in square.rows}
+    expected = dict.fromkeys(power, ring.zero.index)
+    for c in coefficients:
+        for key, v in power.items():
+            expected[key] = ring.add_idx(expected[key], ring.mul_idx(c, v))
+        power = _scalar_product(ring, Matrix(ring, square.rows, square.rows, power), square)
+    chi = CharPoly(ring, [ring.element(c) for c in coefficients])
+    assert _cells(chi.evaluate_at_matrix(square)) == expected
 
 
 # ---------------------------------------------------------------------------

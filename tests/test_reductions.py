@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import random
 
 import pytest
 
@@ -22,7 +21,6 @@ from ringsolve import (
     group_to_ring,
     normal_form,
     or_compose,
-    or_compose_general,
     project_to_local,
     ring_to_cyclic,
     solve_commutative,
@@ -355,55 +353,6 @@ def test_compose_rejects_mismatched_moduli():
     s2, _ = _sat_unsat_pair(zmod(4))
     with pytest.raises(InvalidParameter):
         and_compose(s1, s2)
-
-
-# ---------------------------------------------------------------------------
-# or_compose_general
-
-
-def _random_normal_form(rng, ring, n_rows, n_cols):
-    rows = [f"e{i}" for i in range(n_rows)]
-    cols = [f"x{j}" for j in range(n_cols)]
-    entries = {}
-    for i in rows:
-        for j in cols:
-            if rng.random() < 0.6:
-                entries[(i, j)] = 1
-    b = {i: 1 for i in rows}
-    return LinSystem(ring, rows, cols, entries, b)
-
-
-def test_or_general_single_component_is_exact(rng):
-    for m in (2, 3, 4):
-        ring = zmod(m)
-        for _ in range(25):
-            s = _random_normal_form(rng, ring, rng.randint(1, 2), rng.randint(1, 2))
-            out = or_compose_general([s])
-            assert out.trace["status"] == "experimental"
-            assert solve_commutative(out.target).solvable == oracle_solvable(s)
-
-
-def test_or_general_verdict_is_function_of_component_verdicts(rng):
-    observed = {}
-    for _ in range(40):
-        s2 = _random_normal_form(rng, zmod(2), rng.randint(1, 2), rng.randint(1, 2))
-        s3 = _random_normal_form(rng, zmod(3), rng.randint(1, 2), rng.randint(1, 2))
-        combo = (oracle_solvable(s2), oracle_solvable(s3))
-        verdict = solve_commutative(or_compose_general([s2, s3]).target).solvable
-        observed.setdefault(combo, set()).add(verdict)
-    for combo, verdicts in observed.items():
-        assert len(verdicts) == 1, f"gadget verdict not a function at {combo}"
-
-
-def test_or_general_rejects_shared_primes_and_non_normal():
-    s1 = _random_normal_form(random.Random(1), zmod(2), 1, 1)
-    s2 = _random_normal_form(random.Random(2), zmod(4), 1, 1)
-    with pytest.raises(InvalidParameter):
-        or_compose_general([s1, s2])
-    z2 = zmod(2)
-    not_normal = LinSystem(z2, ["e"], ["x"], {("e", "x"): 1}, {})
-    with pytest.raises(InvalidParameter):
-        or_compose_general([not_normal])
 
 
 # ---------------------------------------------------------------------------
