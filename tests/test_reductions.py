@@ -422,6 +422,14 @@ def test_collapse_two_by_two_with_solver():
     assert solve_commutative(k).solvable
 
 
+def test_collapse_treats_outer_ids_as_sets():
+    z2 = zmod(2)
+    inner = {("a1", "b"): _nf_solvable(z2), ("a2", "b"): _nf_unsolvable(z2)}
+    once = collapse_nested(["a1", "a2"], ["b"], inner)
+    repeated = collapse_nested(["a1", "a2", "a1"], ["b", "b"], inner)
+    assert (repeated.rows, repeated.cols, repeated.digest()) == (once.rows, once.cols, once.digest())
+
+
 def test_collapse_size_bound():
     z2 = zmod(2)
     cases = []
