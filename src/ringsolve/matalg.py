@@ -115,8 +115,9 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
     while e:
         if e & 1:
             result = _product(ring, result, base)
-        base = _product(ring, base, base)
         e >>= 1
+        if e:
+            base = _product(ring, base, base)
     return _square_result(a, result)
 
 

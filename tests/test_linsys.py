@@ -427,13 +427,13 @@ def test_matrix_algebra_and_closure_reductions_skip_validation(rng):
     def matrix(ring, cols):
         return Matrix(ring, ids, cols, {(i, j): rng.randrange(ring.size) for i in ids for j in cols})
 
-    matrices = [matrix(z9, ids), matrix(z9, ids[::-1]), matrix(z12, ids), matrix(z12, ids[1:] + ids[:1])]
+    matrices = a9, a9_reversed, a12, a12_rotated = [matrix(z9, ids), matrix(z9, ids[::-1]), matrix(z12, ids),
+                                                     matrix(z12, ids[1:] + ids[:1])]
     invertible = Matrix(z9, ids, ids[::-1], {(i, i): 1 for i in ids})
     z4, z3 = zmod(4), zmod(3)
     s4 = [random_linsystem(rng, z4, 2, 3) for _ in range(2)]
     normal = [LinSystem(z3, ["e"], ["y"], {("e", "y"): 1}, {"e": 1}), LinSystem(z3, ["e"], ["y"], {}, {"e": 1})]
     gs = GroupSystem(group, ["e0", "e1"], ["x0", "x1"], {("e0", "x0"): 3, ("e1", "x1"): 2}, {"e0": 5})
-    a9, a9_reversed, a12, a12_rotated = matrices
     ops = {
         "mat_mul": lambda: (mat_mul(a9_reversed, a9), mat_mul(a12_rotated, a12)),
         "mat_add": lambda: (mat_add(a9, a9_reversed), mat_add(a12_rotated, a12)),
