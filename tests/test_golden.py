@@ -58,6 +58,15 @@ and the sha256 of its certificate text.  Row and column order fixes the
 pivot ties of Hermite elimination, so it is pinned, not only the digest.
 It also pins the standard output, exit code and written file of
 ``ringsolve reduce --trace`` on the corpus system files.
+
+An eighth file, ``golden_charpoly.json``, pins ``charpoly_galois``
+(coefficient names, lowest first) and ``determinant`` on seeded random,
+invertible L·U and singular L·U matrices of 1x1 to 12x12 over ``Z/2``,
+``Z/4``, ``Z/8``, ``Z/9``, ``Z/27``, ``F4``, ``GR(4,2)`` and ``Z/4096``, and
+of 16x16 over ``Z/2`` and ``Z/4``, where 16! holds the largest power of 2
+the Newton recursion divides by.  It also pins the determinant alone of
+9x9 to 12x12 matrices over ``Z/12`` and ``Z/2 x GR(4,2)``, whose local
+summands are Galois rings but which are not Galois rings themselves.
 """
 
 from __future__ import annotations
@@ -87,6 +96,7 @@ from ringsolve import (
     build_table_ring,
     build_zmod,
     and_compose,
+    charpoly_galois,
     canonical_params,
     collapse_nested,
     complement_chain,
@@ -132,6 +142,7 @@ EXPECTED_ORACLE = json.loads((Path(__file__).with_name("golden_oracle.json")).re
 EXPECTED_STRUCTURE = json.loads((Path(__file__).with_name("golden_structure.json")).read_text())
 EXPECTED_CYCLIC = json.loads((Path(__file__).with_name("golden_cyclic.json")).read_text())
 EXPECTED_REDUCTIONS = json.loads((Path(__file__).with_name("golden_reductions.json")).read_text())
+EXPECTED_CHARPOLY = json.loads((Path(__file__).with_name("golden_charpoly.json")).read_text())
 
 
 def _pick(rng: random.Random, size: int, zero: int, density: float = 0.7) -> int:
@@ -485,6 +496,76 @@ def test_golden_matrix_outputs(name):
 def test_golden_matrix_cli(monkeypatch, capsys, action):
     monkeypatch.chdir(ROOT)
     assert observe_matrix_cli(action, capsys) == EXPECTED_MATRICES[f"cli-matrix_z9-{action}"]
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomial and determinant up to 16x16
+
+
+CHARPOLY_RINGS = [
+    ("Z2", "Z/2", range(1, 13)),
+    ("Z4", "Z/4", range(1, 13)),
+    ("Z8", "Z/8", range(1, 13)),
+    ("Z9", "Z/9", range(1, 13)),
+    ("Z27", "Z/27", range(1, 13)),
+    ("F4", F4_SPEC, range(1, 13)),
+    ("GR42", "GR(4,2)", range(1, 13)),
+    ("Z4096", "Z/4096", range(1, 13)),
+    # 16! holds 2^15: the largest power of p the Newton recursion divides by
+    ("Z2", "Z/2", [16]),
+    ("Z4", "Z/4", [16]),
+    # not Galois rings: the determinant only
+    ("Z12", "Z/12", range(9, 13)),
+    ("Z2xGR42", "Z/2 x GR(4,2)", range(9, 13)),
+]
+
+
+@functools.cache
+def _golden_charpoly_matrices() -> dict:
+    """Per ring and size: a uniformly random matrix, an invertible L·U, and
+    L·U with one non-unit on the diagonal of U."""
+    rng = random.Random(19840312)
+    out = {}
+    for label, spec, sizes in CHARPOLY_RINGS:
+        ring = parse_ring_spec(spec)
+        units = sorted(unit_indices(ring))
+        non_units = sorted(set(range(ring.size)) - set(units))
+        for n in sizes:
+            ids = list(range(n))
+
+            def matrix(grid):
+                return Matrix(ring, ids, ids, {(i, j): grid[i][j] for i in ids for j in ids})
+
+            out[f"{label}-{n}-random"] = matrix([[rng.randrange(ring.size) for _ in ids] for _ in ids])
+            lower = _triangular(rng, ring, n, True, [rng.choice(units) for _ in ids])
+            diag = [rng.choice(units) for _ in ids]
+            out[f"{label}-{n}-lu"] = matrix(_grid_product(ring, lower, _triangular(rng, ring, n, False, diag)))
+            diag[rng.randrange(n)] = rng.choice(non_units)
+            out[f"{label}-{n}-lu-nonunit"] = matrix(
+                _grid_product(ring, lower, _triangular(rng, ring, n, False, diag))
+            )
+    return out
+
+
+def observe_charpoly(a: Matrix) -> dict:
+    chi = charpoly_galois(a) if is_galois_ring(a.ring) else None
+    return {
+        "charpoly": None if chi is None else [c.name for c in chi.coefficients],
+        "determinant": determinant(a).name,
+    }
+
+
+def test_golden_charpoly_covers_every_matrix():
+    assert sorted(_golden_charpoly_matrices()) == sorted(EXPECTED_CHARPOLY)
+    for label, _, sizes in CHARPOLY_RINGS:
+        for n in sizes:
+            assert EXPECTED_CHARPOLY[f"{label}-{n}-lu-nonunit"]["determinant"] != "1", (label, n)
+            assert EXPECTED_CHARPOLY[f"{label}-{n}-lu"]["determinant"] != "0", (label, n)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_CHARPOLY))
+def test_golden_charpoly_outputs(name):
+    assert observe_charpoly(_golden_charpoly_matrices()[name]) == EXPECTED_CHARPOLY[name]
 
 
 # ---------------------------------------------------------------------------
