@@ -485,7 +485,8 @@ def _hermite(ring: FiniteRing, blocks: list[np.ndarray], ell: int, cd: ChainData
     so is an identity block appended on the right, which ends up as S.  The
     pivot of each step is the nonzero entry of the remaining block with the
     least (valuation, element index, row, column); every row below it is
-    cleared in one broadcast update.  Returns (a | S, col_perm, rank).
+    cleared in one broadcast update.  Returns (a | S, col_perm, rank, parity
+    of the row and column swaps).
     """
     zero = ring.zero.index
     order = _pivot_order(ring, cd)
@@ -495,7 +496,7 @@ def _hermite(ring: FiniteRing, blocks: list[np.ndarray], ell: int, cd: ChainData
     np.fill_diagonal(s, ring.one.index)
     a = np.concatenate([*blocks, s], axis=1)
     perm = list(range(ell))
-    t = 0
+    t = swaps = 0
     for step in range(min(k, ell)):
         key = order[a[step:, step:ell]]
         r, c = divmod(int(key.argmin()), ell - step)
@@ -504,9 +505,11 @@ def _hermite(ring: FiniteRing, blocks: list[np.ndarray], ell: int, cd: ChainData
         r, c = r + step, c + step
         if r != step:
             a[step], a[r] = a[r], a[step].copy()
+            swaps ^= 1
         if c != step:
             a[:, step], a[:, c] = a[:, c], a[:, step].copy()
             perm[step], perm[c] = perm[c], perm[step]
+            swaps ^= 1
         below = step + 1 + np.nonzero(a[step + 1:, step] != zero)[0]
         if below.size:
             z = divide(a[step, step], a[below, step])[:, None]
@@ -514,7 +517,7 @@ def _hermite(ring: FiniteRing, blocks: list[np.ndarray], ell: int, cd: ChainData
         t += 1
     if np.count_nonzero(a[t:, :ell] != zero):
         raise InternalError("elimination left a nonzero residual row")
-    return a, perm, t
+    return a, perm, t, swaps
 
 
 def hermite_normal_form(matrix) -> HermiteResult:
@@ -523,7 +526,7 @@ def hermite_normal_form(matrix) -> HermiteResult:
     ring = matrix.ring
     cd = _require_chain(ring)
     ell = len(matrix.cols)
-    a, perm, t = _hermite(ring, [matrix.A], ell, cd, _divider(ring))
+    a, perm, t, _ = _hermite(ring, [matrix.A], ell, cd, _divider(ring))
     return HermiteResult(ring=ring, row_ids=list(matrix.rows), col_ids=list(matrix.cols), S=a[:, ell:].tolist(),
                          col_perm=perm, Q=a[:t, :ell].tolist(), diag=a.diagonal()[:t].tolist())
 
@@ -541,7 +544,7 @@ def solve_chain(system: LinSystem) -> Certificate:
     k, ell = len(rows), len(cols)
     divide = _divider(ring)
     # b rides along as column ell, so it ends up as S·b
-    a, perm, t = _hermite(ring, [system.A, system.b_vec[:, None]], ell, cd, divide)
+    a, perm, t, _ = _hermite(ring, [system.A, system.b_vec[:, None]], ell, cd, divide)
     bprime, diag = a[:, ell], a.diagonal()[:t]
     val = _chain_valuations(ring, cd)
     diag_val = np.full(k, cd.n)

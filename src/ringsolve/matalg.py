@@ -2,8 +2,8 @@
 
 Multiplication, big-exponent powers, general-linear-group cardinality, the
 inverse by Gauss–Jordan elimination with unit pivots on each local summand,
-and an exact characteristic polynomial over Galois rings through the
-Csanky/Newton recursion lifted to Z[X]/(F).
+the elimination determinant on each local summand, and the bounded-precision
+Newton charpoly over Galois rings.
 
 The paper defines invertibility through the power A^(|GL_n(R)|-1); that
 construction is kept as the independent cross-check
@@ -12,17 +12,19 @@ construction is kept as the independent cross-check
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InternalError, InvalidParameter, PreconditionViolation, UnsupportedRing
-from .linsys import _Indexed, _fold
+from .linsys import _Indexed, _divider, _fold, _hermite
 from .ring import FiniteRing, RingElement, unit_indices
 from .structure import (
+    GaloisRep,
+    chain_data,
     decompose_local,
     galois_representation,
     is_galois_ring,
@@ -248,35 +250,32 @@ class CharPoly:
         return "CharPoly(" + ", ".join(f"c{k}={v}" for k, v in enumerate(names)) + ")"
 
 
-def _int_poly_mul_mod(a: Sequence[int], b: Sequence[int], f: Sequence[int]) -> tuple[int, ...]:
-    """Product in Z[X]/(F) with F monic; exact integer arithmetic."""
-    r = len(f) - 1
-    prod = [0] * (max(len(a) + len(b) - 1, r))
-    for s, x in enumerate(a):
-        if x:
-            for t, y in enumerate(b):
-                prod[s + t] += x * y
-    for k in range(len(prod) - 1, r - 1, -1):
-        c = prod[k]
-        if c:
-            for t in range(r):
-                prod[k - r + t] -= c * f[t]
-            prod[k] = 0
-    return tuple(prod[:r])
-
-
-def _int_poly_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+def _galois_lift(ring: FiniteRing, rep: GaloisRep) -> tuple[np.ndarray, np.ndarray]:
+    """(iota, table), cached per ring: iota[:, x] holds the r integer
+    coefficients of x, and table[:, s·r + t] those of X^(s+t) mod F over Z."""
+    if "galoislift" not in ring._cache:
+        r, f = rep.r, [int(c) for c in rep.f.coeffs]
+        iota = np.array([rep.iota[x] for x in range(ring.size)], dtype=object).reshape(ring.size, r).T
+        powers = [[1] + [0] * (r - 1)]
+        for _ in range(2 * r - 2):
+            top = powers[-1][-1]
+            powers.append([c - top * f[t] for t, c in enumerate([0] + powers[-1][:-1])])
+        table = np.array([powers[s + t] for s in range(r) for t in range(r)], dtype=object).T
+        ring._cache["galoislift"] = (iota, table)
+    return ring._cache["galoislift"]
 
 
 def charpoly_galois(a: Matrix) -> CharPoly:
-    """Characteristic polynomial over a Galois ring, exactly.
+    """Characteristic polynomial over a Galois ring R = (Z/p^n)[X]/(F).
 
-    Entries are lifted through the Galois representation to Z[X]/(F) with F
-    the integer lift of the Galois polynomial, the Newton trace recursion
-    c_k = -(1/k)(s_k + sum_{0<j<k} c_j s_{k-j}) runs over exact rationals
-    (every division must clear its denominator), and the integer output is
-    reduced mod p^n and mapped back through the representation.
+    The entries are lifted through the Galois representation to
+    (Z/p^N)[X]/(F), a matrix as r coefficient matrices of Python ints, and
+    the Newton trace recursion k·c_k = -(s_k + sum_{0<j<k} c_j s_{k-j})
+    runs there with N = n + v_p(d!) for a d x d matrix.  Step k divides by
+    k = p^v·u: it multiplies by u^(-1) mod p^N and divides exactly by p^v.
+    Over the p-adic lift the right-hand side is k·c_k; ours agrees with it
+    to N - v_p((k-1)!) >= n + v digits, so p^v divides it, and c_k is exact
+    to N - v_p(k!) >= n digits.  The output is reduced mod p^n.
     """
     ring = a.ring
     if is_galois_ring(ring) is None:
@@ -284,66 +283,51 @@ def charpoly_galois(a: Matrix) -> CharPoly:
     if not a.is_square():
         raise InvalidParameter("characteristic polynomial requires a square matrix")
     rep = galois_representation(ring)
-    f = [int(c) for c in rep.f.coeffs]
-    r = rep.r
-    q = rep.q
-    ids = list(a.rows)
-    n = len(ids)
-    zero_poly = (0,) * r
-    lifted = [
-        [tuple(int(c) for c in rep.iota[a.entry_idx(i, j)]) for j in ids]
-        for i in ids
-    ]
+    iota, table = _galois_lift(ring, rep)
+    p, r, n = rep.p, rep.r, len(a.rows)
+    # v_p(k) for k = 1..n; their sum is v_p(n!)
+    vals = [next(v for v in range(k) if k % p ** (v + 1)) for k in range(1, n + 1)]
+    modulus = p ** (rep.n + sum(vals))
 
-    def pmul(x, y):
-        return _int_poly_mul_mod(x, y, f)
+    def fold(pairs):
+        """sum_{s,t} pairs[s, t]·X^(s+t) mod (F, p^N)."""
+        return (table @ pairs.reshape(r * r, -1)).reshape(pairs.shape[1:]) % modulus
 
-    def mat_product(m1, m2):
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero_poly
-                for k in range(n):
-                    if m1[i][k] != zero_poly and m2[k][j] != zero_poly:
-                        acc = _int_poly_add(acc, pmul(m1[i][k], m2[k][j]))
-                row.append(acc)
-            out.append(row)
-        return out
-
-    traces = []
-    power = lifted
-    for _ in range(n):
-        trace = zero_poly
-        for i in range(n):
-            trace = _int_poly_add(trace, power[i][i])
-        traces.append(trace)
-        power = mat_product(power, lifted)
-    # Newton recursion: c[k] is the coefficient of X^(n-k)
-    coeffs_by_drop: list[tuple[int, ...]] = [(1,) + (0,) * (r - 1)]
+    lifted = iota[:, a._grid_in(a.rows, a.rows)]
+    power, traces = lifted, []
+    for k in range(n):
+        if k:
+            power = fold(np.matmul(power[:, None], lifted))
+        traces.append(power.trace(axis1=1, axis2=2))
+    traces = np.array(traces, dtype=object).reshape(n, r)
+    # Newton recursion: by_drop[k] is the coefficient of X^(n-k)
+    by_drop = np.zeros((n + 1, r), dtype=object)
+    by_drop[0, 0] = 1
     for k in range(1, n + 1):
-        acc = list(traces[k - 1])
-        for j in range(1, k):
-            term = pmul(coeffs_by_drop[j], traces[k - j - 1])
-            acc = [x + y for x, y in zip(acc, term)]
-        ck = []
-        for v in acc:
-            frac = Fraction(-v, k)
-            if frac.denominator != 1:
-                raise InternalError(
-                    f"Newton recursion produced denominator {frac.denominator} at step {k}"
-                )
-            ck.append(int(frac))
-        coeffs_by_drop.append(tuple(ck))
-    coefficients = []
-    for power_of_x in range(n + 1):
-        ck = coeffs_by_drop[n - power_of_x]
-        coefficients.append(rep.from_poly([c % q for c in ck]))
-    return CharPoly(ring=ring, coefficients=coefficients)
+        # sum_{0<=j<k} c_j s_{k-j}, with c_0 = 1
+        rhs = fold((by_drop[:k, :, None] * traces[k - 1::-1, None, :]).sum(axis=0))
+        v = vals[k - 1]
+        rhs = -rhs * pow(k // p**v, -1, modulus) % modulus
+        if v and any(c % p**v for c in rhs):
+            raise InternalError(f"Newton recursion: p^{v} does not divide the right-hand side at step {k}")
+        by_drop[k] = rhs // p**v
+    return CharPoly(ring=ring, coefficients=[rep.from_poly(c) for c in by_drop[::-1].tolist()])
+
+
+def _determinant_local(ring: FiniteRing, grid: np.ndarray) -> int:
+    """det over a chain ring by Hermite elimination: row operations that add
+    multiples of the pivot row keep det, each swap negates it, and the
+    triangular result has det = prod diag, or 0 below full rank."""
+    n = len(grid)
+    a, _, rank, swaps = _hermite(ring, [grid], n, chain_data(ring), _divider(ring))
+    if rank < n:
+        return ring.zero.index
+    det = functools.reduce(ring.mul_idx, a.diagonal().tolist(), ring.one.index)
+    return ring.neg_idx(det) if swaps else det
 
 
 def determinant(a: Matrix) -> RingElement:
-    """det(A) = (-1)^|I| · chi_A(0), recombined over the local summands.
+    """det(A) by elimination on each local summand, recombined.
 
     Every local summand must be a Galois ring (all Z/m qualify).
     """
@@ -352,17 +336,11 @@ def determinant(a: Matrix) -> RingElement:
         raise PreconditionViolation("determinant requires a commutative ring")
     if not a.is_square():
         raise InvalidParameter("determinant requires a square matrix")
-    n = len(a.rows)
+    grid = a._grid_in(a.rows, a.rows)
     total = ring.zero.index
     for summand in decompose_local(ring):
         sub = summand.ring
         if is_galois_ring(sub) is None:
-            raise UnsupportedRing(
-                f"local summand {sub.spec} is not a Galois ring; determinant undefined here"
-            )
-        chi = charpoly_galois(Matrix._from_arrays(sub, a.rows, a.cols, A=summand.proj[a.A]))
-        det_idx = chi.coefficients[0].index
-        if n % 2 == 1:
-            det_idx = sub.neg_idx(det_idx)
-        total = ring.add_idx(total, summand.embed(det_idx))
+            raise UnsupportedRing(f"local summand {sub.spec} is not a Galois ring; determinant undefined here")
+        total = ring.add_idx(total, summand.embed(_determinant_local(sub, summand.proj[grid])))
     return ring.element(total)

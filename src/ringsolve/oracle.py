@@ -20,6 +20,7 @@ whole search space when there is none.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -171,22 +172,8 @@ def det_cofactor(matrix: Matrix):
         raise InvalidParameter("determinant of a non-square matrix")
     if len(rows) > MAX_COFACTOR:
         raise CapacityError(f"cofactor expansion capped at {MAX_COFACTOR}x{MAX_COFACTOR}")
-    grid = [[matrix.entry_idx(i, j) for j in cols] for i in rows]
-    return ring.element(_det_idx(ring, grid))
-
-
-def _det_idx(ring: FiniteRing, grid: list[list[int]]) -> int:
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    acc = ring.zero.index
-    for c in range(n):
-        minor = [row[:c] + row[c + 1:] for row in grid[1:]]
-        term = ring.mul_idx(grid[0][c], _det_idx(ring, minor))
-        if c % 2:
-            term = ring.neg_idx(term)
-        acc = ring.add_idx(acc, term)
-    return acc
+    grid = [[[matrix.entry_idx(i, j)] for j in cols] for i in rows]
+    return ring.element(_det_poly(ring, grid)[0])
 
 
 def charpoly_cofactor(matrix: Matrix) -> CharPoly:
@@ -247,6 +234,36 @@ def _det_poly(ring, grid):
             term = _poly_neg(ring, term)
         acc = _poly_add(ring, acc, term)
     return acc
+
+
+def charpoly_berkowitz(matrix: Matrix) -> CharPoly:
+    """det(X·E - A) by Berkowitz's division-free recursion: commutative
+    rings, any size, O(n^4) scalar ring operations.
+
+    Let B be the leading (k-1) x (k-1) block of the leading k x k block, a
+    its corner, R and C the rest of its last row and column.  The k x k
+    block's coefficients, highest first, are T times B's, where T is
+    lower-triangular Toeplitz with first column 1, -a, -R·C, -R·B·C, ...,
+    -R·B^(k-2)·C.
+    """
+    ring = matrix.ring
+    rows = list(matrix.rows)
+    if not ring.commutative or set(rows) != set(matrix.cols):
+        raise InvalidParameter("Berkowitz characteristic polynomial requires a square matrix over a commutative ring")
+    grid = [[matrix.entry_idx(i, j) for j in rows] for i in rows]
+
+    def dot(x, y):
+        return functools.reduce(ring.add_idx, map(ring.mul_idx, x, y), ring.zero.index)
+
+    poly = [ring.one.index]
+    for k, row in enumerate(grid):
+        toeplitz = [ring.one.index, ring.neg_idx(row[k])]
+        column = [grid[i][k] for i in range(k)]
+        for _ in range(k):
+            toeplitz.append(ring.neg_idx(dot(row[:k], column)))
+            column = [dot(grid[i][:k], column) for i in range(k)]
+        poly = [dot(toeplitz[i::-1], poly) for i in range(k + 2)]
+    return CharPoly(ring=ring, coefficients=[ring.element(c) for c in reversed(poly)])
 
 
 # ---------------------------------------------------------------------------

@@ -441,6 +441,7 @@ def test_matrix_algebra_and_closure_reductions_skip_validation(rng):
         "mat_pow": lambda: (mat_pow(a9_reversed, 5), mat_pow(a12, 7)),
         "inverse": lambda: [inverse(a) for a in [*matrices, invertible]],
         "determinant": lambda: [determinant(a) for a in matrices],
+        "charpoly_galois": lambda: [charpoly_galois(a) for a in (a9, a9_reversed)],
         "evaluate_at_matrix": lambda: charpoly_galois(a9_reversed).evaluate_at_matrix(a9_reversed),
         "normal_form": lambda: normal_form(s4[0]),
         "complement_chain": lambda: complement_chain(s4[0]),

@@ -21,9 +21,10 @@ from ringsolve import (
     mat_mul,
     mat_pow,
 )
-from ringsolve.oracle import charpoly_cofactor, det_cofactor, enumerate_gl, inverse_by_power
+from ringsolve.oracle import charpoly_berkowitz, charpoly_cofactor, det_cofactor, enumerate_gl, inverse_by_power
 from ringsolve.ring import unit_indices
 from ringsolve.structure import decompose_local
+from ringsolve.sysio import parse_ring_spec
 
 
 def rand_matrix(rng, ring, ids):
@@ -263,14 +264,49 @@ def test_determinant_agrees_with_cofactor(rng):
             assert determinant(a).index == det_cofactor(a).index
 
 
-def test_determinant_multiplicative_z9(rng):
-    z9 = zmod(9)
-    for _ in range(25):
-        a = rand_matrix(rng, z9, [0, 1])
-        b = rand_matrix(rng, z9, [0, 1])
-        lhs = determinant(mat_mul(a, b)).index
-        rhs = z9.mul_idx(determinant(a).index, determinant(b).index)
-        assert lhs == rhs
+def lu_matrix(rng, ring, ids):
+    """L·U with unit diagonals: invertible, unlike most random matrices."""
+    units = sorted(unit_indices(ring))
+    lower = Matrix(ring, ids, ids, {(i, j): rng.choice(units) if i == j else rng.randrange(ring.size)
+                                    for i in ids for j in ids if j <= i})
+    upper = Matrix(ring, ids, ids, {(i, j): rng.choice(units) if i == j else rng.randrange(ring.size)
+                                    for i in ids for j in ids if j >= i})
+    return mat_mul(lower, upper)
+
+
+def test_determinant_multiplicative(rng):
+    for ring in (zmod(9), gr42(), zmod(12)):
+        for n in range(2, 12):
+            ids = list(range(n))
+            for a, b in ((rand_matrix(rng, ring, ids), rand_matrix(rng, ring, ids)),
+                         (lu_matrix(rng, ring, ids), rand_matrix(rng, ring, ids)),
+                         (lu_matrix(rng, ring, ids), lu_matrix(rng, ring, ids))):
+                lhs = determinant(mat_mul(a, b)).index
+                rhs = ring.mul_idx(determinant(a).index, determinant(b).index)
+                assert lhs == rhs, (ring.spec, n)
+
+
+@pytest.mark.parametrize("ring_factory", [lambda: zmod(4), lambda: zmod(8), lambda: zmod(9), gr42],
+                         ids=["Z/4", "Z/8", "Z/9", "GR42"])
+def test_charpoly_and_determinant_agree_with_berkowitz(ring_factory, rng):
+    ring = ring_factory()
+    for n in range(7, 13):
+        ids = list(range(n))
+        for a in (rand_matrix(rng, ring, ids), lu_matrix(rng, ring, ids)):
+            chi = charpoly_berkowitz(a)
+            assert charpoly_galois(a).equals(chi), (ring.spec, n)
+            det = chi.coefficient(0).index
+            assert determinant(a).index == (ring.neg_idx(det) if n % 2 else det), (ring.spec, n)
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/2 x GR(4,2)"])
+def test_determinant_agrees_with_berkowitz_over_non_local_rings(spec, rng):
+    ring = parse_ring_spec(spec)
+    for n in range(7, 13):
+        ids = list(range(n))
+        for a in (rand_matrix(rng, ring, ids), lu_matrix(rng, ring, ids)):
+            det = charpoly_berkowitz(a).coefficient(0).index
+            assert determinant(a).index == (ring.neg_idx(det) if n % 2 else det), (spec, n)
 
 
 def test_determinant_unsupported_for_non_galois_summand():

@@ -16,6 +16,7 @@ from conftest import (
 )
 from ringsolve import (
     CapacityError,
+    InvalidParameter,
     GroupSystem,
     LinSystem,
     Matrix,
@@ -30,6 +31,7 @@ from ringsolve import (
 )
 from ringsolve.oracle import (
     brute_force_solve,
+    charpoly_berkowitz,
     charpoly_cofactor,
     check_group_axioms,
     check_ring_axioms,
@@ -130,6 +132,24 @@ def test_charpoly_cofactor_diag_over_z6():
     chi = charpoly_cofactor(m)
     # (X-2)(X-3) = X^2 + X + 0 over Z/6
     assert [c.index for c in chi.coefficients] == [0, 1, 1]
+
+
+@pytest.mark.parametrize("ring_factory", [f4, lambda: zmod(9), gr42], ids=["F4", "Z/9", "GR42"])
+def test_charpoly_berkowitz_matches_cofactor(ring_factory, rng):
+    ring = ring_factory()
+    for n in range(1, 7):
+        ids = list(range(n))
+        for _ in range(3):
+            a = Matrix(ring, ids, ids, {(i, j): rng.randrange(ring.size) for i in ids for j in ids})
+            assert charpoly_berkowitz(a).equals(charpoly_cofactor(a)), (ring.spec, n)
+
+
+def test_charpoly_berkowitz_examples():
+    z6 = zmod(6)
+    m = Matrix(z6, [0, 1], [0, 1], {(0, 0): 2, (1, 1): 3})
+    assert [c.index for c in charpoly_berkowitz(m).coefficients] == [0, 1, 1]  # (X-2)(X-3)
+    with pytest.raises(InvalidParameter):
+        charpoly_berkowitz(Matrix(upper_triangular_f2(), [0], [0], {}))
 
 
 def test_cofactor_capacity():

@@ -15,6 +15,9 @@ and a certificate with one tampered value or digest must be rejected, by
 Random matrices whose operands list the same ids in different orders, also
 over the non-commutative UT2(F2): ``mat_mul``, ``mat_add``, ``mat_scale`` and
 ``evaluate_at_matrix`` must agree with scalar definitions written here.
+Random square matrices: ``determinant`` must be (-1)^n times the constant
+term of ``charpoly_galois``, change sign under a row swap and vanish with a
+zero row.
 Random scan orders over product groups: the cyclic decomposition must give
 a divisibility chain whose coordinates round-trip.  Examples are
 derandomized and bounded so that every run checks the same cases.
@@ -43,6 +46,8 @@ from ringsolve import (
     NumericalSystem,
     TwoSidedSystem,
     UnsolvableWitness,
+    charpoly_galois,
+    determinant,
     hermite_normal_form,
     inverse,
     mat_add,
@@ -56,7 +61,7 @@ from ringsolve.linsys import _chain_valuations
 from ringsolve.matalg import mat_scale
 from ringsolve.oracle import brute_force_solve, inverse_by_power
 from ringsolve.ring import additive_group, group_decompose_cyclic, unit_indices
-from ringsolve.structure import chain_data
+from ringsolve.structure import chain_data, is_galois_ring
 from ringsolve.sysio import (
     parse_group_spec,
     parse_matrix,
@@ -240,6 +245,32 @@ def test_evaluate_at_matrix_is_the_sum_of_scaled_powers(operands, data):
         power = _scalar_product(ring, Matrix(ring, square.rows, square.rows, power), square)
     chi = CharPoly(ring, [ring.element(c) for c in coefficients])
     assert _cells(chi.evaluate_at_matrix(square)) == expected
+
+
+DETERMINANT_RINGS = {**RINGS, "Z/12": lambda: zmod(12)}
+
+
+@pytest.mark.parametrize("ring_name", sorted(DETERMINANT_RINGS))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_determinant_under_row_operations(ring_name, data):
+    """det(A) = (-1)^n·chi_A(0) over Galois rings; swapping two rows
+    negates det and a zero row makes it 0, over Z/12 too."""
+    ring = DETERMINANT_RINGS[ring_name]()
+    a = data.draw(square_matrices(ring, max_n=6))
+    ids, n = a.rows, len(a.rows)
+    det = determinant(a).index
+    if is_galois_ring(ring):
+        c0 = charpoly_galois(a).coefficient(0).index
+        assert det == (ring.neg_idx(c0) if n % 2 else c0)
+    if n > 1:
+        i, j = data.draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+        source = {i: j, j: i}
+        swapped = Matrix(ring, ids, ids, {(r, c): a.entry_idx(source.get(r, r), c) for r in ids for c in ids})
+        assert determinant(swapped).index == ring.neg_idx(det)
+    k = data.draw(st.sampled_from(ids))
+    zeroed = Matrix(ring, ids, ids, {(r, c): a.entry_idx(r, c) for r in ids for c in ids if r != k})
+    assert determinant(zeroed).index == ring.zero.index
 
 
 # ---------------------------------------------------------------------------
