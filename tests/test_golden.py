@@ -416,30 +416,35 @@ def _grid_product(ring, x: list[list[int]], y: list[list[int]]) -> list[list[int
     return out
 
 
+def _seeded_matrices(rng: random.Random, label: str, ring, sizes) -> dict:
+    """Per size n: a uniformly random matrix, an invertible L·U, and L·U with
+    one non-unit on the diagonal of U (singular, yet every column may hold a
+    unit)."""
+    units = sorted(unit_indices(ring))
+    non_units = sorted(set(range(ring.size)) - set(units))
+    out = {}
+    for n in sizes:
+        ids = list(range(n))
+
+        def matrix(grid):
+            return Matrix(ring, ids, ids, {(i, j): grid[i][j] for i in ids for j in ids})
+
+        out[f"{label}-{n}-random"] = matrix([[rng.randrange(ring.size) for _ in ids] for _ in ids])
+        lower = _triangular(rng, ring, n, True, [rng.choice(units) for _ in ids])
+        diag = [rng.choice(units) for _ in ids]
+        out[f"{label}-{n}-lu"] = matrix(_grid_product(ring, lower, _triangular(rng, ring, n, False, diag)))
+        diag[rng.randrange(n)] = rng.choice(non_units)
+        out[f"{label}-{n}-lu-nonunit"] = matrix(_grid_product(ring, lower, _triangular(rng, ring, n, False, diag)))
+    return out
+
+
 def _golden_matrices() -> dict:
-    """Per ring and n = 1..8: a uniformly random matrix, an invertible L·U,
-    and L·U with one non-unit on the diagonal of U (singular, yet every
-    column may hold a unit)."""
+    """The seeded matrices of n = 1..8 per ring."""
     rng = random.Random(19980615)
     out = {}
     for label, spec in MATRIX_RINGS:
         ring = bivariate_nilpotent() if spec is None else parse_ring_spec(spec)
-        units = sorted(unit_indices(ring))
-        non_units = sorted(set(range(ring.size)) - set(units))
-        for n in range(1, 9):
-            ids = list(range(n))
-
-            def matrix(grid):
-                return Matrix(ring, ids, ids, {(i, j): grid[i][j] for i in ids for j in ids})
-
-            out[f"{label}-{n}-random"] = matrix([[rng.randrange(ring.size) for _ in ids] for _ in ids])
-            lower = _triangular(rng, ring, n, True, [rng.choice(units) for _ in ids])
-            diag = [rng.choice(units) for _ in ids]
-            out[f"{label}-{n}-lu"] = matrix(_grid_product(ring, lower, _triangular(rng, ring, n, False, diag)))
-            diag[rng.randrange(n)] = rng.choice(non_units)
-            out[f"{label}-{n}-lu-nonunit"] = matrix(
-                _grid_product(ring, lower, _triangular(rng, ring, n, False, diag))
-            )
+        out.update(_seeded_matrices(rng, label, ring, range(1, 9)))
     return out
 
 
@@ -522,28 +527,10 @@ CHARPOLY_RINGS = [
 
 @functools.cache
 def _golden_charpoly_matrices() -> dict:
-    """Per ring and size: a uniformly random matrix, an invertible L·U, and
-    L·U with one non-unit on the diagonal of U."""
     rng = random.Random(19840312)
     out = {}
     for label, spec, sizes in CHARPOLY_RINGS:
-        ring = parse_ring_spec(spec)
-        units = sorted(unit_indices(ring))
-        non_units = sorted(set(range(ring.size)) - set(units))
-        for n in sizes:
-            ids = list(range(n))
-
-            def matrix(grid):
-                return Matrix(ring, ids, ids, {(i, j): grid[i][j] for i in ids for j in ids})
-
-            out[f"{label}-{n}-random"] = matrix([[rng.randrange(ring.size) for _ in ids] for _ in ids])
-            lower = _triangular(rng, ring, n, True, [rng.choice(units) for _ in ids])
-            diag = [rng.choice(units) for _ in ids]
-            out[f"{label}-{n}-lu"] = matrix(_grid_product(ring, lower, _triangular(rng, ring, n, False, diag)))
-            diag[rng.randrange(n)] = rng.choice(non_units)
-            out[f"{label}-{n}-lu-nonunit"] = matrix(
-                _grid_product(ring, lower, _triangular(rng, ring, n, False, diag))
-            )
+        out.update(_seeded_matrices(rng, label, parse_ring_spec(spec), sizes))
     return out
 
 

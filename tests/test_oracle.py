@@ -16,8 +16,8 @@ from conftest import (
 )
 from ringsolve import (
     CapacityError,
-    InvalidParameter,
     GroupSystem,
+    InvalidParameter,
     LinSystem,
     Matrix,
     NumericalSystem,
