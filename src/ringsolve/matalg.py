@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -289,29 +290,27 @@ def charpoly_galois(a: Matrix) -> CharPoly:
     vals = [next(v for v in range(k) if k % p ** (v + 1)) for k in range(1, n + 1)]
     modulus = p ** (rep.n + sum(vals))
 
-    def fold(pairs):
-        """sum_{s,t} pairs[s, t]·X^(s+t) mod (F, p^N)."""
-        return (table @ pairs.reshape(r * r, -1)).reshape(pairs.shape[1:]) % modulus
-
     lifted = iota[:, a._grid_in(a.rows, a.rows)]
     power, traces = lifted, []
     for k in range(n):
         if k:
-            power = fold(np.matmul(power[:, None], lifted))
-        traces.append(power.trace(axis1=1, axis2=2))
-    traces = np.array(traces, dtype=object).reshape(n, r)
-    # Newton recursion: by_drop[k] is the coefficient of X^(n-k)
-    by_drop = np.zeros((n + 1, r), dtype=object)
-    by_drop[0, 0] = 1
+            # sum_{s,t} power_s·lifted_t·X^(s+t) mod (F, p^N)
+            pairs = np.matmul(power[:, None], lifted).reshape(r * r, -1)
+            power = (table @ pairs).reshape(lifted.shape) % modulus
+        traces.append(power.trace(axis1=1, axis2=2).tolist())
+    # Newton recursion on lists of r ints: by_drop[k] is the coefficient of X^(n-k)
+    by_drop = [[1] + [0] * (r - 1)]
     for k in range(1, n + 1):
-        # sum_{0<=j<k} c_j s_{k-j}, with c_0 = 1
-        rhs = fold((by_drop[:k, :, None] * traces[k - 1::-1, None, :]).sum(axis=0))
+        # sum_{0<=j<k} c_j s_{k-j} with c_0 = 1: the X^s·X^t terms, then folded by the table
+        terms = list(zip(by_drop, traces[k - 1::-1]))
+        pairs = [sum(c[s] * t[u] for c, t in terms) for s in range(r) for u in range(r)]
         v = vals[k - 1]
-        rhs = -rhs * pow(k // p**v, -1, modulus) % modulus
-        if v and any(c % p**v for c in rhs):
+        unit = pow(k // p**v, -1, modulus)
+        rhs = [-sum(map(operator.mul, row, pairs)) * unit % modulus for row in table.tolist()]
+        if any(c % p**v for c in rhs):
             raise InternalError(f"Newton recursion: p^{v} does not divide the right-hand side at step {k}")
-        by_drop[k] = rhs // p**v
-    return CharPoly(ring=ring, coefficients=[rep.from_poly(c) for c in by_drop[::-1].tolist()])
+        by_drop.append([c // p**v for c in rhs])
+    return CharPoly(ring=ring, coefficients=[rep.from_poly(c) for c in reversed(by_drop)])
 
 
 def _determinant_local(ring: FiniteRing, grid: np.ndarray) -> int:
