@@ -67,6 +67,13 @@ of 16x16 over ``Z/2`` and ``Z/4``, where 16! holds the largest power of 2
 the Newton recursion divides by.  It also pins the determinant alone of
 9x9 to 12x12 matrices over ``Z/12`` and ``Z/2 x GR(4,2)``, whose local
 summands are Galois rings but which are not Galois rings themselves.
+
+A ninth file, ``golden_order.json``, pins the canonical order itself: per
+local summand of every commutative ring of ``golden_structure.json``, the
+``[key(i), rep(i)]`` of each element i of ``default_order`` in table order
+(the sha256 of its JSON text past 64 elements), and the standard output and
+exit code of ``ringsolve ring order`` on ``Z/9``, ``GR(4,2)``, ``Z/8``,
+``Z/4[X]/(X^2)`` and ``Z/512`` (the sha256 of the text past 64 lines).
 """
 
 from __future__ import annotations
@@ -143,6 +150,7 @@ EXPECTED_STRUCTURE = json.loads((Path(__file__).with_name("golden_structure.json
 EXPECTED_CYCLIC = json.loads((Path(__file__).with_name("golden_cyclic.json")).read_text())
 EXPECTED_REDUCTIONS = json.loads((Path(__file__).with_name("golden_reductions.json")).read_text())
 EXPECTED_CHARPOLY = json.loads((Path(__file__).with_name("golden_charpoly.json")).read_text())
+EXPECTED_ORDER = json.loads((Path(__file__).with_name("golden_order.json")).read_text())
 
 
 def _pick(rng: random.Random, size: int, zero: int, density: float = 0.7) -> int:
@@ -870,6 +878,44 @@ def test_golden_cyclic_outputs(name):
     else:
         observed = observe_cyclic(*_cyclic_cases()[name]())
     assert json.loads(json.dumps(observed)) == EXPECTED_CYCLIC[name]
+
+
+# ---------------------------------------------------------------------------
+# canonical order: keys, representations and ``ring order``
+
+
+ORDER_CLI_SPECS = ("Z/9", "GR(4,2)", "Z/8", "Z/4[X]/(X^2)", "Z/512")
+
+
+def observe_order(local) -> list | str:
+    order = default_order(local)
+    return _pinned([[list(order.key(i)), [[list(t), a] for t, a in order.rep(i)]] for i in range(local.size)])
+
+
+def observe_order_cli(spec: str, capsys) -> dict:
+    code = main(["ring", "order", spec])
+    out = capsys.readouterr().out
+    return {"exit": code, "stdout": out if out.count("\n") <= 64 else _digest(out)}
+
+
+def _order_cases() -> list[str]:
+    return ([f"{name} e={s.e.index}" for name, (_, summands) in _commutative_structure_rings().items()
+             for s in summands] + [f"cli {spec}" for spec in ORDER_CLI_SPECS])
+
+
+def test_golden_order_covers_every_case():
+    assert sorted(_order_cases()) == sorted(EXPECTED_ORDER)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_ORDER))
+def test_golden_order_outputs(capsys, name):
+    if name.startswith("cli "):
+        observed = observe_order_cli(name[len("cli "):], capsys)
+    else:
+        ring_name, e = name.rsplit(" e=", 1)
+        summand = next(s for s in _commutative_structure_rings()[ring_name][1] if s.e.index == int(e))
+        observed = observe_order(summand.ring)
+    assert json.loads(json.dumps(observed)) == EXPECTED_ORDER[name]
 
 
 # ---------------------------------------------------------------------------
