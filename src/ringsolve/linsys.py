@@ -24,7 +24,8 @@ from .errors import (
     PreconditionViolation,
     Unsupported,
 )
-from .ring import AbelianGroup, FiniteRing, GroupElement, RingElement, _index_dtype, cached_zmod, group_decompose_cyclic
+from .ring import (AbelianGroup, FiniteRing, GroupElement, RingElement, _index_dtype, cached_zmod, factorize,
+                   group_decompose_cyclic)
 from .structure import ChainData, chain_data, decompose_local, default_order
 
 
@@ -651,7 +652,7 @@ class _Congruences:
     variables: list
 
     def primes(self) -> list[int]:
-        return sorted({p for m in set(self.mods.tolist()) for p in _prime_factors(m)})
+        return sorted({p for m in set(self.mods.tolist()) for p, _ in factorize(m)})
 
 
 def _lift_prime_part(cong: _Congruences, p: int) -> LinSystem:
@@ -692,20 +693,6 @@ def _solve_congruences(cong: _Congruences) -> dict | Certificate:
         for var, elem in cert.assignment.items():
             assignment.setdefault(var, {})[chain_sys.ring.size] = elem.index
     return {var: _crt(residues) for var, residues in assignment.items()}
-
-
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def _pval(m: int, p: int) -> int:

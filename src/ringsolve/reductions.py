@@ -24,6 +24,7 @@ from .ring import (
     _op_table,
     additive_group,
     cached_zmod,
+    factorize,
     group_decompose_cyclic,
 )
 from .structure import RingOrder, decompose_local, table_order
@@ -370,30 +371,16 @@ def normal_form(system: LinSystem) -> ReductionOutput:
 # complementation and boolean combinations over Z_{p^k}
 
 
-def _prime_power(m: int) -> tuple[int, int] | None:
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            k = 0
-            v = m
-            while v % p == 0:
-                v //= p
-                k += 1
-            return (p, k) if v == 1 else None
-        p += 1
-    return (m, 1)
-
-
 def complement_chain(system: LinSystem) -> ReductionOutput:
     """The transposed system ((A|b)^T, (0,...,0,p^(k-1))^T), solvable iff the
     source is unsolvable (chain-ring duality)."""
     zm = system.ring
     if zm.rep != "zmod":
         raise PreconditionViolation("complement_chain expects a system over some Z_m")
-    pk = _prime_power(zm.size)
-    if pk is None:
+    factors = factorize(zm.size)
+    if len(factors) != 1:
         raise PreconditionViolation(f"modulus {zm.size} is not a prime power")
-    p, k = pk
+    ((p, k),) = factors
     rows = [("t", j) for j in system.cols] + [("tail",)]
     b_vec = np.zeros(len(rows), dtype=np.int64)
     b_vec[-1] = p ** (k - 1) % zm.size
@@ -429,7 +416,7 @@ def _block_diagonal(grids: list[np.ndarray]) -> np.ndarray:
 def or_compose(s1: LinSystem, s2: LinSystem) -> LinSystem:
     """De Morgan: complement(and(complement(s1), complement(s2)))."""
     zm = _same_zmod(s1, s2)
-    if _prime_power(zm.size) is None:
+    if len(factorize(zm.size)) != 1:
         raise PreconditionViolation(f"modulus {zm.size} is not a prime power")
     c1 = complement_chain(s1).target
     c2 = complement_chain(s2).target
@@ -467,7 +454,7 @@ def collapse_nested(outer_rows: list, outer_cols: list, inner: Mapping) -> LinSy
             s = inner.get((a, bcol))
             if s is None:
                 raise InvalidParameter(f"missing inner system for ({a!r},{bcol!r})")
-            if s.ring.rep != "zmod" or _prime_power(s.ring.size) != (s.ring.size, 1):
+            if s.ring.rep != "zmod" or factorize(s.ring.size) != [(s.ring.size, 1)]:
                 raise PreconditionViolation("inner systems must live over a prime field Z_p")
             if ring is None:
                 ring = cached_zmod(s.ring.size)

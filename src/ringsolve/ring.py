@@ -178,14 +178,22 @@ class _Carrier:
 
     def scalar(self, k, x):
         """k·x for integers k >= 0 and element indices x, broadcast together,
-        by binary doubling with the elementwise add."""
-        k, base = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(x))
-        acc = np.full(k.shape, self._zero_idx, dtype=np.int64)
-        while k.any():
-            acc = np.where(k & 1, self.add(acc, base), acc)
-            base = self.add(base, base)
-            k = k >> 1
-        return acc
+        by binary doubling with the elementwise add: one doubling per bit of
+        the largest k.  A Python-int k adds whole arrays, without masks, in
+        about log2(k) adds; an array k selects its set bits by mask."""
+        whole = isinstance(k, int)
+        if not whole:
+            k, x = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(x))
+        acc, base = None, np.asarray(x)  # acc = (k mod 2^bit)·x, None while that is 0
+        for bit in range((k if whole else int(k.max(initial=0))).bit_length()):
+            if bit:
+                base = self.add(base, base)
+            odd = k >> bit & 1
+            if whole and not odd:
+                continue
+            total = base if acc is None else self.add(acc, base)
+            acc = total if whole else np.where(odd, total, self._zero_idx if acc is None else acc)
+        return np.full(base.shape, self._zero_idx, dtype=np.int64) if acc is None else acc
 
     def add_table(self) -> list[list[int]]:
         """The addition table as lists, computed from the carrier on each call."""
@@ -354,15 +362,21 @@ def poly_mod_reduce(coeffs: list[int], f: Sequence[int], q: int) -> list[int]:
     return out
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The prime factorisation of n as (p, e) pairs, p increasing, by trial
+    division; empty for n < 2."""
+    factors, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            factors.append((d, e))
         d += 1
-    return True
+    if n > 1:
+        factors.append((n, 1))
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +419,7 @@ def build_poly_quotient(p: int, n: int, f: Poly) -> FiniteRing:
     so table order is coefficient order with the constant term varying
     fastest and integers 0..p^n-1 keep their integer names.
     """
-    if not _is_prime(p):
+    if factorize(p) != [(p, 1)]:
         raise InvalidParameter(f"{p} is not prime")
     if n < 1:
         raise InvalidParameter("n must be >= 1")
@@ -744,20 +758,25 @@ def additive_group(ring: FiniteRing) -> AbelianGroup:
 
 def _orders_modulo(carrier: _Carrier, span: np.ndarray, x) -> np.ndarray:
     """The order modulo a subgroup H (``span``, its mask) of each element of x:
-    the least k > 0 with k·x in H, found by adding x on the shrinking array of
-    elements not yet back in H."""
+    the least k > 0 with k·x in H.
+
+    The order divides the index n of H.  For each p^e exactly dividing n,
+    y = (n/p^e)·x has order modulo H the p-part of the order of x: the least
+    p^j with p^j·y in H, found by multiplying y by p at most e times."""
     x = np.asarray(x, dtype=np.int64).ravel()
-    orders = np.zeros(x.size, dtype=np.int64)
-    live, acc = np.arange(x.size), x  # acc = k·x[live]
-    for k in range(1, carrier.size + 1):
-        inside = span[acc]
-        if inside.any():
-            orders[live[inside]] = k
-            live, acc = live[~inside], acc[~inside]
-            if not live.size:
-                return orders
-        acc = carrier.add(acc, x[live])
-    raise NotARing("element order", carrier.format_element(int(x[live[0]])))
+    n = carrier.size // int(np.count_nonzero(span))
+    orders = np.ones(x.size, dtype=np.int64)
+    for p, e in factorize(n):
+        y = carrier.scalar(n // p**e, x)
+        for j in range(e + 1):
+            inside = span[y]
+            if inside.all():
+                break
+            if j == e:
+                raise NotARing("element order", carrier.format_element(int(x[inside.argmin()])))
+            orders = np.where(inside, orders, orders * p)
+            y = carrier.scalar(p, y)
+    return orders
 
 
 def _extend_span(carrier: _Carrier, members: np.ndarray, span: np.ndarray, g: int) -> np.ndarray:

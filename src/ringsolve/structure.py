@@ -8,6 +8,7 @@ ring object; rings are immutable so the caches are sound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,6 +23,7 @@ from .ring import (
     _additive_span,
     _row_blocks,
     build_table_ring,
+    factorize,
     idempotents,
     nilpotency,
     poly_mod_reduce,
@@ -141,12 +143,12 @@ def local_data(ring: FiniteRing) -> LocalData:
     if "localdata" in ring._cache:
         return ring._cache["localdata"]
     m = maximal_ideal(ring)
-    # cosets r + m are labelled by their least member
+    # cosets r + m are labelled by their least member, the first element not yet labelled
     members = np.array(sorted(m))
     label = np.full(ring.size, -1)
-    for r in range(ring.size):
-        if label[r] < 0:
-            label[ring.add(r, members)] = r
+    while (unlabelled := label < 0).any():
+        r = int(unlabelled.argmax())
+        label[ring.add(r, members)] = r
     reps = np.flatnonzero(label == np.arange(ring.size))
     pos = np.zeros(ring.size, dtype=np.int64)
     pos[reps] = np.arange(reps.size)
@@ -254,35 +256,36 @@ def teichmuller_set(ring: FiniteRing) -> set[RingElement]:
 class RingOrder:
     """A strict total order on a ring's elements with canonical representations.
 
-    ``key(i)`` is a sort key (tuple of Gamma positions, one per exponent
-    tuple of the generators); ``rep(i)`` maps an element to its canonical
-    coefficient list [(exponent tuple, Gamma element index), ...].
+    Row i of ``words`` is the coefficient word of element i: one Gamma
+    position per exponent tuple of ``tuples``, Gamma listed in ``gamma``.
+    Both accessors read that row when called: ``key(i)`` is the word as a
+    tuple, the sort key, and ``rep(i)`` the canonical coefficient list
+    [(exponent tuple, Gamma element index), ...] without its zero
+    coefficients.  The table order has the index itself as its one-letter
+    word, and no representations.
     """
 
     ring: FiniteRing
     params: tuple[RingElement, tuple[RingElement, ...]] | None
     sorted_elements: list[int]
-    _keys: list[tuple]
-    _reps: list[list[tuple[tuple[int, ...], int]]] | None
+    words: np.ndarray
+    tuples: list[tuple[int, ...]] | None = None
+    gamma: list[int] | None = None
 
     def key(self, i: int) -> tuple:
-        return self._keys[i]
+        return tuple(self.words[i].tolist())
 
     def rep(self, i: int) -> list[tuple[tuple[int, ...], int]]:
-        if self._reps is None:
+        if self.gamma is None:
             raise Unsupported("this order carries no canonical representations")
-        return self._reps[i]
+        coefficients = (self.gamma[pos] for pos in self.words[i].tolist())
+        return [(t, a) for t, a in zip(self.tuples, coefficients) if a != self.ring.zero.index]
 
 
 def table_order(ring: FiniteRing) -> RingOrder:
     """The trivial order by element table index."""
-    return RingOrder(
-        ring=ring,
-        params=None,
-        sorted_elements=list(range(ring.size)),
-        _keys=[(i,) for i in range(ring.size)],
-        _reps=None,
-    )
+    elems = np.arange(ring.size)
+    return RingOrder(ring=ring, params=None, sorted_elements=elems.tolist(), words=elems[:, None])
 
 
 def _gamma_order(ring: FiniteRing, alpha_idx: int) -> list[int]:
@@ -328,6 +331,11 @@ def canonical_order(ring: FiniteRing, alpha: RingElement, pis: Sequence[RingElem
     least Gamma coefficient whose subtraction lands in the ideal spanned by
     the later monomials.  Elements are compared by their coefficient words,
     with Gamma ordered 0 < alpha^0 < alpha^1 < ...
+
+    The recursion runs on every element at once, one exponent tuple at a
+    time: all Gamma candidates are subtracted from the residuals of a block
+    of elements, and each element takes the first candidate that lands in
+    the tail span, held as a mask.
     """
     if not is_local(ring):
         raise PreconditionViolation(f"{ring.spec} is not local")
@@ -339,59 +347,43 @@ def canonical_order(ring: FiniteRing, alpha: RingElement, pis: Sequence[RingElem
     if ideal_generated(ring, pi_idx) != m:
         raise InvalidParameter("the pi tuple must generate the maximal ideal")
     gamma = _gamma_order(ring, alpha.index)
-    gamma_pos = {g: k for k, g in enumerate(gamma)}
     nilps = [nilpotency(ring, p) for p in pis]
     if any(n is None for n in nilps):
         raise InvalidParameter("maximal-ideal generators must be nilpotent")
     tuples = list(itertools.product(*(range(n) for n in nilps))) or [()]
     tuples.sort()
-    monomial = {}
-    for t in tuples:
-        acc = ring.one.index
-        for p, exp in zip(pi_idx, t):
-            acc = ring.mul_idx(acc, ring.pow_idx(p, exp))
-        monomial[t] = acc
-    # tail_span[t] = additive span of { M(t')*r : t' > t, r in R }
-    tail_span: dict[tuple, frozenset[int]] = {}
-    span, elems = np.array([ring.zero.index]), np.arange(ring.size)
-    for t in reversed(tuples):
-        tail_span[t] = frozenset(span.tolist())
-        span = np.flatnonzero(_additive_span(ring, np.concatenate([span, ring.mul(monomial[t], elems)])))
-    reps: list[list[tuple[tuple[int, ...], int]]] = []
-    keys: list[tuple] = []
-    for r in range(ring.size):
-        s = r
-        rep = []
-        word = []
-        for t in tuples:
-            mono = monomial[t]
-            allowed = tail_span[t]
-            chosen = None
-            for pos, a in enumerate(gamma):
-                diff = ring.sub_idx(s, ring.mul_idx(a, mono))
-                if diff in allowed:
-                    chosen = (pos, a, diff)
-                    break
-            if chosen is None:
-                raise InternalError(f"no canonical coefficient at {t} for element {r}")
-            pos, a, diff = chosen
-            word.append(pos)
-            if a != ring.zero.index:
-                rep.append((t, a))
-            s = diff
-        if s != ring.zero.index:
-            raise InternalError("canonical representation did not terminate at zero")
-        reps.append(rep)
-        keys.append(tuple(word))
-    if len(set(keys)) != ring.size:
+    monomials = [functools.reduce(ring.mul_idx, map(ring.pow_idx, pi_idx, t), ring.one.index) for t in tuples]
+    # allowed[k] masks the additive span of { M(t')*r : t' > tuples[k], r in R }
+    elems = np.arange(ring.size)
+    allowed = [elems == ring.zero.index]
+    for mono in reversed(monomials[1:]):
+        allowed.insert(0, _additive_span(ring, np.concatenate([np.flatnonzero(allowed[0]), ring.mul(mono, elems)])))
+    words = np.empty((ring.size, len(tuples)), dtype=np.int64)
+    residual = elems.copy()
+    for k, mono in enumerate(monomials):
+        multiples = ring.mul(np.array(gamma), mono)  # a*M(t) for each Gamma element a, in Gamma order
+        for rows in _row_blocks(ring.size, len(gamma)):
+            diff = ring.sub(residual[rows, None], multiples)
+            fits = allowed[k][diff]
+            chosen = (np.arange(rows.size), fits.argmax(axis=1))  # the least fitting Gamma position
+            found = fits[chosen]
+            if not found.all():
+                r = int(rows[found.argmin()])
+                raise InternalError(f"no canonical coefficient at {tuples[k]} for element {r}")
+            words[rows, k] = chosen[1]
+            residual[rows] = diff[chosen]
+    if (residual != ring.zero.index).any():
+        raise InternalError("canonical representation did not terminate at zero")
+    order = np.lexsort(words.T[::-1])  # the first column is the primary key
+    if not (words[order[1:]] != words[order[:-1]]).any(axis=1).all():
         raise InternalError("canonical keys are not distinct")
-    order = sorted(range(ring.size), key=lambda i: keys[i])
     return RingOrder(
         ring=ring,
         params=(alpha, tuple(pis)),
-        sorted_elements=order,
-        _keys=keys,
-        _reps=reps,
+        sorted_elements=order.tolist(),
+        words=words,
+        tuples=tuples,
+        gamma=gamma,
     )
 
 
@@ -437,36 +429,18 @@ def is_galois_ring(ring: FiniteRing) -> tuple[int, int, int] | None:
         return ring._cache["galois_pnr"]
     result = None
     if is_local(ring):
-        char = ring.characteristic()
-        p = _least_prime_factor(char)
-        n = _exact_log(char, p)
-        if n is not None:
+        char = factorize(ring.characteristic())
+        if len(char) == 1:
+            ((p, n),) = char
             m = maximal_ideal(ring)
             p_elem = ring.from_int(p).index
             p_ideal = frozenset(ring.mul(p_elem, np.arange(ring.size)).tolist())
             if p_ideal == m:
-                size_log = _exact_log(ring.size, p)
-                if size_log is not None and size_log % n == 0:
+                size_log = dict(factorize(ring.size)).get(p, 0)
+                if p**size_log == ring.size and size_log % n == 0:
                     result = (p, n, size_log // n)
     ring._cache["galois_pnr"] = result
     return result
-
-
-def _least_prime_factor(v: int) -> int:
-    d = 2
-    while d * d <= v:
-        if v % d == 0:
-            return d
-        d += 1
-    return v
-
-
-def _exact_log(v: int, p: int) -> int | None:
-    n = 0
-    while v % p == 0:
-        v //= p
-        n += 1
-    return n if v == 1 else None
 
 
 @dataclass

@@ -39,6 +39,7 @@ from .ring import (
     build_product_group,
     build_table_ring,
     build_zmod,
+    factorize,
 )
 
 
@@ -93,18 +94,10 @@ def _parse_poly(text: str, modulus: int) -> Poly:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            n, v = 0, q
-            while v % p == 0:
-                v //= p
-                n += 1
-            if v != 1:
-                raise SpecParseError(f"{q} is not a prime power")
-            return p, n
-        p += 1
-    return q, 1
+    factors = factorize(q)
+    if len(factors) > 1:
+        raise SpecParseError(f"{q} is not a prime power")
+    return factors[0] if factors else (q, 1)
 
 
 def _poly_divides_mod_p(div: list[int], poly: list[int], p: int) -> bool:

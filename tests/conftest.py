@@ -5,6 +5,7 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ringsolve import (
@@ -85,6 +86,16 @@ def upper_triangular_f2():
     add = [[i ^ j for j in range(8)] for i in range(8)]
     mul_t = [[mul(i, j) for j in range(8)] for i in range(8)]
     return build_table_ring(add, mul_t, commutative=False, spec="UT2(F2)")
+
+
+def ut2_times_z3():
+    """UT2(F2) x Z/3 as a table ring (the last factor fastest), the carrier of
+    the two-sided ``oracle_check`` benchmark op."""
+    ut2, z3 = upper_triangular_f2(), build_zmod(3)
+    a, b = np.divmod(np.arange(ut2.size * 3), 3)
+    add = ut2.add(a[:, None], a) * 3 + z3.add(b[:, None], b)
+    mul = ut2.mul(a[:, None], a) * 3 + z3.mul(b[:, None], b)
+    return build_table_ring(add.tolist(), mul.tolist(), commutative=False, spec="UT2(F2) x Z/3")
 
 
 def commutative_fixture_rings():

@@ -85,10 +85,9 @@ import json
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from conftest import bivariate_nilpotent, f2x_x2, upper_triangular_f2
+from conftest import bivariate_nilpotent, f2x_x2, upper_triangular_f2, ut2_times_z3
 from test_ring import GROUP_SHAPES
 from ringsolve import (
     GroupSystem,
@@ -100,7 +99,6 @@ from ringsolve import (
     base,
     build_cyclic_group,
     build_product_group,
-    build_table_ring,
     build_zmod,
     and_compose,
     charpoly_galois,
@@ -825,18 +823,8 @@ def _cyclic_cases() -> dict:
             cases[f"{label} table"] = functools.partial(lambda r: (additive_group(r), None), s.ring)
             cases[f"{label} default"] = functools.partial(
                 lambda r: (additive_group(r), default_order(r).sorted_elements), s.ring)
-    cases["UT2(F2) x Z/3 table"] = lambda: (additive_group(_ut2_times_z3()), None)
+    cases["UT2(F2) x Z/3 table"] = lambda: (additive_group(ut2_times_z3()), None)
     return cases
-
-
-def _ut2_times_z3():
-    """UT2(F2) x Z/3 as a table ring (the last factor fastest), the carrier of
-    the two-sided ``oracle_check`` benchmark op."""
-    ut2, z3 = upper_triangular_f2(), build_zmod(3)
-    a, b = np.divmod(np.arange(ut2.size * 3), 3)
-    add = ut2.add(a[:, None], a) * 3 + z3.add(b[:, None], b)
-    mul = ut2.mul(a[:, None], a) * 3 + z3.mul(b[:, None], b)
-    return build_table_ring(add.tolist(), mul.tolist(), commutative=False, spec="UT2(F2) x Z/3")
 
 
 def observe_cyclic(group, scan) -> dict:

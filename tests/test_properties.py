@@ -19,7 +19,12 @@ Random square matrices: ``determinant`` must be (-1)^n times the constant
 term of ``charpoly_galois``, change sign under a row swap and vanish with a
 zero row.
 Random scan orders over product groups: the cyclic decomposition must give
-a divisibility chain whose coordinates round-trip.  Examples are
+a divisibility chain whose coordinates round-trip.  Random primitive alpha
+and generating pi tuples over local rings: ``canonical_order`` must give the
+words, keys and representations of the greedy recursion run one element at
+a time here.  Random subgroups of product groups, ``Z/512`` and the additive
+group of UT2(F2) x Z/3: ``_orders_modulo`` must agree with adding each
+element once per step until it is back in the subgroup.  Examples are
 derandomized and bounded so that every run checks the same cases.
 """
 
@@ -28,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -36,32 +42,45 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bivariate_nilpotent, f4, gr42, same_inverse, upper_triangular_f2, zmod
+from conftest import bivariate_nilpotent, f4, gr42, same_inverse, upper_triangular_f2, ut2_times_z3, zmod
 from ringsolve import (
     CharPoly,
     Certificate,
     GroupSystem,
     LinSystem,
     Matrix,
+    NotARing,
     NumericalSystem,
     TwoSidedSystem,
     UnsolvableWitness,
+    build_table_ring,
+    canonical_order,
     charpoly_galois,
     determinant,
     hermite_normal_form,
     inverse,
     mat_add,
     mat_mul,
+    minimal_generators_maximal_ideal,
+    nilpotency,
     solve,
     solve_chain,
+    teichmuller_set,
     verify_certificate,
 )
 from ringsolve.cli import main
 from ringsolve.linsys import _chain_valuations
 from ringsolve.matalg import mat_scale
 from ringsolve.oracle import brute_force_solve, inverse_by_power
-from ringsolve.ring import additive_group, group_decompose_cyclic, unit_indices
-from ringsolve.structure import chain_data, is_galois_ring
+from ringsolve.ring import _additive_span, _orders_modulo, additive_group, group_decompose_cyclic, unit_indices
+from ringsolve.structure import (
+    _is_primitive_residue,
+    chain_data,
+    ideal_generated,
+    is_galois_ring,
+    local_data,
+    maximal_ideal,
+)
 from ringsolve.sysio import (
     parse_group_spec,
     parse_matrix,
@@ -71,6 +90,7 @@ from ringsolve.sysio import (
     write_matrix,
     write_system,
 )
+from test_structure import _valid_param_pairs
 
 RINGS = {"Z/4": lambda: zmod(4), "Z/8": lambda: zmod(8), "Z/9": lambda: zmod(9), "F4": f4, "GR(4,2)": gr42}
 
@@ -442,6 +462,111 @@ def test_cyclic_decomposition_under_random_scan_order(spec, data):
     assert math.prod(orders) == group.size
     assert all(group.order_of(g) == order for g, order in decomp.pairs)
     assert all(decomp.element_of(decomp.coords_of(i)) == i for i in range(group.size))
+
+
+# ---------------------------------------------------------------------------
+# canonical order and element orders against their scalar definitions
+
+ORDER_RINGS = ["Z/2", "Z/9", "Z/27", "Z/16", "GR(4,2)", "GR(9,2)", "Z/2[X]/(X^3)", "Z/4[X]/(X^2)",
+               "Z/4[X]/(X^2+2)", "phi(Z/2 x Z/4)"]
+
+
+def _greedy_order(ring, alpha: int, pis: tuple) -> tuple[list, list, list]:
+    """(Gamma, exponent tuples, words) of the canonical order, one element at
+    a time: at each exponent tuple t, the least Gamma coefficient a with
+    s - a·M(t) in the ideal of the later monomials."""
+    data = local_data(ring)
+    lift = {data.projection[g.index]: g.index for g in teichmuller_set(ring)}
+    gamma, residue = [lift[data.field.zero.index]], data.field.one.index
+    for _ in range(data.q - 1):
+        gamma.append(lift[residue])
+        residue = data.field.mul_idx(residue, data.projection[alpha])
+    tuples = sorted(itertools.product(*(range(nilpotency(ring, ring.element(p))) for p in pis)))
+    mono = {t: functools.reduce(ring.mul_idx, map(ring.pow_idx, pis, t), ring.one.index) for t in tuples}
+    tail = {t: ideal_generated(ring, [mono[u] for u in tuples if u > t]) for t in tuples}
+    words = []
+    for r in range(ring.size):
+        s, word = r, []
+        for t in tuples:
+            pos = next(k for k, a in enumerate(gamma) if ring.sub_idx(s, ring.mul_idx(a, mono[t])) in tail[t])
+            word.append(pos)
+            s = ring.sub_idx(s, ring.mul_idx(gamma[pos], mono[t]))
+        assert s == ring.zero.index
+        words.append(word)
+    return gamma, tuples, words
+
+
+def _assert_greedy_order(ring, alpha: int, pis: tuple):
+    order = canonical_order(ring, ring.element(alpha), tuple(ring.element(p) for p in pis))
+    gamma, tuples, words = _greedy_order(ring, alpha, pis)
+    assert order.words.tolist() == words
+    assert [order.key(i) for i in range(ring.size)] == [tuple(w) for w in words]
+    assert [order.rep(i) for i in range(ring.size)] == [
+        [(t, gamma[pos]) for t, pos in zip(tuples, w) if gamma[pos] != ring.zero.index] for w in words]
+    assert order.sorted_elements == sorted(range(ring.size), key=lambda i: words[i])
+
+
+def test_canonical_order_agrees_with_the_greedy_recursion_on_the_fixtures():
+    for ring in (zmod(2), zmod(3), zmod(4), zmod(8), zmod(9), f4(), gr42(), bivariate_nilpotent()):
+        alphas, tuples = _valid_param_pairs(ring)
+        for alpha in alphas:
+            for pis in tuples:
+                _assert_greedy_order(ring, alpha, pis)
+
+
+@functools.cache
+def _order_ring(spec: str):
+    return parse_ring_spec(spec)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(ORDER_RINGS), st.data())
+def test_canonical_order_agrees_with_the_greedy_recursion(spec, data):
+    ring = _order_ring(spec)
+    local = local_data(ring)
+    alpha = data.draw(st.sampled_from([r for r in range(ring.size) if _is_primitive_residue(local, local.projection[r])]))
+    m, units = sorted(maximal_ideal(ring)), sorted(unit_indices(ring))
+    # u·g + a·b with u a unit and a·b in m^2 still generate m, by Nakayama; an extra member of m may join
+    pis = [ring.add_idx(ring.mul_idx(data.draw(st.sampled_from(units)), g.index),
+                        ring.mul_idx(data.draw(st.sampled_from(m)), data.draw(st.sampled_from(m))))
+           for g in minimal_generators_maximal_ideal(ring)]
+    pis = data.draw(st.permutations(pis + data.draw(st.lists(st.sampled_from(m), max_size=1))))
+    _assert_greedy_order(ring, alpha, tuple(pis))
+
+
+ORDER_GROUPS = ["Z/2 x Z/6", "Z/4 x Z/8 x Z/9", "Z/512", "Z/4 x Z/4 x Z/4", "UT2(F2) x Z/3"]
+
+
+@functools.cache
+def _order_group(spec: str):
+    return additive_group(ut2_times_z3()) if spec == "UT2(F2) x Z/3" else parse_group_spec(spec)
+
+
+def _orders_by_walk(group, span, xs) -> list[int]:
+    """The least k > 0 with k·x in H, adding x once per step."""
+    orders = []
+    for x in xs:
+        acc, k = x, 1
+        while not span[acc]:
+            acc, k = group.add_idx(acc, x), k + 1
+        orders.append(k)
+    return orders
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(ORDER_GROUPS), st.data())
+def test_orders_modulo_agree_with_the_linear_walk(spec, data):
+    group = _order_group(spec)
+    span = _additive_span(group, data.draw(st.lists(st.integers(0, group.size - 1), max_size=3)))
+    xs = data.draw(st.lists(st.integers(0, group.size - 1), min_size=1, max_size=40))
+    assert _orders_modulo(group, span, xs).tolist() == _orders_by_walk(group, span, xs)
+
+
+def test_element_that_never_returns_to_the_subgroup_is_not_a_ring():
+    # 1 + 1 = 1: the multiples of 1 never reach 0
+    ring = build_table_ring([[0, 1], [1, 1]], [[0, 0], [0, 1]], _validate=False)
+    with pytest.raises(NotARing):
+        ring.characteristic()
 
 
 # ---------------------------------------------------------------------------
