@@ -95,6 +95,58 @@ def test_undeclared_ids_are_rejected(build):
         build()
 
 
+def _constructors() -> dict:
+    """kind -> build(entries, b) over ids r0, r1 and x0, x1; a two-sided
+    system gets the entries as ``left`` or, transposed keys, as ``right``."""
+    z4, ut2, rows, cols = zmod(4), upper_triangular_f2(), ["r0", "r1"], ["x0", "x1"]
+    return {
+        "ring": lambda e, b: LinSystem(z4, rows, cols, e, b),
+        "group": lambda e, b: GroupSystem(build_cyclic_group(4), rows, cols, e, b),
+        "twosided-left": lambda e, b: TwoSidedSystem(ut2, rows, cols, e, {}, b),
+        "twosided-right": lambda e, b: TwoSidedSystem(ut2, rows, cols, {}, {(j, i): v for (i, j), v in e.items()}, b),
+        "numerical": lambda e, b: NumericalSystem(additive_group(z4), rows, cols, e, b),
+        "matrix": lambda e, b: Matrix(z4, rows, cols, e),
+    }
+
+
+# case -> (entries, rhs); matrices take the entries alone and have no rhs case
+_BAD_INPUTS = {
+    "unknown-row": ({("r0", "x0"): 1, ("s", "x1"): 1}, {"r0": 1}),
+    "unknown-col": ({("r0", "x0"): 1, ("r1", "y"): 1}, {"r0": 1}),
+    "bad-value": ({("r0", "x0"): 1, ("r1", "x1"): 9, ("s", "x0"): 1}, {"r0": 1}),
+    "negative-value": ({("r1", "x1"): -1}, {}),
+    "foreign-value": ({("r1", "x1"): zmod(5).one}, {}),
+    "text-value": ({("r1", "x1"): "1"}, {}),
+    "unknown-rhs-row": ({("r0", "x0"): 9, ("s", "x0"): 1}, {"r0": 1, "s": 1}),
+    "bad-rhs-value": ({("s", "x0"): 1}, {"r1": 9}),
+}
+_GROUP_VALUE = "group-system coefficients are non-negative integers"
+_KINDS = ["ring", "group", "twosided-left", "twosided-right", "numerical", "matrix"]
+_MESSAGES = {
+    "unknown-row": dict.fromkeys(_KINDS, "entry ('s','x1') outside the index sets"),
+    "unknown-col": dict.fromkeys(_KINDS, "entry ('r1','y') outside the index sets"),
+    "bad-value": dict.fromkeys(_KINDS, "element index 9 out of range")
+    | {"group": "entry ('s','x0') outside the index sets"},  # 9 is a valid group coefficient
+    "negative-value": dict.fromkeys(_KINDS, "element index -1 out of range") | {"group": _GROUP_VALUE},
+    "foreign-value": dict.fromkeys(_KINDS, "entry belongs to a different ring/group") | {"group": _GROUP_VALUE},
+    "text-value": dict.fromkeys(_KINDS, "cannot interpret '1' as an element") | {"group": _GROUP_VALUE},
+    "unknown-rhs-row": dict.fromkeys(_KINDS[:-1], "rhs for unknown row 's'"),
+    "bad-rhs-value": dict.fromkeys(_KINDS[:-1], "element index 9 out of range"),
+}
+
+
+@pytest.mark.parametrize("case,kind", [(case, kind) for case, kinds in _MESSAGES.items() for kind in kinds])
+def test_validation_errors_are_pinned(case, kind):
+    """Type and message of each rejected input, and which bad entry is
+    reported first: the right-hand side before the coefficients, entries in
+    mapping order, an entry's ids before its value."""
+    entries, b = _BAD_INPUTS[case]
+    with pytest.raises(InvalidParameter) as info:
+        _constructors()[kind](entries, b)
+    assert type(info.value) is InvalidParameter
+    assert str(info.value) == _MESSAGES[case][kind]
+
+
 def test_crt_rejects_non_coprime_moduli():
     from ringsolve.errors import InternalError
     from ringsolve.linsys import _crt
