@@ -1,7 +1,7 @@
 """Linear equation systems over rings and groups, with certified solvers.
 
-Systems carry unordered row/column id sets; coefficients are element indices,
-held sparsely and as a dense grid derived on first use.  The chain-ring solver produces either a satisfying
+Systems carry unordered row/column id sets; coefficients are element indices
+held in a dense grid.  The chain-ring solver produces either a satisfying
 assignment or a row-combination witness x with x·(A|b) = (0,...,0,pi^(n-1)),
 and the composed solvers reduce arbitrary commutative rings, abelian groups
 and two-sided non-commutative systems to that case.
@@ -60,14 +60,14 @@ def _by_str(ids: list) -> list[int]:
 
 
 class _Indexed:
-    """Row and column ids over a carrier, sparse entries and a dense grid.
+    """Row and column ids over a carrier and a dense grid of coefficients.
 
-    Shared by systems and matrices.  The public constructors validate a
-    sparse {(row, col): value} mapping (``_coefficients``); ``_from_arrays``
-    takes index arrays that are valid by construction and skips every check.
-    Each view is derived from the other on first use and then kept:
-    ``entries`` from the grid ``A`` (rows x cols, row-major in id order), or
-    ``A`` from ``entries``.  Instances are not modified after construction.
+    Shared by systems and matrices, which are not modified after
+    construction.  The grid ``A`` (rows x cols, in id order) is the one
+    stored form: the public constructors write it while they check a sparse
+    {(row, col): value} mapping (``_coefficients``); ``_from_arrays`` takes
+    valid index arrays unchecked.  The sparse ``entries`` (zeros dropped,
+    row-major) are read from the grid on first use.
     """
 
     def _set_ids(self, carrier, rows: Sequence, cols: Sequence):
@@ -96,37 +96,27 @@ class _Indexed:
         """A coefficient as stored: an element index of the carrier."""
         return _norm_idx(value, self.carrier)
 
-    def _coefficients(self, mapping: Mapping, transposed: bool = False) -> dict:
-        """Validated copy of {(row, col): value}, keyed (col, row) if ``transposed``."""
-        row_set, col_set = set(self.rows), set(self.cols)
-        coerce, bound, zero = self._coerce, self._bound(), self._zero_coef()
-        out: dict = {}
-        for key, v in mapping.items():
-            i, j = key
+    def _coefficients(self, mapping: Mapping, transposed: bool = False) -> np.ndarray:
+        """The rows x cols grid of a validated {(row, col): value} mapping,
+        keyed (col, row) if ``transposed``; absent keys are zero."""
+        width = len(self.cols)
+        row_at = dict(zip(self.rows, range(0, len(self.rows) * width, width)))
+        col_at = dict(zip(self.cols, range(width)))
+        coerce, bound = self._coerce, self._bound()
+        flat = [self._zero_coef()] * (len(self.rows) * width)
+        for (i, j), v in mapping.items():
             if transposed:
                 i, j = j, i
-            if i not in row_set or j not in col_set:
-                raise InvalidParameter(f"entry ({i!r},{j!r}) outside the index sets")
-            if v.__class__ is not int or not 0 <= v < bound:
-                v = coerce(v)
-            if v != zero:
-                out[key] = v
-        return out
+            try:
+                cell = row_at[i] + col_at[j]
+            except KeyError:
+                raise InvalidParameter(f"entry ({i!r},{j!r}) outside the index sets") from None
+            flat[cell] = v if v.__class__ is int and 0 <= v < bound else coerce(v)
+        return np.array(flat, dtype=self._dtype(flat)).reshape(len(self.rows), width)
 
     def _bound(self):
         """Plain ints below this bound are valid coefficients as they are."""
         return self.carrier.size
-
-    def _grid(self, mapping: Mapping, transposed: bool = False) -> np.ndarray:
-        """The rows x cols grid of a validated mapping, absent keys zero."""
-        zero = self._zero_coef()
-        grid = np.full((len(self.rows), len(self.cols)), zero, dtype=self._dtype(mapping.values()))
-        if mapping:
-            pos_r = dict(zip(self.rows, range(len(self.rows))))
-            pos_c = dict(zip(self.cols, range(len(self.cols))))
-            keys = [(j, i) for i, j in mapping] if transposed else mapping.keys()
-            grid[[pos_r[i] for i, _ in keys], [pos_c[j] for _, j in keys]] = list(mapping.values())
-        return grid
 
     def _dtype(self, values):
         return _index_dtype(self.carrier.size)
@@ -138,10 +128,6 @@ class _Indexed:
         values = grid[r, c].tolist()
         rows, cols = map(self.rows.__getitem__, r.tolist()), map(self.cols.__getitem__, c.tolist())
         return dict(zip(zip(cols, rows) if transposed else zip(rows, cols), values))
-
-    @functools.cached_property
-    def A(self) -> np.ndarray:
-        return self._grid(self.entries)
 
     @functools.cached_property
     def entries(self) -> dict:
@@ -157,28 +143,21 @@ class _Indexed:
 class _System(_Indexed):
     """What every system kind shares: ids, right-hand side, evaluation, text.
 
-    The right-hand side is ``b`` (sparse, zeros dropped) or ``b_vec`` (one
-    element index per row).  Subclasses supply the header ``keyword``, the
-    coefficient coercion, the term array of ``eval`` and the term text.
+    ``b_vec`` stores the right-hand side, one element index per row; ``b``
+    (sparse, zeros dropped) is read from it on first use.  Subclasses supply
+    the header ``keyword``, the coefficient coercion, the terms and the text.
     """
 
     keyword: str
 
     def __init__(self, carrier, rows: Sequence, cols: Sequence, b: Mapping):
         self._set_ids(carrier, rows, cols)
-        row_set = set(self.rows)
-        self.b: dict = {}
+        row_at = dict(zip(self.rows, range(len(self.rows))))
+        self.b_vec = np.full(len(self.rows), self._zero, dtype=_index_dtype(carrier.size))
         for i, v in b.items():
-            if i not in row_set:
+            if i not in row_at:
                 raise InvalidParameter(f"rhs for unknown row {i!r}")
-            idx = _norm_idx(v, carrier)
-            if idx != self._zero:
-                self.b[i] = idx
-
-    @functools.cached_property
-    def b_vec(self) -> np.ndarray:
-        b, zero = self.b, self._zero
-        return np.array([b.get(i, zero) for i in self.rows], dtype=_index_dtype(self.carrier.size))
+            self.b_vec[row_at[i]] = _norm_idx(v, carrier)
 
     @functools.cached_property
     def b(self) -> dict:
@@ -241,7 +220,7 @@ class LinSystem(_System):
     def __init__(self, ring: FiniteRing, rows: Sequence, cols: Sequence,
                  entries: Mapping, b: Mapping):
         super().__init__(ring, rows, cols, b)
-        self.entries = self._coefficients(entries)
+        self.A = self._coefficients(entries)
 
 
 class GroupSystem(_System):
@@ -256,7 +235,7 @@ class GroupSystem(_System):
     def __init__(self, group: AbelianGroup, rows: Sequence, cols: Sequence,
                  entries: Mapping, b: Mapping):
         super().__init__(group, rows, cols, b)
-        self.entries = self._coefficients(entries)
+        self.A = self._coefficients(entries)
 
     group = property(lambda self: self.carrier)
 
@@ -285,8 +264,8 @@ class GroupSystem(_System):
 class TwoSidedSystem(_System):
     """A_l·x + (x^t·A_r)^t = b over a possibly non-commutative ring.
 
-    ``right`` is keyed (column, row); its grid ``A_r`` is row-major like
-    ``A``, the grid of ``left``.
+    It stores the grids ``A`` and ``A_r``, both rows x cols; ``left`` and
+    ``right`` (keyed (column, row)) are read from them on first use.
     """
 
     keyword = "twosided"
@@ -296,16 +275,8 @@ class TwoSidedSystem(_System):
     def __init__(self, ring: FiniteRing, rows: Sequence, cols: Sequence,
                  left: Mapping, right: Mapping, b: Mapping):
         super().__init__(ring, rows, cols, b)
-        self.left = self._coefficients(left)
-        self.right = self._coefficients(right, transposed=True)
-
-    @functools.cached_property
-    def A(self) -> np.ndarray:
-        return self._grid(self.left)
-
-    @functools.cached_property
-    def A_r(self) -> np.ndarray:
-        return self._grid(self.right, transposed=True)
+        self.A = self._coefficients(left)
+        self.A_r = self._coefficients(right, transposed=True)
 
     @functools.cached_property
     def left(self) -> dict:
@@ -345,7 +316,7 @@ class NumericalSystem(_System):
     def __init__(self, group: AbelianGroup, rows: Sequence, cols: Sequence,
                  entries: Mapping, b: Mapping):
         super().__init__(group, rows, cols, b)
-        self.entries = self._coefficients(entries)
+        self.A = self._coefficients(entries)
 
     group = property(lambda self: self.carrier)
 

@@ -52,15 +52,15 @@ def _product(ring: FiniteRing, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class Matrix(_Indexed):
-    """A finitely indexed matrix over a ring; entries stored sparsely, with
-    the dense grid ``A`` derived on first use.  Results of matrix operations
-    are built from grids and skip validation."""
+    """A finitely indexed matrix over a ring, stored as the dense grid ``A``;
+    the sparse ``entries`` are read from it on first use.  Results of matrix
+    operations are built from grids and skip validation."""
 
     ring = property(lambda self: self.carrier)
 
     def __init__(self, ring: FiniteRing, rows: Sequence, cols: Sequence, entries: Mapping):
         self._set_ids(ring, rows, cols)
-        self.entries = self._coefficients(entries)
+        self.A = self._coefficients(entries)
 
     @staticmethod
     def identity(ring: FiniteRing, ids: Sequence) -> "Matrix":

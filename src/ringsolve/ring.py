@@ -620,12 +620,17 @@ def unit_indices(ring: FiniteRing) -> frozenset[int]:
     return ring._cache["units"]
 
 
-def idempotents(ring: FiniteRing) -> set[RingElement]:
-    """All x with x^2 = x."""
+def idempotent_indices(ring: FiniteRing) -> frozenset[int]:
+    """The indices of all x with x^2 = x; memoised."""
     if "idem" not in ring._cache:
         elems = np.arange(ring.size)
         ring._cache["idem"] = frozenset(np.flatnonzero(ring.mul(elems, elems) == elems).tolist())
-    return {ring.element(i) for i in ring._cache["idem"]}
+    return ring._cache["idem"]
+
+
+def idempotents(ring: FiniteRing) -> set[RingElement]:
+    """All x with x^2 = x."""
+    return {ring.element(i) for i in idempotent_indices(ring)}
 
 
 def nilpotency(ring: FiniteRing, x: RingElement) -> int | None:
@@ -796,13 +801,13 @@ def _extend_span(carrier: _Carrier, members: np.ndarray, span: np.ndarray, g: in
     return members
 
 
-def _additive_span(carrier: _Carrier, seed) -> np.ndarray:
-    """The additive subgroup generated by the indices in ``seed``, as a mask:
-    from H = {0}, extended by each seed element outside H in turn."""
+def _additive_span(carrier: _Carrier, seed, span: np.ndarray | None = None) -> np.ndarray:
+    """The additive subgroup generated by the indices in ``seed`` and the
+    subgroup masked by ``span`` (default {0}), extended by each seed element
+    outside it in turn; a new mask."""
     seed = np.asarray(seed, dtype=np.int64).ravel()
-    members = np.array([carrier._zero_idx])
-    span = np.zeros(carrier.size, dtype=bool)
-    span[members] = True
+    span = np.arange(carrier.size) == carrier._zero_idx if span is None else span.copy()
+    members = np.flatnonzero(span)
     while not span[seed].all():
         members = _extend_span(carrier, members, span, seed[span[seed].argmin()])
     return span
@@ -820,7 +825,7 @@ class CyclicDecomposition:
     coordinates (c_1, ..., c_k), 0 <= c_t < l_t, with i = sum(c_t·g_t).
     ``members[p]`` is the element whose coordinates are the mixed-radix digits
     of the position p, c_1 least significant; ``coords`` is its inverse, one
-    row of coordinates per element.
+    row of coordinates per element, which ``coords_of(i)`` reads.
     """
 
     group: AbelianGroup
@@ -833,10 +838,9 @@ class CyclicDecomposition:
         self._weights = [math.prod(self.orders[:t]) for t in range(len(self.orders))]
         position = np.argsort(self.members)
         self.coords = position[:, None] // np.array(self._weights, dtype=np.int64) % self.orders
-        self._coord_tuples = list(map(tuple, self.coords.tolist()))
 
     def coords_of(self, i: int) -> tuple[int, ...]:
-        return self._coord_tuples[i]
+        return tuple(self.coords[i].tolist())
 
     def element_of(self, coords: Sequence[int]) -> int:
         return self.members[sum(c % order * w for c, order, w in zip(coords, self.orders, self._weights))]

@@ -24,7 +24,7 @@ from .ring import (
     _row_blocks,
     build_table_ring,
     factorize,
-    idempotents,
+    idempotent_indices,
     nilpotency,
     poly_mod_reduce,
     unit_indices,
@@ -39,8 +39,7 @@ def _require_commutative(ring: FiniteRing, what: str):
 def is_local(ring: FiniteRing) -> bool:
     """A finite commutative ring is local iff its only idempotents are 0 and 1."""
     _require_commutative(ring, "is_local")
-    idem = {e.index for e in idempotents(ring)}
-    return idem == {ring.zero.index, ring.one.index}
+    return idempotent_indices(ring) == {ring.zero.index, ring.one.index}
 
 
 def base(ring: FiniteRing) -> set[RingElement]:
@@ -54,7 +53,7 @@ def base(ring: FiniteRing) -> set[RingElement]:
         if is_local(ring):
             found = frozenset({ring.one.index})
         else:
-            cand = np.array(sorted({e.index for e in idempotents(ring)} - {ring.zero.index, ring.one.index}))
+            cand = np.array(sorted(idempotent_indices(ring) - {ring.zero.index, ring.one.index}))
             # drop the sums x + y of orthogonal pairs
             orthogonal = ring.mul(cand[:, None], cand) == ring.zero.index
             found = frozenset(cand.tolist()) - frozenset(ring.add(cand[:, None], cand)[orthogonal].tolist())
@@ -225,7 +224,7 @@ def minimal_generators_maximal_ideal(ring: FiniteRing) -> tuple[RingElement, ...
     for x in members.tolist():
         if not covered[x]:
             kept.append(x)
-            covered = _additive_span(ring, np.concatenate([np.flatnonzero(covered), ring.mul(x, np.arange(ring.size))]))
+            covered = _additive_span(ring, ring.mul(x, np.arange(ring.size)), covered)
     if ideal_generated(ring, kept) != m:
         raise InternalError("maximal ideal admits no generating set")
     result = tuple(ring.element(i) for i in kept)
@@ -357,7 +356,7 @@ def canonical_order(ring: FiniteRing, alpha: RingElement, pis: Sequence[RingElem
     elems = np.arange(ring.size)
     allowed = [elems == ring.zero.index]
     for mono in reversed(monomials[1:]):
-        allowed.insert(0, _additive_span(ring, np.concatenate([np.flatnonzero(allowed[0]), ring.mul(mono, elems)])))
+        allowed.insert(0, _additive_span(ring, ring.mul(mono, elems), allowed[0]))
     words = np.empty((ring.size, len(tuples)), dtype=np.int64)
     residual = elems.copy()
     for k, mono in enumerate(monomials):

@@ -155,6 +155,8 @@ def parse_ring_spec(text: str) -> FiniteRing:
     m = re.fullmatch(r"Z/(\d+)\[X\]/(\(.*\))", text)
     if m:
         q = int(m.group(1))
+        if q < 2:
+            raise SpecParseError(f"modulus must be an integer >= 2, got {q}")
         p, n = _factor_prime_power(q)
         return build_poly_quotient(p, n, _parse_poly(m.group(2), q))
     m = re.fullmatch(r"Z/(\d+)", text)

@@ -325,6 +325,13 @@ def test_cli_ring_over_the_cap_exits_usage(capsys, spec):
     assert "exceeding the cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["Z/0[X]/(X)", "Z/0[X]/(X^2+1)"])
+def test_cli_polynomial_quotient_over_z0_exits_usage(capsys, spec):
+    assert main(["ring", "info", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and "internal error" not in err
+
+
 # ---------------------------------------------------------------------------
 # tampered certificates
 

@@ -24,8 +24,12 @@ and generating pi tuples over local rings: ``canonical_order`` must give the
 words, keys and representations of the greedy recursion run one element at
 a time here.  Random subgroups of product groups, ``Z/512`` and the additive
 group of UT2(F2) x Z/3: ``_orders_modulo`` must agree with adding each
-element once per step until it is back in the subgroup.  Examples are
-derandomized and bounded so that every run checks the same cases.
+element once per step until it is back in the subgroup.  Random sparse
+inputs of all five validating constructors (with explicit zeros, element
+handles, keys in any order and group coefficients past 2^63): the grids must
+equal those of the same object built from arrays, the sparse views the input
+minus its zeros, in row-major id order, and the digests must agree.  Examples
+are derandomized and bounded so that every run checks the same cases.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -369,6 +374,82 @@ def test_system_files_round_trip(system):
 def test_matrix_files_round_trip(matrix):
     text = write_matrix(matrix)
     assert write_matrix(parse_matrix(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# validating constructors against objects built from arrays
+
+CONSTRUCTED_KINDS = {"ring": LinSystem, "group": GroupSystem, "twosided": TwoSidedSystem,
+                     "numerical": NumericalSystem, "matrix": Matrix}
+
+
+@st.composite
+def _constructor_inputs(draw):
+    """(kind, carrier, rows, cols, {name: mapping}) for a validating
+    constructor: index ints, explicit zeros, element handles and, for group
+    coefficients, integers past 2^63."""
+    kind, spec = draw(st.sampled_from(FILE_CARRIERS + [("matrix", spec) for spec in MATRIX_RINGS]))
+    carrier = _file_carrier("ring" if kind == "matrix" else kind, spec)
+    rows, cols = draw(_ids("r")), draw(_ids("v"))
+    indices = st.integers(0, carrier.size - 1)
+    element = st.one_of(indices, st.just(_zero_of(carrier)), st.builds(carrier.element, indices))
+    cells = [(i, j) for i in rows for j in cols]
+    coefficient = st.one_of(st.integers(0, 8), st.integers(2**63, 2**64)) if kind == "group" else element
+    # keys in a drawn order, so that the input is not already row-major
+    mappings = {"entries": dict(draw(st.permutations(list(draw(_sparse(cells, coefficient)).items()))))}
+    if kind == "twosided":
+        mappings = {"left": mappings["entries"], "right": draw(_sparse([(j, i) for i, j in cells], element))}
+    if kind != "matrix":
+        mappings["b"] = draw(_sparse(rows, element))
+    return kind, carrier, rows, cols, mappings
+
+
+def _zero_of(carrier) -> int:
+    return (carrier.identity if hasattr(carrier, "identity") else carrier.zero).index
+
+
+def _index(value) -> int:
+    return value if isinstance(value, int) else value.index
+
+
+def _reference_grid(rows, cols, mapping: dict, zero, transposed=False) -> np.ndarray:
+    """The rows x cols grid of the mapping, cell by cell."""
+    grid = [[zero] * len(cols) for _ in rows]
+    for key, v in mapping.items():
+        i, j = key[::-1] if transposed else key
+        grid[rows.index(i)][cols.index(j)] = _index(v)
+    return np.array(grid, dtype=object if any(v >= 2**63 for row in grid for v in row) else np.int64)
+
+
+@PROPERTY_SETTINGS
+@given(_constructor_inputs())
+def test_validated_grid_agrees_with_the_array_built_object(inputs):
+    kind, carrier, rows, cols, mappings = inputs
+    cls = CONSTRUCTED_KINDS[kind]
+    built = cls(carrier, rows, cols, *mappings.values())
+    element_zero = _zero_of(carrier)
+    zero = 0 if kind == "group" else element_zero  # of the coefficients
+    grids = {"A": _reference_grid(rows, cols, mappings.get("entries", mappings.get("left")), zero)}
+    if kind == "twosided":
+        grids["A_r"] = _reference_grid(rows, cols, mappings["right"], zero, transposed=True)
+    if kind != "matrix":
+        b = mappings["b"]
+        grids["b_vec"] = np.array([_index(b[i]) if i in b else element_zero for i in rows], dtype=np.int64)
+    reference = cls._from_arrays(carrier, rows, cols, **grids)
+    for name, grid in grids.items():
+        assert np.array_equal(getattr(built, name), grid) and getattr(built, name).shape == grid.shape
+    for name, mapping in mappings.items():
+        nonzero = {key: _index(v) for key, v in mapping.items() if _index(v) != (element_zero if name == "b" else zero)}
+        view = getattr(built, name)
+        assert view == nonzero == getattr(reference, name)
+        # the sparse views iterate row-major in id order, whatever the input order
+        order = rows if name == "b" else list(itertools.product(rows, cols))
+        keys = [key[::-1] if name == "right" else key for key in view]
+        assert keys == sorted(keys, key=order.index)
+    if kind == "matrix":
+        assert built.equals(reference) and write_matrix(built) == write_matrix(reference)
+    else:
+        assert built.digest() == reference.digest() and built.canonical_text() == reference.canonical_text()
 
 
 # ---------------------------------------------------------------------------
