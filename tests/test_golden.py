@@ -13,7 +13,11 @@ enough for pivot tie-breaks and quotient choices to matter: seeded dense
 systems of 8x8 to 40x40 over rings dense in zero divisors, a group and a
 numerical system, direct ``solve_chain`` calls over non-``Z/m`` chain rings,
 and ``hermite_normal_form`` (``Q``, ``S``, ``col_perm``, ``diag``) of about
-10x12 matrices.
+10x12 matrices.  It also pins pivot columns that are mostly zero: two-sided
+``UT2(F2)`` systems of 12 rows (UNSOLVABLE, the sparse 72x168 chain system
+over ``Z/2``) and 13 rows (SOLVABLE, 78x182), and a tall and a planted
+``solve_chain`` system and a 13x10 ``hermite_normal_form`` over the non-Galois
+chain ring ``Z/4[X]/(X^2+2)``, a table ring whose chain has length 4.
 
 A third file, ``golden_matrices.json``, pins matrix algebra: the inverse
 (entry names, or ``null`` when singular) and the determinant (``null`` where
@@ -348,9 +352,48 @@ def _hermite_matrices() -> dict:
     return out
 
 
+def _twosided_system(rng: random.Random, ring, n: int, planted: bool) -> TwoSidedSystem:
+    """Dense random n x n two-sided system; ``planted`` puts b in the image."""
+    rows, cols = [f"e{i}" for i in range(n)], [f"x{j}" for j in range(n)]
+    left = {(i, j): rng.randrange(ring.size) for i in rows for j in cols}
+    right = {(j, i): rng.randrange(ring.size) for i in rows for j in cols}
+    if planted:
+        x0 = {j: rng.randrange(ring.size) for j in cols}
+        b = {}
+        for i in rows:
+            acc = ring.zero.index
+            for j in cols:
+                term = ring.add_idx(ring.mul_idx(left[(i, j)], x0[j]), ring.mul_idx(x0[j], right[(j, i)]))
+                acc = ring.add_idx(acc, term)
+            b[i] = acc
+    else:
+        b = {i: rng.randrange(ring.size) for i in rows}
+    return TwoSidedSystem(ring, rows, cols, left, right, b)
+
+
+EISENSTEIN_SPEC = "Z/4[X]/(X^2+2)"
+
+
+def _sparse_pivot_cases() -> dict:
+    """Chain eliminations whose pivot columns are mostly zero."""
+    rng = random.Random(20121219)
+    ring = upper_triangular_f2()
+    out = {
+        "twosided-UT2-12-tall": (solve, _twosided_system(rng, ring, 12, False)),
+        "twosided-UT2-13-planted": (solve, _twosided_system(rng, ring, 13, True)),
+    }
+    ring = parse_ring_spec(EISENSTEIN_SPEC)
+    out["chain-Z4E-12-planted"] = (solve_chain, _ring_system(rng, ring, 12, 12, True))
+    out["chain-Z4E-12-tall"] = (solve_chain, _ring_system(rng, ring, 12, 9, False))
+    draw = _zero_divisor_heavy(rng, ring, 0.75)
+    rows, cols = [f"r{i}" for i in range(13)], [f"c{j}" for j in range(10)]
+    out["hnf-Z4E-13x10"] = Matrix(ring, rows, cols, {(i, j): draw() for i in rows for j in cols})
+    return out
+
+
 @functools.cache
 def _all_large() -> dict:
-    return {**_large_systems(), **_hermite_matrices()}
+    return {**_large_systems(), **_hermite_matrices(), **_sparse_pivot_cases()}
 
 
 def observe_large(name: str) -> dict:
