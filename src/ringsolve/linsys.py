@@ -42,6 +42,12 @@ def _norm_idx(value, carrier) -> int:
     raise InvalidParameter(f"cannot interpret {value!r} as an element")
 
 
+def _identity_grid(ring: FiniteRing, n: int) -> np.ndarray:
+    grid = np.full((n, n), ring.zero.index, dtype=np.int64)
+    np.fill_diagonal(grid, ring.one.index)
+    return grid
+
+
 def _fold(carrier, terms: np.ndarray) -> np.ndarray:
     """The sum of each row of ``terms`` under the carrier's elementwise add,
     folded pairwise over column halves."""
@@ -451,23 +457,23 @@ def _require_chain(ring: FiniteRing) -> ChainData:
 
 
 def _hermite(ring: FiniteRing, blocks: list[np.ndarray], ell: int, cd: ChainData, divide):
-    """Triangularise the first ``ell`` columns of the blocks side by side.
+    """Triangularise the first ``ell`` columns of the blocks side by side, in
+    place and packed as by LAPACK's getrf; columns past ``ell`` ride along.
 
-    Columns past ``ell`` are carried through the row operations only, and
-    so is an identity block appended on the right, which ends up as S.  The
-    pivot of each step is the nonzero entry of the remaining block with the
-    least (valuation, element index, row, column); every row below it is
-    cleared in one broadcast update.  Returns (a | S, col_perm, rank, parity
-    of the row and column swaps).
+    The pivot of each step is the nonzero entry of the remaining block with
+    the least (valuation, element index, row, column).  The rows below it
+    with a nonzero entry in its column are cleared in one broadcast update
+    right of it, each keeping its multiplier in the cleared cell, and row
+    swaps move whole rows: the strict lower part of the first ``rank``
+    columns is a unit lower triangular L with L·(the result) = the input
+    rows in ``rows`` order.  Returns (a, rows, col_perm, rank, swap parity).
     """
     zero = ring.zero.index
     order = _pivot_order(ring, cd)
     no_pivot = order[zero]
     k = blocks[0].shape[0]
-    s = np.full((k, k), zero, dtype=np.int64)
-    np.fill_diagonal(s, ring.one.index)
-    a = np.concatenate([*blocks, s], axis=1)
-    perm = list(range(ell))
+    a = np.concatenate(blocks, axis=1, dtype=np.int64)
+    rows, perm = list(range(k)), list(range(ell))
     t = swaps = 0
     for step in range(min(k, ell)):
         key = order[a[step:, step:ell]]
@@ -477,30 +483,46 @@ def _hermite(ring: FiniteRing, blocks: list[np.ndarray], ell: int, cd: ChainData
         r, c = r + step, c + step
         if r != step:
             a[step], a[r] = a[r], a[step].copy()
+            rows[step], rows[r] = rows[r], rows[step]
             swaps ^= 1
         if c != step:
             a[:, step], a[:, c] = a[:, c], a[:, step].copy()
             perm[step], perm[c] = perm[c], perm[step]
             swaps ^= 1
-        below = step + 1 + np.nonzero(a[step + 1:, step] != zero)[0]
+        below = (a[step + 1:, step] != zero).nonzero()[0] + (step + 1)
         if below.size:
-            z = divide(a[step, step], a[below, step])[:, None]
-            a[below] = ring.sub(a[below], ring.mul(z, a[step]))
+            sub = a[below, step:]
+            sub[:, 0] = divide(a[step, step], sub[:, 0])
+            ring.sub_mul(sub[:, 1:], sub[:, :1], a[step, step + 1:])
+            a[below, step:] = sub
         t += 1
-    if np.count_nonzero(a[t:, :ell] != zero):
+    if np.count_nonzero(a[t:, t:ell] != zero):
         raise InternalError("elimination left a nonzero residual row")
-    return a, perm, t, swaps
+    return a, rows, perm, t, swaps
+
+
+def _solve_lower(ring: FiniteRing, a: np.ndarray, t: int, x: np.ndarray, steps) -> np.ndarray:
+    """Solve y·L = x in place for one row x or a stack, L packed by _hermite:
+    x[:c] -= x[i]·L[i, :c], c = min(i, t), for each row i of L in ``steps``,
+    upward; rows of L whose entry of x is zero may be left out."""
+    for i in steps:
+        ring.sub_mul(x[..., :min(i, t)], x[..., i, None], a[i, :min(i, t)])
+    return x
 
 
 def hermite_normal_form(matrix) -> HermiteResult:
     """Triangularise a matrix (or a system's coefficients) over a chain
-    ring: S·A·T = (Q ; 0)."""
+    ring: S·A·T = (Q ; 0), S = L^(-1)·P solved from the multipliers."""
     ring = matrix.ring
     cd = _require_chain(ring)
     ell = len(matrix.cols)
-    a, perm, t, _ = _hermite(ring, [matrix.A], ell, cd, _divider(ring))
-    return HermiteResult(ring=ring, row_ids=list(matrix.rows), col_ids=list(matrix.cols), S=a[:, ell:].tolist(),
-                         col_perm=perm, Q=a[:t, :ell].tolist(), diag=a.diagonal()[:t].tolist())
+    a, rows, perm, t, _ = _hermite(ring, [matrix.A], ell, cd, _divider(ring))
+    s = np.empty((len(rows), len(rows)), dtype=np.int64)
+    s[:, rows] = _solve_lower(ring, a, t, _identity_grid(ring, len(rows)), range(len(rows) - 1, 0, -1))
+    q = a[:t, :ell]
+    q[np.tril_indices(t, -1)] = ring.zero.index
+    return HermiteResult(ring=ring, row_ids=list(matrix.rows), col_ids=list(matrix.cols), S=s.tolist(),
+                         col_perm=perm, Q=q.tolist(), diag=a.diagonal()[:t].tolist())
 
 
 def solve_chain(system: LinSystem) -> Certificate:
@@ -508,7 +530,7 @@ def solve_chain(system: LinSystem) -> Certificate:
 
     SOLVABLE certificates carry a back-substituted assignment (free
     variables 0); UNSOLVABLE ones a row combination x with
-    x·(A|b) = (0,...,0,pi^(n-1)).
+    x·(A|b) = (0,...,0,pi^(n-1)): the first failing row of S, scaled.
     """
     ring = system.ring
     cd = _require_chain(ring)
@@ -516,20 +538,21 @@ def solve_chain(system: LinSystem) -> Certificate:
     k, ell = len(rows), len(cols)
     divide = _divider(ring)
     # b rides along as column ell, so it ends up as S·b
-    a, perm, t, _ = _hermite(ring, [system.A, system.b_vec[:, None]], ell, cd, divide)
+    a, order, perm, t, _ = _hermite(ring, [system.A, system.b_vec[:, None]], ell, cd, divide)
     bprime, diag = a[:, ell], a.diagonal()[:t]
     val = _chain_valuations(ring, cd)
     diag_val = np.full(k, cd.n)
     diag_val[:t] = val[diag]
-    failing = np.nonzero(val[bprime] < diag_val)[0]
+    failing = (val[bprime] < diag_val).nonzero()[0]
     if failing.size:
         # the first failing transformed row is a certificate of unsolvability
-        r = failing[0]
+        r = int(failing[0])
         tail = ring.pow_idx(cd.pi.index, cd.n - 1)
-        scalings = np.nonzero(ring.mul(bprime[r], np.arange(ring.size)) == tail)[0]
-        if not scalings.size:
-            raise InternalError("no scaling maps the failing row onto the witness tail")
-        combo = ring.mul(scalings[0], a[r, ell + 1:])
+        # x·L = scaling·e_r: only row r and the rows above rank reach x
+        x = np.full(k, ring.zero.index, dtype=np.int64)
+        x[r] = divide(bprime[r], tail)
+        combo = np.empty_like(x)
+        combo[order] = _solve_lower(ring, a, t, x, (r, *range(min(r, t) - 1, 0, -1)))
         names = map(ring.names.__getitem__, combo.tolist())
         witness = UnsolvableWitness("chain", ring.spec, system.digest(), dict(zip(rows, names)))
         _assert_witness(system, combo, tail)
@@ -539,7 +562,7 @@ def solve_chain(system: LinSystem) -> Certificate:
     for r in range(t - 1, -1, -1):
         values[r] = divide(diag[r], rhs[r])
         if r:
-            rhs[:r] = ring.sub(rhs[:r], ring.mul(values[r], a[:r, r]))
+            ring.sub_mul(rhs[:r], values[r], a[:r, r])
     assignment = {cols[pos]: ring.element(v) for pos, v in zip(perm, values.tolist())}
     if not system.eval(assignment):
         raise InternalError("back-substituted assignment fails the system")

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InternalError, InvalidParameter, PreconditionViolation, UnsupportedRing
-from .linsys import _Indexed, _divider, _fold, _hermite
+from .linsys import _Indexed, _divider, _fold, _hermite, _identity_grid
 from .ring import FiniteRing, RingElement, unit_indices
 from .structure import (
     GaloisRep,
@@ -38,12 +38,6 @@ def _positions(ids: list, order: list) -> list[int]:
     """The position in ``ids`` of each id of ``order``."""
     pos = dict(zip(ids, range(len(ids))))
     return [pos[i] for i in order]
-
-
-def _identity_grid(ring: FiniteRing, n: int) -> np.ndarray:
-    grid = np.full((n, n), ring.zero.index, dtype=np.int64)
-    np.fill_diagonal(grid, ring.one.index)
-    return grid
 
 
 def _product(ring: FiniteRing, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -182,7 +176,7 @@ def _invert_local(ring: FiniteRing, grid: np.ndarray) -> np.ndarray | None:
         a[c] = ring.mul(ring.pow_idx(int(a[c, c]), unit_order - 1), a[c])
         factors = a[:, c].copy()
         factors[c] = ring.zero.index
-        a = ring.sub(a, ring.mul(factors[:, None], a[c]))
+        ring.sub_mul(a, factors[:, None], a[c])
     return a[:, n:]
 
 
@@ -318,7 +312,7 @@ def _determinant_local(ring: FiniteRing, grid: np.ndarray) -> int:
     multiples of the pivot row keep det, each swap negates it, and the
     triangular result has det = prod diag, or 0 below full rank."""
     n = len(grid)
-    a, _, rank, swaps = _hermite(ring, [grid], n, chain_data(ring), _divider(ring))
+    a, _, _, rank, swaps = _hermite(ring, [grid], n, chain_data(ring), _divider(ring))
     if rank < n:
         return ring.zero.index
     det = functools.reduce(ring.mul_idx, a.diagonal().tolist(), ring.one.index)

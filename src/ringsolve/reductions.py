@@ -43,28 +43,28 @@ class ReductionOutput:
 # rings with a total order -> cyclic group Z_m
 
 
-def _cyclic_structure(ring: FiniteRing, scan: tuple[int, ...]):
-    """Additive decomposition and multiplication structure constants of R.
+def _cyclic_structure(ring: FiniteRing, order: RingOrder):
+    """Additive decomposition and multiplication structure constants of R,
+    memoised on the order.
 
-    Generators are chosen greedily along ``scan``; returns (decomposition, c,
-    b_table, rows, rhs) where c[y][i][j] is coordinate y of g_i·g_j and
+    Generators are chosen greedily along the order; returns (decomposition,
+    c, b_table, rows, rhs) where c[y][i][j] is coordinate y of g_i·g_j and
     b_table[r][y][t] is the Z_m coefficient of variable slot t in the
     y-component expansion of the term r·x (both nested lists).  The arrays
     rows[r, y, t] = b_table[r][y][t]·m/l_y and rhs[r, y] = (coordinate y of
     r)·m/l_y, mod m, are the target's coefficients and right-hand sides.
     """
-    key = ("cyclic_structure", scan)
-    if key in ring._cache:
-        return ring._cache[key]
+    if "cyclic_structure" in order._cache:
+        return order._cache["cyclic_structure"]
     m = ring.characteristic()
-    decomp = group_decompose_cyclic(additive_group(ring), scan_order=scan)
+    decomp = group_decompose_cyclic(additive_group(ring), scan_order=order.sorted_elements)
     gens = np.array([g for g, _ in decomp.pairs], dtype=np.int64)
     c = np.moveaxis(decomp.coords[ring.mul(gens[:, None], gens)], 2, 0)
     b_table = np.einsum("ri,yij->ryj", decomp.coords, c) % m
     mult = m // np.array(decomp.orders, dtype=np.int64)
     rows, rhs = b_table * mult[:, None] % m, decomp.coords * mult % m
-    ring._cache[key] = (decomp, c.tolist(), b_table.tolist(), rows, rhs)
-    return ring._cache[key]
+    order._cache["cyclic_structure"] = (decomp, c.tolist(), b_table.tolist(), rows, rhs)
+    return order._cache["cyclic_structure"]
 
 
 def ring_to_cyclic(system: LinSystem, order: RingOrder | None = None) -> ReductionOutput:
@@ -84,7 +84,7 @@ def ring_to_cyclic(system: LinSystem, order: RingOrder | None = None) -> Reducti
     if order.ring is not ring:
         raise InvalidParameter("the order does not belong to the system's ring")
     m = ring.characteristic()
-    decomp, c_table, b_table, row_table, rhs_table = _cyclic_structure(ring, tuple(order.sorted_elements))
+    decomp, c_table, b_table, row_table, rhs_table = _cyclic_structure(ring, order)
     k = len(decomp.pairs)
     orders = decomp.orders
     n, ell = len(system.rows), len(system.cols)

@@ -38,6 +38,15 @@ def _check_size(size: int, what: str):
         raise CapacityError(f"{what} has {size} elements, exceeding the cap of {cap}")
 
 
+def _check_power_size(q: int, r: int, what: str):
+    """_check_size for q^r elements, q >= 2: q^r >= 2^(r·(bits of q - 1)), so
+    past 64 such bits and the cap's it is over the cap, written as a power."""
+    cap = max_elems()
+    if r * (q.bit_length() - 1) > max(cap.bit_length(), 64):
+        raise CapacityError(f"{what} has {q}^{r} elements, exceeding the cap of {cap}")
+    _check_size(q**r, what)
+
+
 @functools.cache
 def _index_dtype(size: int):
     """The smallest signed integer type that holds every index below ``size``."""
@@ -281,6 +290,14 @@ class FiniteRing(_Carrier):
             return _reduce(np.multiply(x, y, dtype=np.int64), self.size)
         return self._mul_t[x, y]
 
+    def sub_mul(self, x, z, y):
+        """x -= z·y in place, z and y possibly views into x's own array."""
+        if self._mul_t is None:
+            np.remainder(np.subtract(x, np.multiply(z, y, dtype=np.int64)), self.size, out=x)
+        else:
+            x[...] = self._add_t[x, self._neg_t[self._mul_t[z, y]]]
+        return x
+
     def mul_idx(self, i: int, j: int) -> int:
         return self._mul(i, j)
 
@@ -430,8 +447,8 @@ def build_poly_quotient(p: int, n: int, f: Poly) -> FiniteRing:
     if fc[-1] != 1:
         raise InvalidParameter(f"f must be monic over Z/{q}, got {f}")
     r = f.degree
+    _check_power_size(q, r, "polynomial quotient ring")
     size = q**r
-    _check_size(size, "polynomial quotient ring")
     weights = [q**t for t in range(r)]
     digits = np.arange(size) // np.array(weights)[:, None] % q  # digits[t]: coefficient t of each element
     # x_times[s][t]: coefficient t of X^s·a for each element a, reduced modulo f

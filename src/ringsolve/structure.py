@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -261,7 +261,7 @@ class RingOrder:
     tuple, the sort key, and ``rep(i)`` the canonical coefficient list
     [(exponent tuple, Gamma element index), ...] without its zero
     coefficients.  The table order has the index itself as its one-letter
-    word, and no representations.
+    word, and no representations.  ``_cache`` memoises data derived from it.
     """
 
     ring: FiniteRing
@@ -270,6 +270,7 @@ class RingOrder:
     words: np.ndarray
     tuples: list[tuple[int, ...]] | None = None
     gamma: list[int] | None = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def key(self, i: int) -> tuple:
         return tuple(self.words[i].tolist())
@@ -282,9 +283,11 @@ class RingOrder:
 
 
 def table_order(ring: FiniteRing) -> RingOrder:
-    """The trivial order by element table index."""
-    elems = np.arange(ring.size)
-    return RingOrder(ring=ring, params=None, sorted_elements=elems.tolist(), words=elems[:, None])
+    """The trivial order by element table index, memoised."""
+    if "tableorder" not in ring._cache:
+        elems = np.arange(ring.size)
+        ring._cache["tableorder"] = RingOrder(ring, None, sorted_elements=elems.tolist(), words=elems[:, None])
+    return ring._cache["tableorder"]
 
 
 def _gamma_order(ring: FiniteRing, alpha_idx: int) -> list[int]:

@@ -33,6 +33,7 @@ from .ring import (
     AbelianGroup,
     FiniteRing,
     Poly,
+    _check_power_size,
     build_cyclic_group,
     build_poly_quotient,
     build_product,
@@ -87,6 +88,7 @@ def _parse_poly(text: str, modulus: int) -> Poly:
             power = 1
         parsed.append((power, sign * coeff))
         degree = max(degree, power)
+    _check_power_size(modulus, degree, "polynomial quotient ring")  # before any list of that length
     coeffs = [0] * (degree + 1)
     for power, c in parsed:
         coeffs[power] = (coeffs[power] + c) % modulus
@@ -134,6 +136,7 @@ def smallest_galois_polynomial(p: int, n: int, r: int) -> Poly:
 
 def build_galois_ring(q: int, r: int) -> FiniteRing:
     p, n = _factor_prime_power(q)
+    _check_power_size(q, r, "polynomial quotient ring")
     ring = build_poly_quotient(p, n, smallest_galois_polynomial(p, n, r))
     ring.spec_alias = f"GR({q},{r})"
     return ring

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import time
 
 import pytest
 
@@ -330,6 +331,18 @@ def test_cli_polynomial_quotient_over_z0_exits_usage(capsys, spec):
     assert main(["ring", "info", spec]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("spec", ["Z/4[X]/(X^99999999)", "GR(2,99999999999999)", "GR(2,22)", "GR(2,30)",
+                                  "GR(3,14)"])
+def test_cli_polynomial_quotient_over_the_cap_exits_usage_at_once(capsys, spec):
+    # the cap is checked from q and the degree, before a coefficient list,
+    # an irreducible-polynomial search or a full rendering of q^degree
+    start = time.perf_counter()
+    assert main(["ring", "info", spec]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and "exceeding the cap" in err
 
 
 # ---------------------------------------------------------------------------

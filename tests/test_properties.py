@@ -3,7 +3,11 @@
 Random small systems and matrices over the chain rings Z/4, Z/8, Z/9, F4 and
 GR(4,2): ``solve_chain`` must agree with the brute-force oracle and produce
 certificates that replay, and ``hermite_normal_form`` must satisfy
-S·A·T = (Q ; 0) with a valuation chain on its diagonal.  Random square
+S·A·T = (Q ; 0) with a valuation chain on its diagonal; on unsolvable tall
+systems the witness of ``solve_chain`` is the failing row of that S, scaled
+onto the tail.  ``FiniteRing.sub_mul`` must agree with ``sub(x, mul(z, y))``
+over residue and table rings, also when z or y lies in x's own array.
+Random square
 matrices over local and non-local commutative rings: ``inverse`` must agree
 with the oracle's |GL|-power inverse and be a two-sided inverse.  Random
 ring, group, two-sided and numerical systems and random matrices: writing,
@@ -162,6 +166,71 @@ def test_hermite_normal_form_properties(case):
     for r, row in enumerate(res.Q):
         assert all(v == zero for v in row[:r])
         assert all(v == zero or val[res.diag[r]] <= val[v] for v in row[r:])
+
+
+@st.composite
+def tall_systems(draw):
+    """A random system with more rows than columns, over a chain ring."""
+    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]()
+    k = draw(st.integers(2, 6))
+    ell = draw(st.integers(1, k - 1))
+    element = st.integers(0, ring.size - 1)
+    grid = draw(st.lists(st.lists(element, min_size=ell, max_size=ell), min_size=k, max_size=k))
+    return ring, grid, draw(st.lists(element, min_size=k, max_size=k))
+
+
+@PROPERTY_SETTINGS
+@given(tall_systems())
+def test_witness_is_the_scaled_failing_row_of_s(case):
+    ring, grid, b = case
+    system = _system(ring, grid, b)
+    cert = solve_chain(system)
+    assume(not cert.solvable)
+    res = hermite_normal_form(system)
+    cd = chain_data(ring)
+    val = _chain_valuations(ring, cd)
+    k, zero = len(grid), ring.zero.index
+    bprime = [functools.reduce(ring.add_idx, map(ring.mul_idx, res.S[r], b), zero) for r in range(k)]
+    diag_val = [val[d] for d in res.diag] + [cd.n] * (k - res.rank)
+    r = next(r for r in range(k) if val[bprime[r]] < diag_val[r])
+    tail = ring.pow_idx(cd.pi.index, cd.n - 1)
+    scaling = min(z for z in range(ring.size) if ring.mul_idx(bprime[r], z) == tail)
+    witness = [ring.parse_element(cert.witness.rows[row]).index for row in system.rows]
+    assert witness == [ring.mul_idx(scaling, v) for v in res.S[r]]
+
+
+SUB_MUL_RINGS = {
+    "Z/8": lambda: zmod(8),
+    "Z/12": lambda: zmod(12),
+    "Z/4096": lambda: zmod(4096),
+    "GR(4,2)": gr42,
+    "F2[x,y]/(x^2,y^2)": bivariate_nilpotent,
+    "phi(Z/2 x Z/4)": lambda: parse_ring_spec("phi(Z/2 x Z/4)"),
+}
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(sorted(SUB_MUL_RINGS)), st.sampled_from(["column", "scalar", "own column", "own row"]),
+       st.integers(1, 4), st.integers(1, 5), st.data())
+def test_sub_mul_agrees_with_sub_of_mul(name, form, m, n, data):
+    """x -= z·y in place equals sub(x, mul(z, y)) on the values before the
+    update, with z a column, a scalar, a column of x's own array, or with y
+    a row of x's own array."""
+    ring = SUB_MUL_RINGS[name]()
+    cells = lambda count: data.draw(st.lists(st.integers(0, ring.size - 1), min_size=count, max_size=count))
+    base = np.array(cells(m * (n + 1)), dtype=np.int64).reshape(m, n + 1)
+    x = base[:, 1:]
+    if form == "own row":
+        z, y = np.array(cells(m), dtype=np.int64)[:, None], x[data.draw(st.integers(0, m - 1))]
+    else:
+        y = np.array(cells(n), dtype=np.int64)
+        z = {"column": np.array(cells(m), dtype=np.int64)[:, None], "scalar": np.int64(cells(1)[0]),
+             "own column": base[:, :1]}[form]
+    expected = ring.sub(x.copy(), ring.mul(np.copy(z), y.copy()))
+    before = base[:, 0].copy()
+    assert ring.sub_mul(x, z, y) is x
+    assert x.tolist() == expected.tolist()
+    assert base[:, 0].tolist() == before.tolist()
 
 
 INVERSE_RINGS = {
