@@ -519,8 +519,7 @@ def hermite_normal_form(matrix) -> HermiteResult:
     a, rows, perm, t, _ = _hermite(ring, [matrix.A], ell, cd, _divider(ring))
     s = np.empty((len(rows), len(rows)), dtype=np.int64)
     s[:, rows] = _solve_lower(ring, a, t, _identity_grid(ring, len(rows)), range(len(rows) - 1, 0, -1))
-    q = a[:t, :ell]
-    q[np.tril_indices(t, -1)] = ring.zero.index
+    q = np.where(np.tri(t, ell, -1, dtype=bool), ring.zero.index, a[:t, :ell])
     return HermiteResult(ring=ring, row_ids=list(matrix.rows), col_ids=list(matrix.cols), S=s.tolist(),
                          col_perm=perm, Q=q.tolist(), diag=a.diagonal()[:t].tolist())
 

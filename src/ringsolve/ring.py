@@ -40,9 +40,9 @@ def _check_size(size: int, what: str):
 
 def _check_power_size(q: int, r: int, what: str):
     """_check_size for q^r elements, q >= 2: q^r >= 2^(r·(bits of q - 1)), so
-    past 64 such bits and the cap's it is over the cap, written as a power."""
+    a power r > 1 past 64 such bits and the cap's is over it, shown as q^r."""
     cap = max_elems()
-    if r * (q.bit_length() - 1) > max(cap.bit_length(), 64):
+    if r > 1 and r * (q.bit_length() - 1) > max(cap.bit_length(), 64):
         raise CapacityError(f"{what} has {q}^{r} elements, exceeding the cap of {cap}")
     _check_size(q**r, what)
 

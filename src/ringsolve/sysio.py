@@ -135,8 +135,8 @@ def smallest_galois_polynomial(p: int, n: int, r: int) -> Poly:
 
 
 def build_galois_ring(q: int, r: int) -> FiniteRing:
-    p, n = _factor_prime_power(q)
     _check_power_size(q, r, "polynomial quotient ring")
+    p, n = _factor_prime_power(q)
     ring = build_poly_quotient(p, n, smallest_galois_polynomial(p, n, r))
     ring.spec_alias = f"GR({q},{r})"
     return ring
@@ -160,8 +160,8 @@ def parse_ring_spec(text: str) -> FiniteRing:
         q = int(m.group(1))
         if q < 2:
             raise SpecParseError(f"modulus must be an integer >= 2, got {q}")
-        p, n = _factor_prime_power(q)
-        return build_poly_quotient(p, n, _parse_poly(m.group(2), q))
+        f = _parse_poly(m.group(2), q)  # checks the cap before q is factored
+        return build_poly_quotient(*_factor_prime_power(q), f)
     m = re.fullmatch(r"Z/(\d+)", text)
     if m:
         return build_zmod(int(m.group(1)))

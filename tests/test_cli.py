@@ -334,10 +334,12 @@ def test_cli_polynomial_quotient_over_z0_exits_usage(capsys, spec):
 
 
 @pytest.mark.parametrize("spec", ["Z/4[X]/(X^99999999)", "GR(2,99999999999999)", "GR(2,22)", "GR(2,30)",
-                                  "GR(3,14)"])
+                                  "GR(3,14)", "GR(1000000000000000000000007,2)",
+                                  "Z/1000000000000000000000007[X]/(X)"])
 def test_cli_polynomial_quotient_over_the_cap_exits_usage_at_once(capsys, spec):
     # the cap is checked from q and the degree, before a coefficient list,
-    # an irreducible-polynomial search or a full rendering of q^degree
+    # the factoring of q, an irreducible-polynomial search or a full
+    # rendering of q^degree
     start = time.perf_counter()
     assert main(["ring", "info", spec]) == 2
     assert time.perf_counter() - start < 1.0
