@@ -7,16 +7,20 @@ subset search of minimal generators the maximal ideal and ``ideal_generated``.
 Enumeration is exact and capacity errors are hard, never silent sampling.
 
 All four system kinds, and the row combinations of ``enumerate_witnesses``,
-go through one batched search (``_search``).  Each equation becomes a list of
+go through one search (``_search``).  Each equation becomes a list of
 (variable position, lookup array) pairs, where the lookup maps a variable's
 value to the element its term contributes, plus the right-hand side.  The
-search walks the assignments in ``itertools.product`` order (first declared
-variable most significant, last fastest), a batch of candidate indices at a
-time, sums each equation's terms through the carrier's elementwise ``add``
-and keeps only the candidates that satisfy it.  ``instances_checked`` is the
-position of the first satisfying assignment in that order, plus one, or the
-whole search space when there is none.
-"""
+search meets in the middle (Horowitz and Sahni): it splits the variables
+into the first half and the rest, tabulates the row sums of every
+assignment of the rest through the carrier's elementwise ``add``, sorts
+them, and looks up the right-hand sides minus the row sums of every
+assignment of the first half (``sub``) among them.  That is about
+2·radix**(ell/2) sums instead of radix**ell, and the hits come out in
+``itertools.product`` order (first declared variable most significant, last
+fastest), exactly the order of a walk over every assignment.  So
+``instances_checked`` is still the position of the first satisfying
+assignment in that order, plus one, or the whole search space when there is
+none, and ``SEARCH_CAP`` still bounds that whole space."""
 
 from __future__ import annotations
 
@@ -33,10 +37,6 @@ from .ring import AbelianGroup, FiniteRing, RingElement
 from .structure import decompose_local, ideal_generated, maximal_ideal
 
 SEARCH_CAP = 10**7
-# Candidates per batch.  The per-batch temporaries (64 KiB at int64) stay
-# below the allocator's mmap threshold, so they reuse heap memory; at 2^16
-# every batch mapped fresh pages and page-faulted them in.
-_BATCH = 1 << 13
 
 
 @dataclass
@@ -57,31 +57,73 @@ def _check_space(base: int, exponent: int) -> int:
     return space
 
 
+def _fold(op, acc: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``acc`` (rows, n) combined by ``op`` with each variable of ``table``
+    (rows, variables, radix) in turn, the last fastest: (rows, n·radix**variables)."""
+    for p in range(table.shape[1]):
+        acc = op(acc[:, :, None], table[:, p, None, :]).reshape(len(acc), -1)
+    return acc
+
+
 def _search(carrier, zero: int, radix: int, nvars: int, rows):
     """Yield, in ``itertools.product(range(radix), repeat=nvars)`` order, the
     index of every assignment that satisfies all ``rows``.
 
     ``rows`` holds ``(terms, rhs)`` with ``terms`` a list of ``(variable
-    position, lookup)``: ``lookup[v]`` is the element the term contributes
-    when that variable takes the value v.  A variable's value is the digit of
-    the candidate index at weight ``radix**(nvars-1-position)``.
+    position, lookup)``, at most one per variable: ``lookup[v]`` is the
+    element the term contributes when that variable takes the value v.  A
+    variable's value is the digit of the index at weight
+    ``radix**(nvars-1-position)``.
+
+    Meet in the middle: the index is ``high·radix**low + low`` for the
+    assignments of the first ``nvars // 2`` variables (high) and of the rest
+    (low).  Every low assignment's row sums form one key, sorted stably; each
+    high assignment, in order, looks up its right-hand sides minus its row
+    sums among them and yields its matching lows in ascending order.  Under
+    ``SEARCH_CAP`` there are at most sqrt(SEARCH_CAP) high assignments, so
+    they are looked up at once; the hits are expanded one high assignment at
+    a time, so a caller that stops at the first one expands no more.
     """
     if any(not terms and rhs != zero for terms, rhs in rows):
         return
     rows = [(terms, rhs) for terms, rhs in rows if terms]
-    weights = [radix ** (nvars - 1 - pos) for pos in range(nvars)]
-    space = radix**nvars
-    for start in range(0, space, _BATCH):
-        cand = np.arange(start, min(start + _BATCH, space), dtype=np.int64)
-        for terms, rhs in rows:
-            acc = None
-            for pos, lookup in terms:
-                term = lookup[cand // weights[pos] % radix]
-                acc = term if acc is None else carrier.add(acc, term)
-            cand = cand[acc == rhs]
-            if not cand.size:
-                break
-        yield from cand.tolist()
+    if not rows:
+        yield from range(radix**nvars)
+        return
+    # table[r, p, v]: what row r's term in variable p contributes at the value v
+    table = np.full((len(rows), nvars, radix), zero, dtype=np.int64)
+    for r, (terms, _) in enumerate(rows):
+        for pos, lookup in terms:
+            table[r, pos] = lookup
+    rhs = np.array([rhs for _, rhs in rows])[:, None]
+    high = nvars // 2
+    nlow = radix ** (nvars - high)
+    # A key packs a block of rows' sums in base |carrier|.  Past the first
+    # block the keys so far are replaced by their rank among the low keys (a
+    # high key that matches none becomes -1), so that every key stays below
+    # nlow·|carrier|**block < 2^62 for any number of rows.
+    block = max(1, (62 - nlow.bit_length()) // carrier.size.bit_length())
+    weights = np.array([carrier.size**k for k in range(min(block, len(rows)))])
+    low_key = high_key = None
+    for start in range(0, len(rows), block):
+        part = slice(start, start + block)
+        w = weights[:len(rows) - start]
+        low = w @ _fold(carrier.add, table[part, high], table[part, high + 1:])
+        target = w @ _fold(carrier.sub, rhs[part], table[part, :high])
+        if low_key is None:
+            low_key, high_key = low, target
+            continue
+        seen, rank = np.unique(low_key, return_inverse=True)
+        at = np.minimum(np.searchsorted(seen, high_key), len(seen) - 1)
+        base = carrier.size ** len(w)
+        low_key = rank * base + low
+        high_key = np.where(seen[at] == high_key, at * base + target, -1)
+    order = np.argsort(low_key, kind="stable")
+    low_key = low_key[order]
+    first = np.searchsorted(low_key, high_key, "left")
+    last = np.searchsorted(low_key, high_key, "right")
+    for h in (first < last).nonzero()[0].tolist():
+        yield from (order[first[h]:last[h]] + h * nlow).tolist()
 
 
 def _digits(index: int, radix: int, nvars: int) -> list[int]:

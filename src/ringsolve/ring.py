@@ -493,12 +493,9 @@ def _product_names(factors: list) -> list[str]:
 
 
 def build_product(rings: list[FiniteRing]) -> FiniteRing:
-    """The componentwise product ring."""
+    """The componentwise product ring; commutative when every factor is."""
     if not rings:
         raise InvalidParameter("product of an empty list of rings")
-    flags = {r.commutative for r in rings}
-    if len(flags) != 1:
-        raise InvalidParameter("product factors must agree on commutativity")
     sizes = [r.size for r in rings]
     size = math.prod(sizes)
     _check_size(size, "product ring")
@@ -509,7 +506,7 @@ def build_product(rings: list[FiniteRing]) -> FiniteRing:
         mul=_op_table(size, _componentwise([r.mul for r in rings], sizes)),
         zero_idx=int(np.ravel_multi_index([r.zero.index for r in rings], sizes)),
         one_idx=int(np.ravel_multi_index([r.one.index for r in rings], sizes)),
-        commutative=flags.pop(),
+        commutative=all(r.commutative for r in rings),
         names=_product_names(rings),
         spec=" x ".join(r.spec for r in rings),
     )
@@ -534,45 +531,52 @@ def _check_table(table, n: int, label: str):
         raise NotARing("table entries", label)
 
 
+def _first_failure(bad: np.ndarray):
+    """The row-major position of the first True of ``bad``, or None."""
+    return np.unravel_index(int(bad.argmax()), bad.shape) if bad.any() else None
+
+
 def _validate_ring_tables(add: list[list[int]], mul: list[list[int]], check_commutative: bool):
-    """Exhaustive axiom check on explicit tables; raises NotARing naming the axiom."""
+    """Exhaustive axiom check on explicit tables, by array masks; raises
+    NotARing naming the axiom and its first failing element, pair or triple
+    in lexicographic order.  The triples are checked a block of (x, y) pairs
+    against every z at a time."""
     n = len(add)
-    rng = range(n)
     _check_table(add, n, "addition")
     _check_table(mul, n, "multiplication")
-    # additive identity
-    zeros = [z for z in rng if all(add[z][x] == x and add[x][z] == x for x in rng)]
+    a, m = (np.array(t, dtype=np.intp) for t in (add, mul))
+    # t[r, c] is read as t_flat[r·n + c]: a gather along one axis is about
+    # twice as fast as one with two broadcast index arrays
+    a_flat, m_flat = a.ravel(), m.ravel()
+    elems = np.arange(n)
+    zeros = ((a == elems).all(axis=1) & (a.T == elems).all(axis=1)).nonzero()[0]
     if len(zeros) != 1:
         raise NotARing("additive identity")
-    zero = zeros[0]
-    for x in rng:
-        if all(add[x][y] != zero for y in rng):
-            raise NotARing("additive inverses", f"element {x}")
-    for x in rng:
-        for y in rng:
-            if add[x][y] != add[y][x]:
-                raise NotARing("addition commutativity", f"{x},{y}")
-    for x in rng:
-        for y in rng:
-            axy = add[x][y]
-            for z in rng:
-                if add[axy][z] != add[x][add[y][z]]:
-                    raise NotARing("addition associativity", f"{x},{y},{z}")
-    ones = [o for o in rng if all(mul[o][x] == x and mul[x][o] == x for x in rng)]
+    zero = int(zeros[0])
+    lacking = (~(a == zero).any(axis=1)).nonzero()[0]
+    if lacking.size:
+        raise NotARing("additive inverses", f"element {lacking[0]}")
+    if (pair := _first_failure(a != a.T)) is not None:
+        raise NotARing("addition commutativity", "{},{}".format(*pair))
+    blocks = [(pairs, *np.divmod(pairs, n)) for pairs in _row_blocks(n * n, n)]
+    for pairs, x, y in blocks:
+        if (at := _first_failure(a[a_flat[pairs]] != a_flat[(x * n)[:, None] + a[y]])) is not None:
+            raise NotARing("addition associativity", f"{x[at[0]]},{y[at[0]]},{at[1]}")
+    ones = ((m == elems).all(axis=1) & (m.T == elems).all(axis=1)).nonzero()[0]
     if len(ones) != 1:
         raise NotARing("multiplicative identity")
-    one = ones[0]
-    for x in rng:
-        for y in rng:
-            mxy = mul[x][y]
-            for z in rng:
-                if mul[mxy][z] != mul[x][mul[y][z]]:
-                    raise NotARing("multiplication associativity", f"{x},{y},{z}")
-                if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
-                    raise NotARing("left distributivity", f"{x},{y},{z}")
-                if mul[add[y][z]][x] != add[mul[y][x]][mul[z][x]]:
-                    raise NotARing("right distributivity", f"{x},{y},{z}")
-    commutative = all(mul[x][y] == mul[y][x] for x in rng for y in rng)
+    one = int(ones[0])
+    for pairs, x, y in blocks:
+        xn, y_plus_z, xy, yx = (x * n)[:, None], a[y], m_flat[pairs], m_flat[y * n + x]
+        checks = (  # [pair, z] is True where the law fails at (x, y, z)
+            ("multiplication associativity", m[xy] != m_flat[xn + m[y]]),
+            ("left distributivity", m_flat[xn + y_plus_z] != a_flat[(xy * n)[:, None] + m[x]]),
+            ("right distributivity", m_flat[y_plus_z * n + x[:, None]] != a_flat[(yx * n)[:, None] + m.T[x]]),
+        )
+        if (at := _first_failure(np.logical_or.reduce([bad for _, bad in checks]))) is not None:
+            axiom = next(name for name, bad in checks if bad[at])
+            raise NotARing(axiom, f"{x[at[0]]},{y[at[0]]},{at[1]}")
+    commutative = bool((m == m.T).all())
     if check_commutative and not commutative:
         raise NotARing("multiplication commutativity")
     return zero, one, commutative

@@ -64,6 +64,16 @@ def _split_top_level(text: str, sep: str) -> list[str]:
     return parts
 
 
+def _parse_int(text: str, what: str, lineno: int | None = None) -> int:
+    """int(text), or SpecParseError naming ``what``; a long text, such as a
+    number past Python's digit limit for int(), is quoted by its start."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+        raise SpecParseError(f"bad {what} {shown}", lineno)
+
+
 def _parse_poly(text: str, modulus: int) -> Poly:
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
@@ -79,11 +89,11 @@ def _parse_poly(text: str, modulus: int) -> Poly:
         if not m or (m.group(2) is None and m.group(3) is None):
             raise SpecParseError(f"bad polynomial term {term!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coeff = int(m.group(2)) if m.group(2) is not None else 1
+        coeff = _parse_int(m.group(2), "polynomial coefficient") if m.group(2) is not None else 1
         if m.group(3) is None:
             power = 0
         elif m.group(4) is not None:
-            power = int(m.group(4))
+            power = _parse_int(m.group(4), "exponent")
         else:
             power = 1
         parsed.append((power, sign * coeff))
@@ -154,17 +164,17 @@ def parse_ring_spec(text: str) -> FiniteRing:
         return _parse_table_ring(Path(text[len("table:"):]))
     m = re.fullmatch(r"GR\((\d+),(\d+)\)", text)
     if m:
-        return build_galois_ring(int(m.group(1)), int(m.group(2)))
+        return build_galois_ring(_parse_int(m.group(1), "modulus"), _parse_int(m.group(2), "degree"))
     m = re.fullmatch(r"Z/(\d+)\[X\]/(\(.*\))", text)
     if m:
-        q = int(m.group(1))
+        q = _parse_int(m.group(1), "modulus")
         if q < 2:
             raise SpecParseError(f"modulus must be an integer >= 2, got {q}")
         f = _parse_poly(m.group(2), q)  # checks the cap before q is factored
         return build_poly_quotient(*_factor_prime_power(q), f)
     m = re.fullmatch(r"Z/(\d+)", text)
     if m:
-        return build_zmod(int(m.group(1)))
+        return build_zmod(_parse_int(m.group(1), "modulus"))
     m = re.fullmatch(r"phi\((.*)\)", text)
     if m:
         from .reductions import build_phi_ring
@@ -221,7 +231,7 @@ def parse_group_spec(text: str) -> AbelianGroup:
         return build_product_group([parse_group_spec(f) for f in factors])
     m = re.fullmatch(r"Z/(\d+)", text)
     if m:
-        return build_cyclic_group(int(m.group(1)))
+        return build_cyclic_group(_parse_int(m.group(1), "modulus"))
     raise SpecParseError(f"cannot parse group spec {text!r}")
 
 
@@ -326,7 +336,7 @@ def _parse_rhs(kind, carrier, rhs, lineno):
 
 def _accumulate_term(kind, carrier, left, right, rid, side, coeff_text, var, lineno):
     if kind == "group":
-        coeff = 1 if coeff_text is None else _parse_int(coeff_text, lineno)
+        coeff = 1 if coeff_text is None else _parse_int(coeff_text, "integer coefficient", lineno)
         left[(rid, var)] = left.get((rid, var), 0) + coeff
         return
     if kind == "numerical":
@@ -348,13 +358,6 @@ def _accumulate_term(kind, carrier, left, right, rid, side, coeff_text, var, lin
         key = (rid, var)
         prev = left.get(key)
         left[key] = coeff if prev is None else carrier.add_idx(prev, coeff)
-
-
-def _parse_int(text, lineno):
-    try:
-        return int(text)
-    except ValueError:
-        raise SpecParseError(f"bad integer coefficient {text!r}", lineno)
 
 
 def _parse_carrier(carrier, text, lineno):
@@ -492,7 +495,7 @@ def parse_certificate(text: str, system) -> Certificate:
             if var in assignment:
                 raise SpecParseError(f"repeated assign id {m.group(1).strip()!r}", lineno)
             if isinstance(system, NumericalSystem):
-                assignment[var] = _parse_int(m.group(2).strip(), lineno)
+                assignment[var] = _parse_int(m.group(2).strip(), "integer coefficient", lineno)
             else:
                 assignment[var] = carrier.parse_element(m.group(2).strip())
         return Certificate("SOLVABLE", assignment=assignment)

@@ -347,6 +347,41 @@ def test_cli_polynomial_quotient_over_the_cap_exits_usage_at_once(capsys, spec):
     assert err.startswith("error:") and "Traceback" not in err and "exceeding the cap" in err
 
 
+LONG_NUMBER = "7" * 4400  # past Python's 4,300-digit limit for int() of a string
+
+
+@pytest.mark.parametrize("spec", [f"Z/{LONG_NUMBER}", f"GR({LONG_NUMBER},2)", f"Z/4[X]/(X^{LONG_NUMBER})",
+                                  f"Z/4[X]/(X^2+{LONG_NUMBER})", f"Z/2 x Z/{LONG_NUMBER}"])
+def test_cli_ring_spec_with_a_long_number_exits_usage(capsys, spec):
+    start = time.perf_counter()
+    assert main(["ring", "info", spec]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and "internal error" not in err
+    assert "(4400 characters)" in err and LONG_NUMBER not in err
+
+
+@pytest.mark.parametrize("header", [f"group Z/{LONG_NUMBER}", f"group Z/2 x Z/{LONG_NUMBER}"])
+def test_cli_system_file_with_a_long_group_modulus_exits_usage(tmp_path, capsys, header):
+    path = tmp_path / "system.rls"
+    path.write_text(f"{header}\nvars x\neq 1*x = 0\n")
+    start = time.perf_counter()
+    assert main(["solve", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and "internal error" not in err
+    assert LONG_NUMBER not in err
+
+
+def test_cli_long_group_coefficient_is_quoted_by_its_start(tmp_path, capsys):
+    path = tmp_path / "system.rls"
+    path.write_text(f"group Z/4\nvars x\neq {LONG_NUMBER}*x = 1\n")
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad integer coefficient '77777777777777777777'... (4400 characters)" in err
+    assert LONG_NUMBER not in err
+
+
 # ---------------------------------------------------------------------------
 # tampered certificates
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -37,6 +38,7 @@ from ringsolve.oracle import (
     check_ring_axioms,
     det_cofactor,
     enumerate_gl,
+    enumerate_witnesses,
 )
 from ringsolve.ring import units
 from ringsolve.structure import decompose_local
@@ -222,6 +224,69 @@ def test_brute_group_reads_no_add_table(monkeypatch):
     assert rep.solvable and system.eval(rep.witness)
     assert rep.instances_checked == rep.witness["x"].index + 1
     assert peak < 16 * 2**20, peak
+
+
+def _count_add_elements(monkeypatch, carrier) -> list[int]:
+    """Wrap the carrier's elementwise ``add``; the returned list holds the
+    number of elements of the (broadcast) operands passed to it."""
+    count = [0]
+    add = carrier.add
+
+    def counted(x, y):
+        count[0] += np.broadcast(x, y).size
+        return add(x, y)
+
+    monkeypatch.setattr(carrier, "add", counted)
+    return count
+
+
+def test_brute_force_adds_about_the_square_root_of_the_space(monkeypatch):
+    # an UNSOLVABLE 6x6 system over Z/8 (even coefficients, one odd right-hand
+    # side): meeting in the middle adds of order 6·8^3 elements, where a walk
+    # over the 8^6 assignments adds of order 6·8^6
+    rng = random.Random(11)
+    z8 = zmod.__wrapped__(8)
+    rows, cols = [f"e{i}" for i in range(6)], [f"x{j}" for j in range(6)]
+    entries = {(i, j): 2 * rng.randrange(4) for i in rows for j in cols}
+    system = LinSystem(z8, rows, cols, entries, {i: 2 * rng.randrange(4) + (i == "e5") for i in rows})
+    count = _count_add_elements(monkeypatch, z8)
+    rep = brute_force_solve(system)
+    assert not rep.solvable and rep.instances_checked == 8**6
+    assert count[0] < 4 * 6 * 8**3, count[0]
+
+
+def test_enumerate_witnesses_adds_about_the_square_root_of_the_space(monkeypatch):
+    # combinations of 6 rows over Z/8 against 2 columns and the tail
+    rng = random.Random(12)
+    z8 = zmod.__wrapped__(8)
+    rows, cols = [f"e{i}" for i in range(6)], ["x0", "x1"]
+    entries = {(i, j): rng.randrange(8) for i in rows for j in cols}
+    b = {i: rng.randrange(8) for i in rows}
+    system = LinSystem(z8, rows, cols, entries, b)
+    count = _count_add_elements(monkeypatch, z8)
+    found = enumerate_witnesses(system, 4)
+    assert found
+    for x in found:
+        assert all(sum(x[i].index * entries[(i, j)] for i in rows) % 8 == 0 for j in cols)
+        assert sum(x[i].index * b[i] for i in rows) % 8 == 4
+    assert count[0] < 4 * (len(cols) + 1) * 8**3, count[0]
+
+
+@pytest.mark.parametrize("rhs, first_hit", [(1, None), (2, (0, 1))])
+def test_brute_force_rows_past_one_int64_key(rhs, first_hit):
+    # 25 rows over Z/8 (8^25 > 2^63): 14 rows 2·x1 = rhs, then 11 rows x0 = 0.
+    # With rhs = 1 the first rows fail for every x1 while the last ones hold
+    # at x0 = 0: a key must not match on the last rows alone.
+    z8 = zmod(8)
+    rows = [f"e{i:02}" for i in range(25)]
+    entries = {(i, "x1"): 2 for i in rows[:14]} | {(i, "x0"): 1 for i in rows[14:]}
+    system = LinSystem(z8, rows, ["x0", "x1"], entries, {i: rhs for i in rows[:14]})
+    rep = brute_force_solve(system)
+    if first_hit is None:
+        assert not rep.solvable and rep.instances_checked == 64
+    else:
+        assert rep.solvable and rep.instances_checked == first_hit[0] * 8 + first_hit[1] + 1
+        assert (rep.witness["x0"].index, rep.witness["x1"].index) == first_hit
 
 
 def test_brute_force_scalar_calls_bounded_by_lookups():

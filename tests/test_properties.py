@@ -16,6 +16,12 @@ from its file must get the same verdict.  The same systems: ``eval`` and
 ``canonical_text`` must agree with term-by-term definitions written here,
 and a certificate with one tampered value or digest must be rejected, by
 ``verify_certificate`` and by ``ringsolve verify``, unless it still holds.
+Random ring, group, two-sided and numerical systems of 1 to 6 variables,
+also with rows that have no terms and with 25 rows over Z/8:
+``brute_force_solve`` must give the verdict, witness and
+``instances_checked`` of a walk over every assignment in
+``itertools.product`` order, and ``enumerate_witnesses`` the hits of that
+walk over the row combinations, in that order.
 Random matrices whose operands list the same ids in different orders, also
 over the non-commutative UT2(F2): ``mat_mul``, ``mat_add``, ``mat_scale`` and
 ``evaluate_at_matrix`` must agree with scalar definitions written here.
@@ -80,7 +86,7 @@ from ringsolve import (
 from ringsolve.cli import main
 from ringsolve.linsys import _chain_valuations
 from ringsolve.matalg import mat_scale
-from ringsolve.oracle import brute_force_solve, inverse_by_power
+from ringsolve.oracle import brute_force_solve, enumerate_witnesses, inverse_by_power
 from ringsolve.ring import _additive_span, _orders_modulo, additive_group, group_decompose_cyclic, unit_indices
 from ringsolve.structure import (
     _is_primitive_residue,
@@ -776,3 +782,105 @@ def test_tampered_certificates_are_rejected(generated, data):
         tampered = Certificate("UNSOLVABLE", witness=UnsolvableWitness(w.summand, w.chain_spec, digest, rows))
     assert verify_certificate(system, tampered) == valid
     assert _verify_cli(system, tampered) == (0 if valid else 1)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's search against a walk over every assignment
+
+# (kind, carrier spec) of the searched systems: radix 2 to 8
+SEARCH_CARRIERS = [
+    ("ring", "Z/2"), ("ring", "Z/4"), ("ring", "Z/2 x Z/3"), ("group", "Z/4"), ("group", "Z/2 x Z/2"),
+    ("twosided", UT2_SPEC), ("twosided", "Z/3"), ("numerical", "Z/4"), ("numerical", "Z/2 x Z/3"),
+]
+
+
+def _search_system(kind, carrier, rows, cols, left, right, b):
+    if kind == "ring":
+        return LinSystem(carrier, rows, cols, left, b)
+    if kind == "group":
+        return GroupSystem(carrier, rows, cols, left, b)
+    if kind == "numerical":
+        return NumericalSystem(carrier, rows, cols, left, b)
+    return TwoSidedSystem(carrier, rows, cols, left, right, b)
+
+
+def _assignment_values(system) -> list:
+    if isinstance(system, NumericalSystem):
+        return list(range(system.carrier.exponent()))
+    return system.carrier.elements()
+
+
+@st.composite
+def searched_systems(draw, kinds=SEARCH_CARRIERS, min_rows=1, max_rows=4, max_space=4096):
+    """A system with at most ``max_space`` assignments; some rows have no
+    terms, and about half the systems have the right-hand sides of a drawn
+    assignment."""
+    kind, spec = draw(st.sampled_from(kinds))
+    carrier = _file_carrier(kind, spec)
+    radix = carrier.exponent() if kind == "numerical" else carrier.size
+    ell = draw(st.integers(1, max(n for n in range(1, 7) if radix**n <= max_space)))
+    rows = [f"r{i}" for i in range(draw(st.integers(min_rows, max_rows)))]
+    cols = [f"v{j}" for j in range(ell)]
+    empty = draw(st.sets(st.sampled_from(rows)))
+    cells = [(i, j) for i in rows if i not in empty for j in cols]
+    element = st.integers(0, carrier.size - 1)
+    left = draw(_sparse(cells, st.integers(0, 8) if kind == "group" else element))
+    right = draw(_sparse([(j, i) for i, j in cells], element)) if kind == "twosided" else {}
+    system = _search_system(kind, carrier, rows, cols, left, right, draw(_sparse(rows, element)))
+    if draw(st.booleans()):
+        values = _assignment_values(system)
+        planted = {j: values[draw(st.integers(0, len(values) - 1))] for j in cols}
+        b = {i: _scalar_lhs(system, planted, i) for i in rows}
+        system = _search_system(kind, carrier, rows, cols, left, right, b)
+    return system
+
+
+def _walk(system) -> list[tuple[int, dict]]:
+    """(position, assignment) of every satisfying assignment, in product order."""
+    assignments = itertools.product(_assignment_values(system), repeat=len(system.cols))
+    return [(k, a) for k, a in enumerate(dict(zip(system.cols, v)) for v in assignments) if _satisfies(system, a)]
+
+
+def _assert_search_agrees_with_the_walk(system):
+    hits = _walk(system)
+    report = brute_force_solve(system)
+    assert report.solvable == bool(hits)
+    if hits:
+        position, assignment = hits[0]
+        assert report.witness == assignment and report.instances_checked == position + 1
+    else:
+        assert report.witness is None
+        assert report.instances_checked == len(_assignment_values(system)) ** len(system.cols)
+
+
+@PROPERTY_SETTINGS
+@given(searched_systems())
+def test_brute_force_agrees_with_the_walk(system):
+    _assert_search_agrees_with_the_walk(system)
+
+
+@PROPERTY_SETTINGS
+@given(searched_systems(kinds=[("ring", "Z/8")], min_rows=25, max_rows=25, max_space=512))
+def test_brute_force_agrees_with_the_walk_past_one_int64_key(system):
+    # 8^25 > 2^63: the row sums of one assignment do not fit one int64
+    _assert_search_agrees_with_the_walk(system)
+
+
+@PROPERTY_SETTINGS
+@given(searched_systems(kinds=[("ring", "Z/2"), ("ring", "Z/4"), ("ring", "Z/2 x Z/3")], max_rows=6),
+       st.data())
+def test_enumerate_witnesses_agrees_with_the_walk(system, data):
+    ring, rows = system.carrier, list(system.rows)
+    assume(ring.size ** len(rows) <= 4096)
+    tail = data.draw(st.integers(0, ring.size - 1))
+    zero = ring.zero.index
+
+    def combination(x, column):
+        return functools.reduce(ring.add_idx, (ring.mul_idx(x[i].index, column.get(i, zero)) for i in rows), zero)
+
+    columns = [{i: system.entries[(i, j)] for i in rows if (i, j) in system.entries} for j in system.cols]
+    expected = [
+        x for x in (dict(zip(rows, v)) for v in itertools.product(ring.elements(), repeat=len(rows)))
+        if all(combination(x, column) == zero for column in columns) and combination(x, system.b) == tail
+    ]
+    assert enumerate_witnesses(system, tail) == expected

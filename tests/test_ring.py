@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import bivariate_nilpotent, f4, f2x_x2, gr42, upper_triangular_f2, zmod
+from conftest import bivariate_nilpotent, f4, f2x_x2, gr42, upper_triangular_f2, ut2_times_z3, zmod
 from ringsolve import (
     CapacityError,
     InvalidParameter,
@@ -25,7 +26,7 @@ from ringsolve import (
     units,
 )
 from ringsolve.reductions import build_phi_ring
-from ringsolve.ring import additive_group, max_elems, poly_mod_reduce
+from ringsolve.ring import _validate_ring_tables, additive_group, max_elems, poly_mod_reduce
 from ringsolve.structure import decompose_local, local_data
 from ringsolve.sysio import parse_group_spec, parse_ring_spec
 
@@ -123,6 +124,89 @@ def test_product_singleton_and_lcm_characteristic():
 def test_product_rejects_empty():
     with pytest.raises(InvalidParameter):
         build_product([])
+
+
+def test_product_of_commutative_and_non_commutative_factors():
+    prod = build_product([upper_triangular_f2(), build_zmod(3)])
+    reference = ut2_times_z3()
+    assert not prod.commutative
+    assert prod.op_tables() == reference.op_tables()
+    assert (prod.zero.index, prod.one.index) == (reference.zero.index, reference.one.index)
+    assert build_product([zmod(2), zmod(3)]).commutative
+
+
+def _scalar_validate_ring_tables(add, mul, check_commutative):
+    """The element-by-element axiom check that the array validator replaced,
+    kept as its reference: the same order of axioms and of elements."""
+    n = len(add)
+    rng = range(n)
+    zeros = [z for z in rng if all(add[z][x] == x and add[x][z] == x for x in rng)]
+    if len(zeros) != 1:
+        raise NotARing("additive identity")
+    zero = zeros[0]
+    for x in rng:
+        if all(add[x][y] != zero for y in rng):
+            raise NotARing("additive inverses", f"element {x}")
+    for x in rng:
+        for y in rng:
+            if add[x][y] != add[y][x]:
+                raise NotARing("addition commutativity", f"{x},{y}")
+    for x in rng:
+        for y in rng:
+            axy = add[x][y]
+            for z in rng:
+                if add[axy][z] != add[x][add[y][z]]:
+                    raise NotARing("addition associativity", f"{x},{y},{z}")
+    ones = [o for o in rng if all(mul[o][x] == x and mul[x][o] == x for x in rng)]
+    if len(ones) != 1:
+        raise NotARing("multiplicative identity")
+    one = ones[0]
+    for x in rng:
+        for y in rng:
+            mxy = mul[x][y]
+            for z in rng:
+                if mul[mxy][z] != mul[x][mul[y][z]]:
+                    raise NotARing("multiplication associativity", f"{x},{y},{z}")
+                if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
+                    raise NotARing("left distributivity", f"{x},{y},{z}")
+                if mul[add[y][z]][x] != add[mul[y][x]][mul[z][x]]:
+                    raise NotARing("right distributivity", f"{x},{y},{z}")
+    commutative = all(mul[x][y] == mul[y][x] for x in rng for y in rng)
+    if check_commutative and not commutative:
+        raise NotARing("multiplication commutativity")
+    return zero, one, commutative
+
+
+def _validation_outcome(validate, add, mul, check_commutative):
+    try:
+        return validate(add, mul, check_commutative)
+    except NotARing as exc:
+        return str(exc)
+
+
+def test_array_validator_agrees_with_the_scalar_reference():
+    rng = random.Random(32)
+    rings = [zmod(6), parse_ring_spec("Z/4[X]/(X^2)"), gr42(), parse_ring_spec("Z/2 x Z/4"), upper_triangular_f2()]
+    seen = set()
+    for ring in rings:
+        for check_commutative in (True, False):
+            for case in range(60):
+                add, mul = ring.op_tables()
+                for _ in range(0 if case == 0 else rng.choice((1, 2))):
+                    table = rng.choice((add, mul))
+                    # a random cell, or one that holds zero (a row may lose its inverse)
+                    cells = [(x, y) for x in range(ring.size) for y in range(ring.size)]
+                    if rng.random() < 0.5:
+                        cells = [(x, y) for x, y in cells if table[x][y] == ring.zero.index]
+                    x, y = rng.choice(cells)
+                    table[x][y] = rng.randrange(ring.size)
+                expected = _validation_outcome(_scalar_validate_ring_tables, add, mul, check_commutative)
+                assert _validation_outcome(_validate_ring_tables, add, mul, check_commutative) == expected
+                seen.add(expected.split(" fails")[0] if isinstance(expected, str) else "ring")
+    assert seen == {"ring"} | {f"not a ring: {axiom}" for axiom in (
+        "additive identity", "additive inverses", "addition commutativity", "addition associativity",
+        "multiplicative identity", "multiplication associativity", "left distributivity",
+        "right distributivity", "multiplication commutativity")}
 
 
 def test_table_ring_accepts_z3_tables():
