@@ -8,13 +8,14 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
 from pathlib import Path
 
 from . import linsys, matalg, oracle, reductions, structure, sysio
-from .errors import InternalError, RingsolveError, SpecParseError
+from .errors import InternalError, RingsolveError, SpecParseError, quote
 
 EXIT_SOLVABLE = 0
 EXIT_UNSOLVABLE = 1
@@ -217,7 +218,7 @@ def _collapse_from_manifest(path: str):
         elif parts[0] == "inner" and len(parts) == 4:
             inner[(parts[1], parts[2])] = sysio.parse_system(_read(str(base / parts[3])))
         else:
-            raise SpecParseError(f"bad manifest line {line!r}", lineno)
+            raise SpecParseError(f"bad manifest line {quote(line)}", lineno)
     return reductions.collapse_nested(outer_rows, outer_cols, inner)
 
 
@@ -324,8 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the quoting of user text
+in their messages."""
+
+
+def quote(text: str) -> str:
+    """repr(text), or past 40 characters the repr of its first 20 and the
+    length: a message that echoes user text stays short."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
 class RingsolveError(Exception):

@@ -23,8 +23,9 @@ from .errors import (
     InvalidParameter,
     PreconditionViolation,
     Unsupported,
+    quote,
 )
-from .ring import (AbelianGroup, FiniteRing, GroupElement, RingElement, _index_dtype, cached_zmod, factorize,
+from .ring import (AbelianGroup, FiniteRing, GroupElement, RingElement, _index_dtype, _memo, cached_zmod, factorize,
                    group_decompose_cyclic)
 from .structure import ChainData, chain_data, decompose_local, default_order
 
@@ -378,39 +379,39 @@ class Certificate:
 # chain-ring machinery
 
 
-def _chain_valuations(ring: FiniteRing, cd: ChainData) -> np.ndarray:
-    """val[x] = largest t <= n with x in pi^t·R (val[0] = n)."""
-    if "chainval" not in ring._cache:
-        elems = np.arange(ring.size)
-        val = np.zeros(ring.size, dtype=np.int64)
-        power = ring.one.index
-        for t in range(1, cd.n + 1):
-            power = ring.mul_idx(power, cd.pi.index)
-            val[ring.mul(power, elems)] = t
-        ring._cache["chainval"] = val
-    return ring._cache["chainval"]
+@_memo
+def _chain_valuations(ring: FiniteRing) -> np.ndarray:
+    """val[x] = largest t <= n with x in pi^t·R (val[0] = n), over a chain ring."""
+    cd = chain_data(ring)
+    elems = np.arange(ring.size)
+    val = np.zeros(ring.size, dtype=np.int64)
+    power = ring.one.index
+    for t in range(1, cd.n + 1):
+        power = ring.mul_idx(power, cd.pi.index)
+        val[ring.mul(power, elems)] = t
+    return val
 
 
-def _pivot_order(ring: FiniteRing, cd: ChainData) -> np.ndarray:
+@_memo
+def _pivot_order(ring: FiniteRing) -> np.ndarray:
     """Pivot preference per element: valuation, then element index; zero
     gets (n + 1)·size and never pivots."""
-    if "pivotorder" not in ring._cache:
-        order = _chain_valuations(ring, cd) * ring.size + np.arange(ring.size)
-        order[ring.zero.index] = (cd.n + 1) * ring.size
-        ring._cache["pivotorder"] = order
-    return ring._cache["pivotorder"]
+    order = _chain_valuations(ring) * ring.size + np.arange(ring.size)
+    order[ring.zero.index] = (chain_data(ring).n + 1) * ring.size
+    return order
 
 
 _DIVIDER_CELLS = 1 << 20  # table cells kept per ring by _divider
 
 
+@_memo
 def _divider(ring: FiniteRing):
     """divide(by, x): the least z with by·z = x, elementwise over x.
 
-    One lookup table per divisor, built on first use and kept on the ring
-    while the ring's tables hold fewer than _DIVIDER_CELLS cells.
+    One lookup table per divisor, built on first use and kept in the ring's
+    one closure while its tables hold fewer than _DIVIDER_CELLS cells.
     """
-    tables = ring._cache.setdefault("divider", {})
+    tables = {}
 
     def divide(by, x):
         by = int(by)
@@ -456,7 +457,7 @@ def _require_chain(ring: FiniteRing) -> ChainData:
     return cd
 
 
-def _hermite(ring: FiniteRing, blocks: list[np.ndarray], ell: int, cd: ChainData, divide):
+def _hermite(ring: FiniteRing, blocks: list[np.ndarray], ell: int):
     """Triangularise the first ``ell`` columns of the blocks side by side, in
     place and packed as by LAPACK's getrf; columns past ``ell`` ride along.
 
@@ -469,7 +470,7 @@ def _hermite(ring: FiniteRing, blocks: list[np.ndarray], ell: int, cd: ChainData
     rows in ``rows`` order.  Returns (a, rows, col_perm, rank, swap parity).
     """
     zero = ring.zero.index
-    order = _pivot_order(ring, cd)
+    order, divide = _pivot_order(ring), _divider(ring)
     no_pivot = order[zero]
     k = blocks[0].shape[0]
     a = np.concatenate(blocks, axis=1, dtype=np.int64)
@@ -514,9 +515,9 @@ def hermite_normal_form(matrix) -> HermiteResult:
     """Triangularise a matrix (or a system's coefficients) over a chain
     ring: S·A·T = (Q ; 0), S = L^(-1)·P solved from the multipliers."""
     ring = matrix.ring
-    cd = _require_chain(ring)
+    _require_chain(ring)
     ell = len(matrix.cols)
-    a, rows, perm, t, _ = _hermite(ring, [matrix.A], ell, cd, _divider(ring))
+    a, rows, perm, t, _ = _hermite(ring, [matrix.A], ell)
     s = np.empty((len(rows), len(rows)), dtype=np.int64)
     s[:, rows] = _solve_lower(ring, a, t, _identity_grid(ring, len(rows)), range(len(rows) - 1, 0, -1))
     q = np.where(np.tri(t, ell, -1, dtype=bool), ring.zero.index, a[:t, :ell])
@@ -537,24 +538,23 @@ def solve_chain(system: LinSystem) -> Certificate:
     k, ell = len(rows), len(cols)
     divide = _divider(ring)
     # b rides along as column ell, so it ends up as S·b
-    a, order, perm, t, _ = _hermite(ring, [system.A, system.b_vec[:, None]], ell, cd, divide)
+    a, order, perm, t, _ = _hermite(ring, [system.A, system.b_vec[:, None]], ell)
     bprime, diag = a[:, ell], a.diagonal()[:t]
-    val = _chain_valuations(ring, cd)
+    val = _chain_valuations(ring)
     diag_val = np.full(k, cd.n)
     diag_val[:t] = val[diag]
     failing = (val[bprime] < diag_val).nonzero()[0]
     if failing.size:
         # the first failing transformed row is a certificate of unsolvability
         r = int(failing[0])
-        tail = ring.pow_idx(cd.pi.index, cd.n - 1)
         # x·L = scaling·e_r: only row r and the rows above rank reach x
         x = np.full(k, ring.zero.index, dtype=np.int64)
-        x[r] = divide(bprime[r], tail)
+        x[r] = divide(bprime[r], cd.tail)
         combo = np.empty_like(x)
         combo[order] = _solve_lower(ring, a, t, x, (r, *range(min(r, t) - 1, 0, -1)))
         names = map(ring.names.__getitem__, combo.tolist())
         witness = UnsolvableWitness("chain", ring.spec, system.digest(), dict(zip(rows, names)))
-        _assert_witness(system, combo, tail)
+        _assert_witness(system, combo, cd.tail)
         return Certificate("UNSOLVABLE", witness=witness, reduced=system)
     values = np.full(ell, ring.zero.index, dtype=np.int64)
     rhs = bprime[:t].copy()
@@ -586,9 +586,8 @@ def check_witness(system: LinSystem, rows: Mapping) -> bool:
     if set(rows) != set(system.rows):
         raise InvalidCertificate("witness rows do not match the system's rows")
     combo = [_norm_idx(rows[i], ring) for i in system.rows]
-    tail = ring.pow_idx(cd.pi.index, cd.n - 1)
     try:
-        _assert_witness(system, combo, tail)
+        _assert_witness(system, combo, cd.tail)
     except InternalError:
         return False
     return True
@@ -825,10 +824,8 @@ def verify_certificate(system, cert: Certificate) -> bool:
     ring = reduced.ring
     combo = {str(i): ring.parse_element(v).index if isinstance(v, str) else _norm_idx(v, ring)
              for i, v in cert.witness.rows.items()}
-    cd = chain_data(ring)
-    tail = ring.pow_idx(cd.pi.index, cd.n - 1)
     try:
-        _assert_witness(reduced, [combo[str(i)] for i in reduced.rows], tail)
+        _assert_witness(reduced, [combo[str(i)] for i in reduced.rows], chain_data(ring).tail)
     except InternalError:
         return False
     return True
@@ -845,7 +842,7 @@ def _replay_reduction(system, witness: UnsolvableWitness):
                 sub = reductions.project_to_local(system, summand.e)
                 order = default_order(summand.ring)
                 return reductions.ring_to_cyclic(sub, order).target
-        raise InvalidCertificate(f"no base idempotent named {witness.summand!r}")
+        raise InvalidCertificate(f"no base idempotent named {quote(witness.summand)}")
     if isinstance(system, (GroupSystem, NumericalSystem, TwoSidedSystem)):
         if isinstance(system, TwoSidedSystem):
             system = reductions.twosided_to_numerical(system).target
@@ -853,6 +850,6 @@ def _replay_reduction(system, witness: UnsolvableWitness):
         # the solver labels a prime part p=<p>, for a prime p dividing a congruence modulus
         primes = {f"p={p}": p for p in cong.primes()}
         if witness.summand not in primes:
-            raise InvalidCertificate(f"summand {witness.summand!r} names no prime of the reduction")
+            raise InvalidCertificate(f"summand {quote(witness.summand)} names no prime of the reduction")
         return _lift_prime_part(cong, primes[witness.summand])
     raise InvalidCertificate(f"cannot verify certificates for {type(system).__name__}")

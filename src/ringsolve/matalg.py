@@ -21,11 +21,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InternalError, InvalidParameter, PreconditionViolation, UnsupportedRing
-from .linsys import _Indexed, _divider, _fold, _hermite, _identity_grid
-from .ring import FiniteRing, RingElement, unit_indices
+from .linsys import _Indexed, _fold, _hermite, _identity_grid
+from .ring import FiniteRing, RingElement, _memo, unit_indices
 from .structure import (
-    GaloisRep,
-    chain_data,
     decompose_local,
     galois_representation,
     is_galois_ring,
@@ -245,19 +243,19 @@ class CharPoly:
         return "CharPoly(" + ", ".join(f"c{k}={v}" for k, v in enumerate(names)) + ")"
 
 
-def _galois_lift(ring: FiniteRing, rep: GaloisRep) -> tuple[np.ndarray, np.ndarray]:
-    """(iota, table), cached per ring: iota[:, x] holds the r integer
+@_memo
+def _galois_lift(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    """(iota, table), cached per Galois ring: iota[:, x] holds the r integer
     coefficients of x, and table[:, s·r + t] those of X^(s+t) mod F over Z."""
-    if "galoislift" not in ring._cache:
-        r, f = rep.r, [int(c) for c in rep.f.coeffs]
-        iota = np.array([rep.iota[x] for x in range(ring.size)], dtype=object).reshape(ring.size, r).T
-        powers = [[1] + [0] * (r - 1)]
-        for _ in range(2 * r - 2):
-            top = powers[-1][-1]
-            powers.append([c - top * f[t] for t, c in enumerate([0] + powers[-1][:-1])])
-        table = np.array([powers[s + t] for s in range(r) for t in range(r)], dtype=object).T
-        ring._cache["galoislift"] = (iota, table)
-    return ring._cache["galoislift"]
+    rep = galois_representation(ring)
+    r, f = rep.r, [int(c) for c in rep.f.coeffs]
+    iota = np.array([rep.iota[x] for x in range(ring.size)], dtype=object).reshape(ring.size, r).T
+    powers = [[1] + [0] * (r - 1)]
+    for _ in range(2 * r - 2):
+        top = powers[-1][-1]
+        powers.append([c - top * f[t] for t, c in enumerate([0] + powers[-1][:-1])])
+    table = np.array([powers[s + t] for s in range(r) for t in range(r)], dtype=object).T
+    return iota, table
 
 
 def charpoly_galois(a: Matrix) -> CharPoly:
@@ -278,7 +276,7 @@ def charpoly_galois(a: Matrix) -> CharPoly:
     if not a.is_square():
         raise InvalidParameter("characteristic polynomial requires a square matrix")
     rep = galois_representation(ring)
-    iota, table = _galois_lift(ring, rep)
+    iota, table = _galois_lift(ring)
     p, r, n = rep.p, rep.r, len(a.rows)
     # v_p(k) for k = 1..n; their sum is v_p(n!)
     vals = [next(v for v in range(k) if k % p ** (v + 1)) for k in range(1, n + 1)]
@@ -312,7 +310,7 @@ def _determinant_local(ring: FiniteRing, grid: np.ndarray) -> int:
     multiples of the pivot row keep det, each swap negates it, and the
     triangular result has det = prod diag, or 0 below full rank."""
     n = len(grid)
-    a, _, _, rank, swaps = _hermite(ring, [grid], n, chain_data(ring), _divider(ring))
+    a, _, _, rank, swaps = _hermite(ring, [grid], n)
     if rank < n:
         return ring.zero.index
     det = functools.reduce(ring.mul_idx, a.diagonal().tolist(), ring.one.index)

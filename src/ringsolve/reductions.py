@@ -21,6 +21,7 @@ from .ring import (
     FiniteRing,
     RingElement,
     _check_size,
+    _memo,
     _op_table,
     additive_group,
     cached_zmod,
@@ -43,9 +44,10 @@ class ReductionOutput:
 # rings with a total order -> cyclic group Z_m
 
 
-def _cyclic_structure(ring: FiniteRing, order: RingOrder):
-    """Additive decomposition and multiplication structure constants of R,
-    memoised on the order.
+@_memo
+def _cyclic_structure(order: RingOrder):
+    """Additive decomposition and multiplication structure constants of the
+    order's ring R, memoised on the order.
 
     Generators are chosen greedily along the order; returns (decomposition,
     c, b_table, rows, rhs) where c[y][i][j] is coordinate y of g_i·g_j and
@@ -54,8 +56,7 @@ def _cyclic_structure(ring: FiniteRing, order: RingOrder):
     rows[r, y, t] = b_table[r][y][t]·m/l_y and rhs[r, y] = (coordinate y of
     r)·m/l_y, mod m, are the target's coefficients and right-hand sides.
     """
-    if "cyclic_structure" in order._cache:
-        return order._cache["cyclic_structure"]
+    ring = order.ring
     m = ring.characteristic()
     decomp = group_decompose_cyclic(additive_group(ring), scan_order=order.sorted_elements)
     gens = np.array([g for g, _ in decomp.pairs], dtype=np.int64)
@@ -63,8 +64,7 @@ def _cyclic_structure(ring: FiniteRing, order: RingOrder):
     b_table = np.einsum("ri,yij->ryj", decomp.coords, c) % m
     mult = m // np.array(decomp.orders, dtype=np.int64)
     rows, rhs = b_table * mult[:, None] % m, decomp.coords * mult % m
-    order._cache["cyclic_structure"] = (decomp, c.tolist(), b_table.tolist(), rows, rhs)
-    return order._cache["cyclic_structure"]
+    return decomp, c.tolist(), b_table.tolist(), rows, rhs
 
 
 def ring_to_cyclic(system: LinSystem, order: RingOrder | None = None) -> ReductionOutput:
@@ -84,7 +84,7 @@ def ring_to_cyclic(system: LinSystem, order: RingOrder | None = None) -> Reducti
     if order.ring is not ring:
         raise InvalidParameter("the order does not belong to the system's ring")
     m = ring.characteristic()
-    decomp, c_table, b_table, row_table, rhs_table = _cyclic_structure(ring, order)
+    decomp, c_table, b_table, row_table, rhs_table = _cyclic_structure(order)
     k = len(decomp.pairs)
     orders = decomp.orders
     n, ell = len(system.rows), len(system.cols)
@@ -127,7 +127,7 @@ def build_phi_ring(group: AbelianGroup) -> FiniteRing:
         raise InvalidParameter("phi of the trivial group degenerates to the zero ring")
     size = group.size * d
     spec = f"phi({group.spec})"
-    _check_size(size, f"ring {spec!r}")
+    _check_size(size, "ring", spec)
     # element (g, m) has index g·d + m; times[m, g] = m·g
     g_of, m_of = np.divmod(np.arange(size), d)
     times = np.empty((d, group.size), dtype=np.int64)
@@ -156,7 +156,7 @@ def build_phi_ring(group: AbelianGroup) -> FiniteRing:
     )
     ring.phi_group = group
     ring.phi_d = d
-    ring._cache["char"] = d
+    ring._cache["characteristic"] = d
     return ring
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InternalError, InvalidParameter, NotARing
+from .errors import CapacityError, InternalError, InvalidParameter, NotARing, quote
 
 DEFAULT_MAX_ELEMS = 4096
 _CHUNK = 1 << 14  # entries computed per step of a row-chunked scan
@@ -32,10 +32,18 @@ def max_elems() -> int:
     return int(value) if value else DEFAULT_MAX_ELEMS
 
 
-def _check_size(size: int, what: str):
+def _shown_int(n: int) -> str:
+    """n in decimal, quoted by its start past 40 digits."""
+    digits = str(n)
+    return digits if len(digits) <= 40 else quote(digits)
+
+
+def _check_size(size: int, what: str, spec: str | None = None):
+    """CapacityError past the cap, naming ``what`` and its quoted ``spec``."""
     cap = max_elems()
     if size > cap:
-        raise CapacityError(f"{what} has {size} elements, exceeding the cap of {cap}")
+        name = what if spec is None else f"{what} {quote(spec)}"
+        raise CapacityError(f"{name} has {_shown_int(size)} elements, exceeding the cap of {cap}")
 
 
 def _check_power_size(q: int, r: int, what: str):
@@ -43,8 +51,25 @@ def _check_power_size(q: int, r: int, what: str):
     a power r > 1 past 64 such bits and the cap's is over it, shown as q^r."""
     cap = max_elems()
     if r > 1 and r * (q.bit_length() - 1) > max(cap.bit_length(), 64):
-        raise CapacityError(f"{what} has {q}^{r} elements, exceeding the cap of {cap}")
+        raise CapacityError(f"{what} has {_shown_int(q)}^{_shown_int(r)} elements, exceeding the cap of {cap}")
     _check_size(q**r, what)
+
+
+def _memo(fn):
+    """fn(obj), computed once per object and kept in ``obj._cache`` under
+    fn's name: the one memo rule for data derived from an immutable ring,
+    group or order.  A call that raises stores nothing."""
+    key = fn.__name__
+
+    @functools.wraps(fn)
+    def memoised(obj):
+        try:
+            return obj._cache[key]
+        except KeyError:
+            value = obj._cache[key] = fn(obj)
+            return value
+
+    return memoised
 
 
 @functools.cache
@@ -142,7 +167,7 @@ class _Carrier:
     Negation is derived from the table.  The scalar hooks ``_add``/``_neg``
     are lookups into the same data; the ``*_idx`` methods and ``scalar_idx``
     go through them.  Instances are immutable after construction;
-    derived data is memoised in ``_cache``.
+    derived data is memoised in ``_cache`` by ``_memo``.
     """
 
     _handle: type
@@ -252,7 +277,7 @@ class _Carrier:
     def parse_element(self, name: str):
         idx = self._name_to_idx.get(name.strip())
         if idx is None:
-            raise InvalidParameter(f"{name!r} is not an element of {self.spec}")
+            raise InvalidParameter(f"{quote(name)} is not an element of {self.spec}")
         return self._handle(self, idx)
 
     def __repr__(self):
@@ -277,7 +302,7 @@ class FiniteRing(_Carrier):
         names: Sequence[str],
         spec: str,
     ):
-        _check_size(size, f"ring {spec!r}")
+        _check_size(size, "ring", spec)
         super().__init__(rep, size, add, zero_idx, names, spec)
         self._mul_t = mul
         self._mul = (lambda i, j: i * j % size) if mul is None else mul.item
@@ -316,11 +341,10 @@ class FiniteRing(_Carrier):
         """The image of the integer k under the characteristic map k -> k·1."""
         return self.element(self.scalar_idx(k % self.characteristic(), self.one.index))
 
+    @_memo
     def characteristic(self) -> int:
         """Additive order of 1."""
-        if "char" not in self._cache:
-            self._cache["char"] = self.order_of(self.one.index)
-        return self._cache["char"]
+        return self.order_of(self.one.index)
 
     def op_tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """(add, mul) as lists, computed from the carrier on each call; used by
@@ -404,7 +428,7 @@ def build_zmod(m: int) -> FiniteRing:
     """The ring of integers modulo m, computed on the residues (no tables)."""
     if not isinstance(m, int) or m < 2:
         raise InvalidParameter(f"modulus must be an integer >= 2, got {m}")
-    _check_size(m, f"ring 'Z/{m}'")
+    _check_size(m, "ring", f"Z/{m}")
     ring = FiniteRing(
         rep="zmod",
         size=m,
@@ -417,7 +441,7 @@ def build_zmod(m: int) -> FiniteRing:
         spec=f"Z/{m}",
     )
     ring.modulus = m
-    ring._cache["char"] = m
+    ring._cache["characteristic"] = m
     return ring
 
 
@@ -477,7 +501,7 @@ def build_poly_quotient(p: int, n: int, f: Poly) -> FiniteRing:
         spec=f"Z/{q}[X]/({f})",
     )
     ring.p, ring.n, ring.f = p, n, Poly(tuple(fc))
-    ring._cache["char"] = q
+    ring._cache["characteristic"] = q
     return ring
 
 
@@ -511,7 +535,7 @@ def build_product(rings: list[FiniteRing]) -> FiniteRing:
         spec=" x ".join(r.spec for r in rings),
     )
     ring.factors = list(rings)
-    ring._cache["char"] = math.lcm(*(r.characteristic() for r in rings))
+    ring._cache["characteristic"] = math.lcm(*(r.characteristic() for r in rings))
     return ring
 
 
@@ -588,32 +612,23 @@ def build_table_ring(
     commutative: bool = True,
     names: Sequence[str] | None = None,
     spec: str | None = None,
-    _validate: bool = True,
 ) -> FiniteRing:
     """A ring from explicit size x size tables, validated exhaustively.
 
     ``commutative=True`` is verified; with ``commutative=False`` the actual
     commutativity is detected and stored (a commutative table is accepted).
     """
-    if _validate:
-        n = _table_size(add_table, "addition")
-        _check_size(n, "table ring")
-        if names is not None and (not isinstance(names, (list, tuple)) or len(names) != n
-                                  or not all(isinstance(name, str) for name in names)):
-            raise InvalidParameter(f"names must be a list of {n} strings")
-        zero, one, commutative = _validate_ring_tables(add_table, mul_table, commutative)
-    n = len(add_table)
-    add, mul = (np.asarray(t, dtype=_index_dtype(n)) for t in (add_table, mul_table))
-    if not _validate:
-        # trusted tables (local summands, residue fields): read the identities off them
-        elems = np.arange(n)
-        zero = int((add == elems).all(axis=1).argmax())
-        one = int(((mul == elems).all(axis=1) & (mul.T == elems).all(axis=1)).argmax())
+    n = _table_size(add_table, "addition")
+    _check_size(n, "table ring")
+    if names is not None and (not isinstance(names, (list, tuple)) or len(names) != n
+                              or not all(isinstance(name, str) for name in names)):
+        raise InvalidParameter(f"names must be a list of {n} strings")
+    zero, one, commutative = _validate_ring_tables(add_table, mul_table, commutative)
     return FiniteRing(
         rep="table",
         size=n,
-        add=add,
-        mul=mul,
+        add=np.asarray(add_table, dtype=_index_dtype(n)),
+        mul=np.asarray(mul_table, dtype=_index_dtype(n)),
         zero_idx=zero,
         one_idx=one,
         commutative=commutative,
@@ -632,21 +647,19 @@ def units(ring: FiniteRing) -> set[RingElement]:
     return {ring.element(i) for i in unit_indices(ring)}
 
 
+@_memo
 def unit_indices(ring: FiniteRing) -> frozenset[int]:
-    if "units" not in ring._cache:
-        elems = np.arange(ring.size)
-        found = [rows[(ring.mul(rows[:, None], elems) == ring.one.index).any(axis=1)]
-                 for rows in _row_blocks(ring.size, ring.size)]
-        ring._cache["units"] = frozenset(np.concatenate(found).tolist())
-    return ring._cache["units"]
+    elems = np.arange(ring.size)
+    found = [rows[(ring.mul(rows[:, None], elems) == ring.one.index).any(axis=1)]
+             for rows in _row_blocks(ring.size, ring.size)]
+    return frozenset(np.concatenate(found).tolist())
 
 
+@_memo
 def idempotent_indices(ring: FiniteRing) -> frozenset[int]:
     """The indices of all x with x^2 = x; memoised."""
-    if "idem" not in ring._cache:
-        elems = np.arange(ring.size)
-        ring._cache["idem"] = frozenset(np.flatnonzero(ring.mul(elems, elems) == elems).tolist())
-    return ring._cache["idem"]
+    elems = np.arange(ring.size)
+    return frozenset(np.flatnonzero(ring.mul(elems, elems) == elems).tolist())
 
 
 def idempotents(ring: FiniteRing) -> set[RingElement]:
@@ -687,23 +700,22 @@ class AbelianGroup(_Carrier):
 
     def __init__(self, rep: str, size: int, add: np.ndarray | None, identity_idx: int,
                  names: Sequence[str], spec: str):
-        _check_size(size, f"group {spec!r}")
+        _check_size(size, "group", spec)
         super().__init__(rep, size, add, identity_idx, names, spec)
         self.identity = GroupElement(self, identity_idx)
 
+    @_memo
     def exponent(self) -> int:
         """The least d > 0 with d·x = 0 for every x: the largest element order."""
-        if "exponent" not in self._cache:
-            elems = np.arange(self.size)
-            self._cache["exponent"] = int(_orders_modulo(self, elems == self.identity.index, elems).max())
-        return self._cache["exponent"]
+        elems = np.arange(self.size)
+        return int(_orders_modulo(self, elems == self.identity.index, elems).max())
 
 
 def build_cyclic_group(m: int) -> AbelianGroup:
     """Z/m, computed on the residues (no table)."""
     if m < 1:
         raise InvalidParameter("cyclic group order must be >= 1")
-    _check_size(m, f"group 'Z/{m}'")
+    _check_size(m, "group", f"Z/{m}")
     return AbelianGroup(
         rep="cyclic",
         size=m,
@@ -720,7 +732,7 @@ def build_product_group(groups: list[AbelianGroup]) -> AbelianGroup:
     sizes = [g.size for g in groups]
     size = math.prod(sizes)
     spec = " x ".join(g.spec for g in groups)
-    _check_size(size, f"group {spec!r}")
+    _check_size(size, "group", spec)
     return AbelianGroup(
         rep="product",
         size=size,
@@ -763,19 +775,18 @@ def build_table_group(add_table: list[list[int]], names: Sequence[str] | None = 
     )
 
 
+@_memo
 def additive_group(ring: FiniteRing) -> AbelianGroup:
     """The additive group (R, +) of a ring, sharing element indices and the
     addition table with R."""
-    if "addgroup" not in ring._cache:
-        ring._cache["addgroup"] = AbelianGroup(
-            rep="ring-additive",
-            size=ring.size,
-            add=ring._add_t,
-            identity_idx=ring.zero.index,
-            names=ring.names,
-            spec=f"({ring.spec},+)",
-        )
-    return ring._cache["addgroup"]
+    return AbelianGroup(
+        rep="ring-additive",
+        size=ring.size,
+        add=ring._add_t,
+        identity_idx=ring.zero.index,
+        names=ring.names,
+        spec=f"({ring.spec},+)",
+    )
 
 
 # ---------------------------------------------------------------------------

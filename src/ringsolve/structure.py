@@ -3,7 +3,9 @@
 Locality, the idempotent base, local decomposition, chain-ring data,
 Teichmueller sets, canonical total orders on k-generated local rings, and
 the explicit Galois-ring representation.  All results are memoised on the
-ring object; rings are immutable so the caches are sound.
+ring object by ``_memo``; rings are immutable so the caches are sound.  The
+local summands and the residue field are the rings on the images of their
+maps (``_image_ring``).
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from .ring import (
     Poly,
     RingElement,
     _additive_span,
+    _index_dtype,
+    _memo,
     _row_blocks,
-    build_table_ring,
     factorize,
     idempotent_indices,
     nilpotency,
@@ -48,17 +51,18 @@ def base(ring: FiniteRing) -> set[RingElement]:
     These are the non-trivial idempotents not expressible as a sum of two
     orthogonal non-trivial idempotents; for a local ring the base is {1}.
     """
+    return {ring.element(i) for i in _base_indices(ring)}
+
+
+@_memo
+def _base_indices(ring: FiniteRing) -> frozenset[int]:
     _require_commutative(ring, "base")
-    if "base" not in ring._cache:
-        if is_local(ring):
-            found = frozenset({ring.one.index})
-        else:
-            cand = np.array(sorted(idempotent_indices(ring) - {ring.zero.index, ring.one.index}))
-            # drop the sums x + y of orthogonal pairs
-            orthogonal = ring.mul(cand[:, None], cand) == ring.zero.index
-            found = frozenset(cand.tolist()) - frozenset(ring.add(cand[:, None], cand)[orthogonal].tolist())
-        ring._cache["base"] = found
-    return {ring.element(i) for i in ring._cache["base"]}
+    if is_local(ring):
+        return frozenset({ring.one.index})
+    cand = np.array(sorted(idempotent_indices(ring) - {ring.zero.index, ring.one.index}))
+    # drop the sums x + y of orthogonal pairs
+    orthogonal = ring.mul(cand[:, None], cand) == ring.zero.index
+    return frozenset(cand.tolist()) - frozenset(ring.add(cand[:, None], cand)[orthogonal].tolist())
 
 
 @dataclass
@@ -83,44 +87,40 @@ class LocalSummand:
         return int(self.proj[r])
 
 
+def _image_ring(ring: FiniteRing, image: np.ndarray, spec: str, suffix: str = ""):
+    """The ring on the image of a ring homomorphism r -> image[r] of R that
+    fixes exactly its image: the fixed points reps, named as in R plus
+    ``suffix``, under R's operations followed by the map.  Returns (ring,
+    reps, proj), proj[r] the element that r maps to."""
+    reps = np.flatnonzero(image == np.arange(ring.size))
+    pos = np.zeros(ring.size, dtype=np.int64)
+    pos[reps] = np.arange(reps.size)
+    add, mul = (pos[image[op(reps[:, None], reps)]].astype(_index_dtype(reps.size)) for op in (ring.add, ring.mul))
+    names = [ring.format_element(r) + suffix for r in reps.tolist()]
+    sub = FiniteRing("table", reps.size, add, mul, int(pos[image[ring.zero.index]]), int(pos[image[ring.one.index]]),
+                     commutative=True, names=names, spec=spec)
+    return sub, reps, pos[image]
+
+
+@_memo
 def decompose_local(ring: FiniteRing) -> list[LocalSummand]:
     """R as a direct sum of local rings eR over the base idempotents."""
     _require_commutative(ring, "decompose_local")
-    if "summands" in ring._cache:
-        return ring._cache["summands"]
-    base_set = sorted(e.index for e in base(ring))
+    base_set = sorted(_base_indices(ring))
     elems = np.arange(ring.size)
-    summands = []
     if base_set == [ring.one.index]:
-        summands.append(LocalSummand(ring.one, ring, elems, elems))
-    else:
-        for e in base_set:
-            in_summand = np.zeros(ring.size, dtype=bool)
-            in_summand[ring.mul(e, elems)] = True
-            members = np.flatnonzero(in_summand)
-            pos = np.zeros(ring.size, dtype=np.int64)
-            pos[members] = np.arange(members.size)
-            sub = build_table_ring(
-                pos[ring.add(members[:, None], members)],
-                pos[ring.mul(members[:, None], members)],
-                commutative=True,
-                names=[ring.format_element(r) for r in members.tolist()],
-                spec=f"local({ring.spec},{ring.format_element(e)})",
-                _validate=False,
-            )
-            summands.append(LocalSummand(ring.element(e), sub, members, pos[ring.mul(e, elems)]))
-    ring._cache["summands"] = summands
-    return summands
+        return [LocalSummand(ring.one, ring, elems, elems)]
+    return [LocalSummand(ring.element(e), *_image_ring(ring, ring.mul(e, elems),
+                                                       f"local({ring.spec},{ring.format_element(e)})"))
+            for e in base_set]
 
 
+@_memo
 def maximal_ideal(ring: FiniteRing) -> frozenset[int]:
     """Non-units of a local ring (indices)."""
     if not is_local(ring):
         raise PreconditionViolation(f"{ring.spec} is not local")
-    if "maxideal" not in ring._cache:
-        all_idx = frozenset(range(ring.size))
-        ring._cache["maxideal"] = all_idx - unit_indices(ring)
-    return ring._cache["maxideal"]
+    return frozenset(range(ring.size)) - unit_indices(ring)
 
 
 def residue_field_size(ring: FiniteRing) -> int:
@@ -137,10 +137,9 @@ class LocalData:
     projection: list[int]  # R index -> field index
 
 
+@_memo
 def local_data(ring: FiniteRing) -> LocalData:
     """Residue field R/m as a table ring with the coset projection map."""
-    if "localdata" in ring._cache:
-        return ring._cache["localdata"]
     m = maximal_ideal(ring)
     # cosets r + m are labelled by their least member, the first element not yet labelled
     members = np.array(sorted(m))
@@ -148,21 +147,8 @@ def local_data(ring: FiniteRing) -> LocalData:
     while (unlabelled := label < 0).any():
         r = int(unlabelled.argmax())
         label[ring.add(r, members)] = r
-    reps = np.flatnonzero(label == np.arange(ring.size))
-    pos = np.zeros(ring.size, dtype=np.int64)
-    pos[reps] = np.arange(reps.size)
-    field = build_table_ring(
-        pos[label[ring.add(reps[:, None], reps)]],
-        pos[label[ring.mul(reps[:, None], reps)]],
-        commutative=True,
-        names=[ring.format_element(r) + "+m" for r in reps.tolist()],
-        spec=f"residue({ring.spec})",
-        _validate=False,
-    )
-    projection = pos[label].tolist()
-    data = LocalData(maximal_ideal=m, q=len(reps), field=field, projection=projection)
-    ring._cache["localdata"] = data
-    return data
+    field, reps, projection = _image_ring(ring, label, f"residue({ring.spec})", suffix="+m")
+    return LocalData(maximal_ideal=m, q=len(reps), field=field, projection=projection.tolist())
 
 
 def ideal_generated(ring: FiniteRing, gens: Sequence[int]) -> frozenset[int]:
@@ -173,13 +159,16 @@ def ideal_generated(ring: FiniteRing, gens: Sequence[int]) -> frozenset[int]:
 
 @dataclass
 class ChainData:
-    """Chain-ring parameters: m = pi*R, pi^n = 0, residue field of size q."""
+    """Chain-ring parameters: m = pi*R, pi^n = 0, residue field of size q,
+    and ``tail``, the index of pi^(n-1)."""
 
     pi: RingElement
     n: int
     q: int
+    tail: int
 
 
+@_memo
 def chain_data(ring: FiniteRing) -> ChainData | None:
     """Present iff the ring is local with a principal maximal ideal.
 
@@ -187,8 +176,6 @@ def chain_data(ring: FiniteRing) -> ChainData | None:
     generic witness tail (0,...,0,pi^(n-1)) degenerates to (0,...,0,1).
     """
     _require_commutative(ring, "chain_data")
-    if "chaindata" in ring._cache:
-        return ring._cache["chaindata"]
     result = None
     if is_local(ring):
         # m is principal iff m/m^2 has dimension <= 1; pi is then the first element outside m^2
@@ -198,11 +185,11 @@ def chain_data(ring: FiniteRing) -> ChainData | None:
             n = nilpotency(ring, pi)
             if n is None:
                 raise InternalError("maximal-ideal generator is not nilpotent")
-            result = ChainData(pi=pi, n=n, q=residue_field_size(ring))
-    ring._cache["chaindata"] = result
+            result = ChainData(pi=pi, n=n, q=residue_field_size(ring), tail=ring.pow_idx(pi.index, n - 1))
     return result
 
 
+@_memo
 def minimal_generators_maximal_ideal(ring: FiniteRing) -> tuple[RingElement, ...]:
     """Lexicographically first minimal generating tuple of m, smallest k first.
 
@@ -212,8 +199,6 @@ def minimal_generators_maximal_ideal(ring: FiniteRing) -> tuple[RingElement, ...
     """
     if not is_local(ring):
         raise PreconditionViolation(f"{ring.spec} is not local")
-    if "mingens" in ring._cache:
-        return ring._cache["mingens"]
     m = maximal_ideal(ring)
     members = np.array(sorted(m))
     products = np.zeros(ring.size, dtype=bool)
@@ -227,24 +212,25 @@ def minimal_generators_maximal_ideal(ring: FiniteRing) -> tuple[RingElement, ...
             covered = _additive_span(ring, ring.mul(x, np.arange(ring.size)), covered)
     if ideal_generated(ring, kept) != m:
         raise InternalError("maximal ideal admits no generating set")
-    result = tuple(ring.element(i) for i in kept)
-    ring._cache["mingens"] = result
-    return result
+    return tuple(ring.element(i) for i in kept)
 
 
 def teichmuller_set(ring: FiniteRing) -> set[RingElement]:
     """Gamma(R) = { r : r^q = r }, a section of the residue field; memoised."""
+    return {ring.element(r) for r in _teichmuller_indices(ring)}
+
+
+@_memo
+def _teichmuller_indices(ring: FiniteRing) -> frozenset[int]:
     if not is_local(ring):
         raise PreconditionViolation(f"{ring.spec} is not local")
-    if "gamma" not in ring._cache:
-        elems = np.arange(ring.size)
-        power, base, k = np.full(ring.size, ring.one.index), elems, residue_field_size(ring)
-        while k:  # r^q for every r at once, by binary powering
-            if k & 1:
-                power = ring.mul(power, base)
-            base, k = ring.mul(base, base), k >> 1
-        ring._cache["gamma"] = frozenset(np.flatnonzero(power == elems).tolist())
-    return {ring.element(r) for r in ring._cache["gamma"]}
+    elems = np.arange(ring.size)
+    power, base, k = np.full(ring.size, ring.one.index), elems, residue_field_size(ring)
+    while k:  # r^q for every r at once, by binary powering
+        if k & 1:
+            power = ring.mul(power, base)
+        base, k = ring.mul(base, base), k >> 1
+    return frozenset(np.flatnonzero(power == elems).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +268,11 @@ class RingOrder:
         return [(t, a) for t, a in zip(self.tuples, coefficients) if a != self.ring.zero.index]
 
 
+@_memo
 def table_order(ring: FiniteRing) -> RingOrder:
     """The trivial order by element table index, memoised."""
-    if "tableorder" not in ring._cache:
-        elems = np.arange(ring.size)
-        ring._cache["tableorder"] = RingOrder(ring, None, sorted_elements=elems.tolist(), words=elems[:, None])
-    return ring._cache["tableorder"]
+    elems = np.arange(ring.size)
+    return RingOrder(ring, None, sorted_elements=elems.tolist(), words=elems[:, None])
 
 
 def _gamma_order(ring: FiniteRing, alpha_idx: int) -> list[int]:
@@ -389,6 +374,7 @@ def canonical_order(ring: FiniteRing, alpha: RingElement, pis: Sequence[RingElem
     )
 
 
+@_memo
 def canonical_params(ring: FiniteRing) -> tuple[RingElement, tuple[RingElement, ...]]:
     """Deterministic default parameters for canonical_order.
 
@@ -397,8 +383,6 @@ def canonical_params(ring: FiniteRing) -> tuple[RingElement, tuple[RingElement, 
     """
     if not is_local(ring):
         raise PreconditionViolation(f"{ring.spec} is not local")
-    if "canonparams" in ring._cache:
-        return ring._cache["canonparams"]
     data = local_data(ring)
     alpha = None
     for r in range(ring.size):
@@ -407,28 +391,23 @@ def canonical_params(ring: FiniteRing) -> tuple[RingElement, tuple[RingElement, 
             break
     if alpha is None:
         raise InternalError("no element projects to a primitive residue")
-    params = (alpha, minimal_generators_maximal_ideal(ring))
-    ring._cache["canonparams"] = params
-    return params
+    return alpha, minimal_generators_maximal_ideal(ring)
 
 
+@_memo
 def default_order(ring: FiniteRing) -> RingOrder:
     """canonical_order at canonical_params, memoised."""
-    if "canonorder" not in ring._cache:
-        alpha, pis = canonical_params(ring)
-        ring._cache["canonorder"] = canonical_order(ring, alpha, pis)
-    return ring._cache["canonorder"]
+    return canonical_order(ring, *canonical_params(ring))
 
 
 # ---------------------------------------------------------------------------
 # Galois rings
 
 
+@_memo
 def is_galois_ring(ring: FiniteRing) -> tuple[int, int, int] | None:
     """(p, n, r) iff the ring is local with maximal ideal p*R; else None."""
     _require_commutative(ring, "is_galois_ring")
-    if "galois_pnr" in ring._cache:
-        return ring._cache["galois_pnr"]
     result = None
     if is_local(ring):
         char = factorize(ring.characteristic())
@@ -441,7 +420,6 @@ def is_galois_ring(ring: FiniteRing) -> tuple[int, int, int] | None:
                 size_log = dict(factorize(ring.size)).get(p, 0)
                 if p**size_log == ring.size and size_log % n == 0:
                     result = (p, n, size_log // n)
-    ring._cache["galois_pnr"] = result
     return result
 
 
@@ -490,13 +468,12 @@ def _minpoly_over_prime(field: FiniteRing, p: int, alpha_idx: int, r: int) -> Po
     raise InternalError("primitive residue has no degree-r minimal polynomial")
 
 
+@_memo
 def galois_representation(ring: FiniteRing) -> GaloisRep:
     """Compute the GaloisRep of a Galois ring; exhaustive root/coefficient search."""
     pnr = is_galois_ring(ring)
     if pnr is None:
         raise PreconditionViolation(f"{ring.spec} is not a Galois ring")
-    if "galoisrep" in ring._cache:
-        return ring._cache["galoisrep"]
     p, n, r = pnr
     q = p**n
     data = local_data(ring)
@@ -530,11 +507,9 @@ def galois_representation(ring: FiniteRing) -> GaloisRep:
         iota_inv[combo] = acc
     if len(iota) != ring.size:
         raise InternalError("iota is not a bijection")
-    rep = GaloisRep(
+    return GaloisRep(
         p=p, n=n, r=r, f=f, g=g, alpha=alpha, beta=beta, iota=iota, iota_inv=iota_inv
     )
-    ring._cache["galoisrep"] = rep
-    return rep
 
 
 def galois_mul_polys(rep: GaloisRep, a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -18,7 +18,7 @@ import json
 import re
 from pathlib import Path
 
-from .errors import SpecParseError
+from .errors import SpecParseError, quote
 from .linsys import (
     Certificate,
     GroupSystem,
@@ -70,8 +70,7 @@ def _parse_int(text: str, what: str, lineno: int | None = None) -> int:
     try:
         return int(text)
     except ValueError:
-        shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
-        raise SpecParseError(f"bad {what} {shown}", lineno)
+        raise SpecParseError(f"bad {what} {quote(text)}", lineno)
 
 
 def _parse_poly(text: str, modulus: int) -> Poly:
@@ -87,7 +86,7 @@ def _parse_poly(text: str, modulus: int) -> Poly:
     for term in terms:
         m = re.fullmatch(r"([+-]?)(\d+)?\*?(X(?:\^(\d+))?)?", term)
         if not m or (m.group(2) is None and m.group(3) is None):
-            raise SpecParseError(f"bad polynomial term {term!r}")
+            raise SpecParseError(f"bad polynomial term {quote(term)}")
         sign = -1 if m.group(1) == "-" else 1
         coeff = _parse_int(m.group(2), "polynomial coefficient") if m.group(2) is not None else 1
         if m.group(3) is None:
@@ -189,8 +188,8 @@ def parse_ring_spec(text: str) -> FiniteRing:
         for summand in decompose_local(parent):
             if summand.e.name == wanted:
                 return summand.ring
-        raise SpecParseError(f"{wanted!r} is not a base idempotent of {parent.spec}")
-    raise SpecParseError(f"cannot parse ring spec {text!r}")
+        raise SpecParseError(f"{quote(wanted)} is not a base idempotent of {parent.spec}")
+    raise SpecParseError(f"cannot parse ring spec {quote(text)}")
 
 
 def _parse_table_ring(path: Path) -> FiniteRing:
@@ -232,7 +231,7 @@ def parse_group_spec(text: str) -> AbelianGroup:
     m = re.fullmatch(r"Z/(\d+)", text)
     if m:
         return build_cyclic_group(_parse_int(m.group(1), "modulus"))
-    raise SpecParseError(f"cannot parse group spec {text!r}")
+    raise SpecParseError(f"cannot parse group spec {quote(text)}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +260,7 @@ def _parse_term(term: str, lineno: int):
         return ("left", head, tail)
     if re.fullmatch(r"[A-Za-z_]\w*", head):
         return ("right", tail, head)
-    raise SpecParseError(f"cannot parse term {term!r}", lineno)
+    raise SpecParseError(f"cannot parse term {quote(term)}", lineno)
 
 
 def parse_system(text: str):
@@ -272,7 +271,7 @@ def parse_system(text: str):
     lineno, header = lines[0]
     parts = header.split(None, 1)
     if len(parts) != 2 or parts[0] not in {"ring", "group", "twosided", "numerical"}:
-        raise SpecParseError(f"bad header {header!r}", lineno)
+        raise SpecParseError(f"bad header {quote(header)}", lineno)
     kind, spec = parts
     if kind == "group":
         carrier = parse_group_spec(spec)
@@ -284,13 +283,14 @@ def parse_system(text: str):
             carrier = additive_group(carrier)
     variables: list[str] = []
     rows, left, right, b = [], {}, {}, {}
+    seen: set[str] = set()  # the ids of rows, named or numbered
     eqno = 0
     for lineno, line in lines[1:]:
         if line.startswith("vars"):
             variables.extend(line.split()[1:])
             continue
         if not line.startswith("eq"):
-            raise SpecParseError(f"unexpected line {line!r}", lineno)
+            raise SpecParseError(f"unexpected line {quote(line)}", lineno)
         body = line[2:].strip()
         if ":" in body.split("=", 1)[0]:
             rid, body = body.split(":", 1)
@@ -298,6 +298,9 @@ def parse_system(text: str):
         else:
             eqno += 1
             rid = f"e{eqno}"
+        if rid in seen:
+            raise SpecParseError(f"repeated equation id {quote(rid)}", lineno)
+        seen.add(rid)
         if "=" not in body:
             raise SpecParseError("equation misses '='", lineno)
         lhs, rhs = body.rsplit("=", 1)
@@ -311,7 +314,7 @@ def parse_system(text: str):
         for term in _split_top_level(lhs, "+"):
             side, coeff_text, var = _parse_term(term, lineno)
             if var not in variables:
-                raise SpecParseError(f"variable {var!r} not declared in vars", lineno)
+                raise SpecParseError(f"variable {quote(var)} not declared in vars", lineno)
             _accumulate_term(kind, carrier, left, right, rid, side, coeff_text, var, lineno)
     if not variables:
         raise SpecParseError("no variables declared")
@@ -331,7 +334,7 @@ def _parse_rhs(kind, carrier, rhs, lineno):
     try:
         return carrier.parse_element(rhs).index
     except Exception:
-        raise SpecParseError(f"bad right-hand side {rhs!r}", lineno)
+        raise SpecParseError(f"bad right-hand side {quote(rhs)}", lineno)
 
 
 def _accumulate_term(kind, carrier, left, right, rid, side, coeff_text, var, lineno):
@@ -340,8 +343,10 @@ def _accumulate_term(kind, carrier, left, right, rid, side, coeff_text, var, lin
         left[(rid, var)] = left.get((rid, var), 0) + coeff
         return
     if kind == "numerical":
+        if coeff_text is None:
+            raise SpecParseError(f"bare term {quote(var)}: numerical coefficients are group elements", lineno)
         group = carrier
-        coeff = group.identity.index if coeff_text is None else _parse_carrier(group, coeff_text, lineno)
+        coeff = _parse_carrier(group, coeff_text, lineno)
         prev = left.get((rid, var))
         left[(rid, var)] = coeff if prev is None else group.add_idx(prev, coeff)
         return
@@ -364,7 +369,7 @@ def _parse_carrier(carrier, text, lineno):
     try:
         return carrier.parse_element(text).index
     except Exception:
-        raise SpecParseError(f"bad coefficient {text!r}", lineno)
+        raise SpecParseError(f"bad coefficient {quote(text)}", lineno)
 
 
 def _rename(ids, prefix):
@@ -406,6 +411,7 @@ def parse_matrix(text: str) -> Matrix:
     rows: list[str] = []
     cols: list[str] = []
     entries = {}
+    seen: set[str] = set()  # the row ids with a row line
     for lineno, line in lines[1:]:
         if line.startswith("rows"):
             rows.extend(line.split()[1:])
@@ -418,7 +424,10 @@ def parse_matrix(text: str) -> Matrix:
             rid, terms = body.split(":", 1)
             rid = rid.strip()
             if rid not in rows:
-                raise SpecParseError(f"unknown row id {rid!r}", lineno)
+                raise SpecParseError(f"unknown row id {quote(rid)}", lineno)
+            if rid in seen:
+                raise SpecParseError(f"repeated row {quote(rid)}", lineno)
+            seen.add(rid)
             terms = terms.strip()
             if terms in ("", "0"):
                 continue
@@ -427,11 +436,12 @@ def parse_matrix(text: str) -> Matrix:
                 if side == "right":
                     raise SpecParseError("matrix entries use coeff*col terms", lineno)
                 if var not in cols:
-                    raise SpecParseError(f"unknown column id {var!r}", lineno)
+                    raise SpecParseError(f"unknown column id {quote(var)}", lineno)
                 coeff = ring.one.index if coeff_text is None else _parse_carrier(ring, coeff_text, lineno)
-                entries[(rid, var)] = coeff
+                prev = entries.get((rid, var))
+                entries[(rid, var)] = coeff if prev is None else ring.add_idx(prev, coeff)
         else:
-            raise SpecParseError(f"unexpected line {line!r}", lineno)
+            raise SpecParseError(f"unexpected line {quote(line)}", lineno)
     if not rows or not cols:
         raise SpecParseError("matrix needs rows and cols headers")
     return Matrix(ring, rows, cols, entries)
@@ -482,7 +492,7 @@ def parse_certificate(text: str, system) -> Certificate:
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] != "certificate":
-        raise SpecParseError(f"bad certificate header {header!r}", lineno)
+        raise SpecParseError(f"bad certificate header {quote(header)}", lineno)
     verdict = parts[1]
     if verdict == "SOLVABLE":
         assignment = {}
@@ -490,17 +500,17 @@ def parse_certificate(text: str, system) -> Certificate:
         for lineno, line in lines[1:]:
             m = re.fullmatch(r"assign (.+?) = (.+)", line)
             if not m:
-                raise SpecParseError(f"bad assign line {line!r}", lineno)
+                raise SpecParseError(f"bad assign line {quote(line)}", lineno)
             var = _match_id(system.cols, m.group(1).strip(), lineno)
             if var in assignment:
-                raise SpecParseError(f"repeated assign id {m.group(1).strip()!r}", lineno)
+                raise SpecParseError(f"repeated assign id {quote(m.group(1).strip())}", lineno)
             if isinstance(system, NumericalSystem):
                 assignment[var] = _parse_int(m.group(2).strip(), "integer coefficient", lineno)
             else:
                 assignment[var] = carrier.parse_element(m.group(2).strip())
         return Certificate("SOLVABLE", assignment=assignment)
     if verdict != "UNSOLVABLE":
-        raise SpecParseError(f"unknown verdict {verdict!r}", lineno)
+        raise SpecParseError(f"unknown verdict {quote(verdict)}", lineno)
     summand = chain_spec = digest = None
     rows = {}
     for lineno, line in lines[1:]:
@@ -513,13 +523,13 @@ def parse_certificate(text: str, system) -> Certificate:
         elif line.startswith("witness "):
             m = re.fullmatch(r"witness (.+?) = (.+)", line)
             if not m:
-                raise SpecParseError(f"bad witness line {line!r}", lineno)
+                raise SpecParseError(f"bad witness line {quote(line)}", lineno)
             rid = m.group(1).strip()
             if rid in rows:
-                raise SpecParseError(f"repeated witness id {rid!r}", lineno)
+                raise SpecParseError(f"repeated witness id {quote(rid)}", lineno)
             rows[rid] = m.group(2).strip()
         else:
-            raise SpecParseError(f"unexpected certificate line {line!r}", lineno)
+            raise SpecParseError(f"unexpected certificate line {quote(line)}", lineno)
     if summand is None or chain_spec is None or digest is None:
         raise SpecParseError("certificate misses summand/chain/digest fields")
     return Certificate(
@@ -532,4 +542,4 @@ def _match_id(ids, text, lineno):
     for i in ids:
         if str(i) == text:
             return i
-    raise SpecParseError(f"id {text!r} does not occur in the system", lineno)
+    raise SpecParseError(f"id {quote(text)} does not occur in the system", lineno)

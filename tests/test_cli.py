@@ -426,3 +426,84 @@ def test_cli_verify_rejects_repeated_ids(tmp_path, capsys, name, text, line):
     cert_path.write_text(text)
     assert main(["verify", str(_corpus_root() / name), str(cert_path)]) == 2
     assert f"line {line}: repeated" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# repeated ids, numerical terms, matrix rows, long user text
+
+
+@pytest.mark.parametrize("text", [
+    "ring Z/5\nvars x y\neq r: x = 1\neq r: y = 2\n",
+    "ring Z/5\nvars x y\neq e1: x = 1\neq y = 2\n",  # the unnamed row is numbered e1
+    "group Z/4\nvars x\neq r: x = 1\neq r: 2*x = 2\n",
+])
+def test_cli_repeated_equation_id_exits_usage(tmp_path, capsys, text):
+    path = _write(tmp_path, "system.rls", text)
+    for argv in (["solve", path], ["solve", path, "--oracle-check"], ["oracle", "solve", path]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 4: repeated equation id")
+
+
+def test_cli_distinct_equation_ids_still_solve(tmp_path, capsys):
+    path = _write(tmp_path, "system.rls", "ring Z/5\nvars x y\neq r: x = 1\neq s: y = 2\n")
+    assert main(["solve", path, "--oracle-check", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["assignment"] == {"x": "1", "y": "2"}
+
+
+def test_cli_bare_numerical_term_exits_usage(tmp_path, capsys):
+    bare = _write(tmp_path, "bare.rls", "numerical Z/4\nvars x\neq e1: x = 1\n")
+    assert main(["solve", bare]) == 2
+    assert capsys.readouterr().err == "error: line 3: bare term 'x': numerical coefficients are group elements\n"
+    explicit = _write(tmp_path, "explicit.rls", "numerical Z/4\nvars x\neq e1: 1*x = 1\n")
+    assert main(["solve", explicit]) == 0
+
+
+def test_cli_matrix_repeated_column_terms_are_summed(tmp_path, capsys):
+    split = _write(tmp_path, "split.rls", "ring Z/9\nrows r0 r1\ncols c0 c1\nrow r0: 1*c0 + 2*c0\nrow r1: 1*c1\n")
+    whole = _write(tmp_path, "whole.rls", "ring Z/9\nrows r0 r1\ncols c0 c1\nrow r0: 3*c0\nrow r1: 1*c1\n")
+    assert main(["mat", "det", split]) == 0
+    assert main(["mat", "det", whole]) == 0
+    assert capsys.readouterr().out == "3\n3\n"
+
+
+def test_cli_matrix_repeated_row_line_exits_usage(tmp_path, capsys):
+    path = _write(tmp_path, "m.rls", "ring Z/9\nrows r0 r1\ncols c0 c1\nrow r0: 1*c0\nrow r1: 1*c1\nrow r0: 1*c1\n")
+    assert main(["mat", "det", path]) == 2
+    assert capsys.readouterr().err == "error: line 6: repeated row 'r0'\n"
+
+
+LONG_MODULUS = "7" * 4000  # under Python's digit limit, so the cap check sees the number
+LONG_NAME = "v" * 4400
+
+LONG_TEXT_FILES = {
+    "coefficient": f"ring Z/4\nvars x\neq {LONG_NUMBER}*x = 1\n",
+    "right-hand side": f"ring Z/4\nvars x\neq 1*x = {LONG_NUMBER}\n",
+    "unexpected line": f"ring Z/4\nvars x\n{LONG_NUMBER}\n",
+    "undeclared variable": f"ring Z/4\nvars x\neq 1*{LONG_NAME} = 1\n",
+    "repeated equation id": f"ring Z/4\nvars x\neq {LONG_NAME}: 1*x = 1\neq {LONG_NAME}: 1*x = 1\n",
+    "bad header": f"ring {LONG_NAME}\nvars x\neq 1*x = 1\n",
+    "bare numerical term": f"numerical Z/4\nvars {LONG_NAME}\neq {LONG_NAME} = 1\n",
+}
+LONG_TEXT_SPECS = {
+    "modulus": f"Z/{LONG_MODULUS}",
+    "phi modulus": f"phi(Z/{LONG_MODULUS})",
+    "quotient modulus": f"Z/{LONG_MODULUS}[X]/(X)",
+    "Galois modulus": f"GR({LONG_MODULUS},1)",
+    "product factor": f"Z/4 x {LONG_NAME}",
+}
+
+
+@pytest.mark.parametrize("case", [*LONG_TEXT_FILES, *LONG_TEXT_SPECS, "matrix row id"])
+def test_cli_long_user_text_is_quoted_by_its_start(tmp_path, capsys, case):
+    if case in LONG_TEXT_FILES:
+        argv = ["solve", _write(tmp_path, "system.rls", LONG_TEXT_FILES[case])]
+    elif case in LONG_TEXT_SPECS:
+        argv = ["ring", "info", LONG_TEXT_SPECS[case]]
+    else:
+        argv = ["mat", "det", _write(tmp_path, "m.rls", f"ring Z/4\nrows a\ncols a\nrow {LONG_NAME}: 1*a\n")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.encode()) < 300 and "characters)" in err

@@ -180,7 +180,7 @@ def _check_hnf(matrix, res):
     from ringsolve.linsys import _chain_valuations
 
     cd = chain_data(ring)
-    val = _chain_valuations(ring, cd)
+    val = _chain_valuations(ring)
     for r, row in enumerate(res.Q):
         assert all(v == ring.zero.index for v in row[:r])
         for entry in row[r:]:

@@ -27,7 +27,6 @@ from ringsolve import (
     build_cyclic_group,
     build_product_group,
     build_table_group,
-    build_table_ring,
     solve,
 )
 from ringsolve.oracle import (
@@ -40,7 +39,7 @@ from ringsolve.oracle import (
     enumerate_gl,
     enumerate_witnesses,
 )
-from ringsolve.ring import units
+from ringsolve.ring import FiniteRing, units
 from ringsolve.structure import decompose_local
 
 
@@ -67,7 +66,7 @@ def test_mangled_multiplication_fails_distributivity():
     add, mul = z4.op_tables()
     bad = [row[:] for row in mul]
     bad[2][3] = 1  # 2*3 := 1
-    ring = build_table_ring(add, bad, _validate=False)
+    ring = FiniteRing("table", 4, np.array(add), np.array(bad), 0, 1, True, [str(i) for i in range(4)], "table[4]")
     report = check_ring_axioms(ring)
     assert not report.ok
     assert report.failed_axiom is not None

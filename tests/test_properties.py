@@ -68,7 +68,6 @@ from ringsolve import (
     NumericalSystem,
     TwoSidedSystem,
     UnsolvableWitness,
-    build_table_ring,
     canonical_order,
     charpoly_galois,
     determinant,
@@ -87,7 +86,8 @@ from ringsolve.cli import main
 from ringsolve.linsys import _chain_valuations
 from ringsolve.matalg import mat_scale
 from ringsolve.oracle import brute_force_solve, enumerate_witnesses, inverse_by_power
-from ringsolve.ring import _additive_span, _orders_modulo, additive_group, group_decompose_cyclic, unit_indices
+from ringsolve.ring import (FiniteRing, _additive_span, _orders_modulo, additive_group, group_decompose_cyclic,
+                            unit_indices)
 from ringsolve.structure import (
     _is_primitive_residue,
     chain_data,
@@ -165,7 +165,7 @@ def test_hermite_normal_form_properties(case):
             for t in range(k):
                 acc = ring.add_idx(acc, ring.mul_idx(res.S[r][t], grid[t][res.col_perm[c]]))
             assert acc == (res.Q[r][c] if r < res.rank else zero)
-    val = _chain_valuations(ring, chain_data(ring))
+    val = _chain_valuations(ring)
     assert res.diag == [res.Q[r][r] for r in range(res.rank)]
     assert all(d != zero for d in res.diag)
     assert all(val[a] <= val[b] for a, b in zip(res.diag, res.diag[1:]))
@@ -194,7 +194,7 @@ def test_witness_is_the_scaled_failing_row_of_s(case):
     assume(not cert.solvable)
     res = hermite_normal_form(system)
     cd = chain_data(ring)
-    val = _chain_valuations(ring, cd)
+    val = _chain_valuations(ring)
     k, zero = len(grid), ring.zero.index
     bprime = [functools.reduce(ring.add_idx, map(ring.mul_idx, res.S[r], b), zero) for r in range(k)]
     diag_val = [val[d] for d in res.diag] + [cd.n] * (k - res.rank)
@@ -720,7 +720,8 @@ def test_orders_modulo_agree_with_the_linear_walk(spec, data):
 
 def test_element_that_never_returns_to_the_subgroup_is_not_a_ring():
     # 1 + 1 = 1: the multiples of 1 never reach 0
-    ring = build_table_ring([[0, 1], [1, 1]], [[0, 0], [0, 1]], _validate=False)
+    ring = FiniteRing("table", 2, np.array([[0, 1], [1, 1]]), np.array([[0, 0], [0, 1]]), 0, 1, True, ["0", "1"],
+                      "table[2]")
     with pytest.raises(NotARing):
         ring.characteristic()
 
