@@ -5,8 +5,8 @@ over non-commutative rings and systems over abelian groups reduce to
 commutative rings; commutative rings decompose into local summands; ordered
 local rings reduce to cyclic groups Z_{p^n}; and chain-ring systems are
 decided by a Hermite normal form with dual witnesses.  Matrix algebra over
-Galois rings (inverse, characteristic polynomial, determinant) rides on the
-same structure theory.
+Galois rings (inverse, determinant, and the characteristic polynomial by
+Berkowitz's division-free recursion) rides on the same structure theory.
 """
 
 from .errors import (

@@ -15,7 +15,7 @@ import traceback
 from pathlib import Path
 
 from . import linsys, matalg, oracle, reductions, structure, sysio
-from .errors import InternalError, RingsolveError, SpecParseError, quote
+from .errors import InternalError, RingsolveError, SpecParseError, quote, shown
 
 EXIT_SOLVABLE = 0
 EXIT_UNSOLVABLE = 1
@@ -27,7 +27,7 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise SpecParseError(f"cannot read {path}: {exc}")
+        raise SpecParseError(f"cannot read {shown(path)}: {exc.strerror or exc}")
 
 
 def _emit(text: str, out: str | None):

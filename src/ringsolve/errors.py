@@ -8,6 +8,12 @@ def quote(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
+def shown(text: str) -> str:
+    """text as it is up to 40 characters, else ``quote(text)``: for numbers
+    and paths, which read best unquoted."""
+    return text if len(text) <= 40 else quote(text)
+
+
 class RingsolveError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -49,18 +49,6 @@ def _identity_grid(ring: FiniteRing, n: int) -> np.ndarray:
     return grid
 
 
-def _fold(carrier, terms: np.ndarray) -> np.ndarray:
-    """The sum of each row of ``terms`` under the carrier's elementwise add,
-    folded pairwise over column halves."""
-    while terms.shape[1] > 1:
-        half = terms.shape[1] // 2
-        head = carrier.add(terms[:, :half], terms[:, half:2 * half])
-        if terms.shape[1] % 2:
-            head[:, 0] = carrier.add(head[:, 0], terms[:, -1])
-        terms = head
-    return terms[:, 0]
-
-
 def _by_str(ids: list) -> list[int]:
     """Positions of ``ids`` in the order of their string forms (stable)."""
     return sorted(range(len(ids)), key=lambda n: str(ids[n]))
@@ -187,7 +175,7 @@ class _System(_Indexed):
 
     def _lhs(self, x: np.ndarray) -> np.ndarray:
         """The left-hand side of every row at the value vector x."""
-        return _fold(self.carrier, self._terms(x))
+        return self.carrier.row_sum(self._terms(x))
 
     def _terms(self, x: np.ndarray) -> np.ndarray:
         """The grid of terms A(i,j)·x_j for the value vector x."""
@@ -572,7 +560,7 @@ def _assert_witness(system: LinSystem, combo: np.ndarray, tail: int):
     """InternalError unless combo·(A|b) = (0,...,0,tail); combo in row order."""
     ring = system.ring
     ab = np.concatenate([system.A, system.b_vec[:, None]], axis=1)
-    acc = _fold(ring, ring.mul(np.asarray(combo)[:, None], ab).T)
+    acc = ring.row_sum(ring.mul(np.asarray(combo)[:, None], ab).T)
     if (acc[:-1] != ring.zero.index).any():
         raise InternalError("witness does not annihilate the coefficient columns")
     if acc[-1] != tail:

@@ -2,8 +2,9 @@
 
 Multiplication, big-exponent powers, general-linear-group cardinality, the
 inverse by Gauss–Jordan elimination with unit pivots on each local summand,
-the elimination determinant on each local summand, and the bounded-precision
-Newton charpoly over Galois rings.
+the elimination determinant on each local summand, and the characteristic
+polynomial over Galois rings by Berkowitz's division-free recursion.  Products
+and the recursion sum rows through the carrier's ``row_sum``.
 
 The paper defines invertibility through the power A^(|GL_n(R)|-1); that
 construction is kept as the independent cross-check
@@ -14,22 +15,15 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InternalError, InvalidParameter, PreconditionViolation, UnsupportedRing
-from .linsys import _Indexed, _fold, _hermite, _identity_grid
-from .ring import FiniteRing, RingElement, _memo, unit_indices
-from .structure import (
-    decompose_local,
-    galois_representation,
-    is_galois_ring,
-    is_local,
-    residue_field_size,
-)
+from .linsys import _Indexed, _hermite, _identity_grid
+from .ring import FiniteRing, RingElement, unit_indices
+from .structure import decompose_local, is_galois_ring, is_local, residue_field_size
 
 
 def _positions(ids: list, order: list) -> list[int]:
@@ -40,7 +34,7 @@ def _positions(ids: list, order: list) -> list[int]:
 
 def _product(ring: FiniteRing, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The grid product: (XY)(i,j) = sum_k X(i,k)·Y(k,j)."""
-    return _fold(ring, ring.mul(x[:, :, None], y[None, :, :]))
+    return ring.row_sum(ring.mul(x[:, :, None], y[None, :, :]))
 
 
 class Matrix(_Indexed):
@@ -205,7 +199,7 @@ def is_invertible(a: Matrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial over Galois rings
+# characteristic polynomial
 
 
 @dataclass
@@ -243,66 +237,38 @@ class CharPoly:
         return "CharPoly(" + ", ".join(f"c{k}={v}" for k, v in enumerate(names)) + ")"
 
 
-@_memo
-def _galois_lift(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
-    """(iota, table), cached per Galois ring: iota[:, x] holds the r integer
-    coefficients of x, and table[:, s·r + t] those of X^(s+t) mod F over Z."""
-    rep = galois_representation(ring)
-    r, f = rep.r, [int(c) for c in rep.f.coeffs]
-    iota = np.array([rep.iota[x] for x in range(ring.size)], dtype=object).reshape(ring.size, r).T
-    powers = [[1] + [0] * (r - 1)]
-    for _ in range(2 * r - 2):
-        top = powers[-1][-1]
-        powers.append([c - top * f[t] for t, c in enumerate([0] + powers[-1][:-1])])
-    table = np.array([powers[s + t] for s in range(r) for t in range(r)], dtype=object).T
-    return iota, table
-
-
 def charpoly_galois(a: Matrix) -> CharPoly:
-    """Characteristic polynomial over a Galois ring R = (Z/p^n)[X]/(F).
+    """det(X·E - A) over a Galois ring, by Berkowitz's division-free
+    recursion on the grid.
 
-    The entries are lifted through the Galois representation to
-    (Z/p^N)[X]/(F), a matrix as r coefficient matrices of Python ints, and
-    the Newton trace recursion k·c_k = -(s_k + sum_{0<j<k} c_j s_{k-j})
-    runs there with N = n + v_p(d!) for a d x d matrix.  Step k divides by
-    k = p^v·u: it multiplies by u^(-1) mod p^N and divides exactly by p^v.
-    Over the p-adic lift the right-hand side is k·c_k; ours agrees with it
-    to N - v_p((k-1)!) >= n + v digits, so p^v divides it, and c_k is exact
-    to N - v_p(k!) >= n digits.  The output is reduced mod p^n.
+    Let B be the leading k x k block, a = A(k,k), R and C the rest of row
+    k and column k left of and above the diagonal.  The coefficients of the
+    leading (k+1) x (k+1) block, highest first, are T times those of B,
+    where T is lower-triangular Toeplitz with first column 1, -a, -R·C,
+    -R·B·C, ..., -R·B^(k-1)·C.  Each Krylov vector B^i·C, the dots with R
+    and the Toeplitz product are one ``mul`` and one carrier ``row_sum``.
+    The recursion is exact over every commutative ring.
     """
     ring = a.ring
     if is_galois_ring(ring) is None:
         raise PreconditionViolation(f"{ring.spec} is not a Galois ring")
     if not a.is_square():
         raise InvalidParameter("characteristic polynomial requires a square matrix")
-    rep = galois_representation(ring)
-    iota, table = _galois_lift(ring)
-    p, r, n = rep.p, rep.r, len(a.rows)
-    # v_p(k) for k = 1..n; their sum is v_p(n!)
-    vals = [next(v for v in range(k) if k % p ** (v + 1)) for k in range(1, n + 1)]
-    modulus = p ** (rep.n + sum(vals))
-
-    lifted = iota[:, a._grid_in(a.rows, a.rows)]
-    power, traces = lifted, []
-    for k in range(n):
-        if k:
-            # sum_{s,t} power_s·lifted_t·X^(s+t) mod (F, p^N)
-            pairs = np.matmul(power[:, None], lifted).reshape(r * r, -1)
-            power = (table @ pairs).reshape(lifted.shape) % modulus
-        traces.append(power.trace(axis1=1, axis2=2).tolist())
-    # Newton recursion on lists of r ints: by_drop[k] is the coefficient of X^(n-k)
-    by_drop = [[1] + [0] * (r - 1)]
-    for k in range(1, n + 1):
-        # sum_{0<=j<k} c_j s_{k-j} with c_0 = 1: the X^s·X^t terms, then folded by the table
-        terms = list(zip(by_drop, traces[k - 1::-1]))
-        pairs = [sum(c[s] * t[u] for c, t in terms) for s in range(r) for u in range(r)]
-        v = vals[k - 1]
-        unit = pow(k // p**v, -1, modulus)
-        rhs = [-sum(map(operator.mul, row, pairs)) * unit % modulus for row in table.tolist()]
-        if any(c % p**v for c in rhs):
-            raise InternalError(f"Newton recursion: p^{v} does not divide the right-hand side at step {k}")
-        by_drop.append([c // p**v for c in rhs])
-    return CharPoly(ring=ring, coefficients=[rep.from_poly(c) for c in reversed(by_drop)])
+    grid = a._grid_in(a.rows, a.rows)
+    n = len(grid)
+    # T(i,j) = column[i - j]: a negative i - j indexes the zero tail of column
+    shift = np.subtract.outer(np.arange(n + 1), np.arange(n))
+    column = np.full(2 * n + 1, ring.zero.index, dtype=np.int64)
+    column[0] = ring.one.index
+    poly = np.array([ring.one.index, ring.neg_idx(int(grid[0, 0]))])
+    for k in range(1, n):
+        block, krylov = grid[:k, :k], [grid[:k, k]]
+        for _ in range(k - 1):
+            krylov.append(ring.row_sum(ring.mul(block, krylov[-1])))
+        column[1] = ring.neg_idx(int(grid[k, k]))
+        column[2:k + 2] = ring.neg(ring.row_sum(ring.mul(np.array(krylov), grid[k, :k])))
+        poly = ring.row_sum(ring.mul(column[shift[:k + 2, :k + 1]], poly))
+    return CharPoly(ring=ring, coefficients=[ring.element(c) for c in reversed(poly.tolist())])
 
 
 def _determinant_local(ring: FiniteRing, grid: np.ndarray) -> int:

@@ -227,15 +227,11 @@ def twosided_to_numerical(system: TwoSidedSystem) -> ReductionOutput:
     target = NumericalSystem._from_arrays(g, rows, cols, A=grid.reshape(len(rows), len(cols)), b_vec=b_vec)
 
     def backward(assignment: Mapping) -> dict:
-        out = {}
-        for j, pos in zip(system.cols, left_pos):
-            first = split_vars[pos]
-            acc = ring.zero.index
-            for s in range(ring.size):
-                count = assignment[(first, s)]
-                acc = ring.add_idx(acc, g.scalar_idx(int(count), s))
-            out[j] = ring.element(acc)
-        return out
+        # x_j = sum over s of count_s·s, with the counts reduced mod exp(R,+)
+        exponent = g.exponent()
+        counts = [[int(assignment[(split_vars[pos], s)]) % exponent for s in range(ring.size)] for pos in left_pos]
+        values = g.row_sum(g.scalar(np.array(counts, dtype=np.int64), elems)).tolist()
+        return {j: ring.element(v) for j, v in zip(system.cols, values)}
 
     trace = {"duplicated": [j for j, _, _ in ties], "variables": len(cols)}
     return ReductionOutput(target=target, backward=backward, trace=trace)

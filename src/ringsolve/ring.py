@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InternalError, InvalidParameter, NotARing, quote
+from .errors import CapacityError, InternalError, InvalidParameter, NotARing, quote, shown
 
 DEFAULT_MAX_ELEMS = 4096
 _CHUNK = 1 << 14  # entries computed per step of a row-chunked scan
@@ -32,18 +32,12 @@ def max_elems() -> int:
     return int(value) if value else DEFAULT_MAX_ELEMS
 
 
-def _shown_int(n: int) -> str:
-    """n in decimal, quoted by its start past 40 digits."""
-    digits = str(n)
-    return digits if len(digits) <= 40 else quote(digits)
-
-
 def _check_size(size: int, what: str, spec: str | None = None):
     """CapacityError past the cap, naming ``what`` and its quoted ``spec``."""
     cap = max_elems()
     if size > cap:
         name = what if spec is None else f"{what} {quote(spec)}"
-        raise CapacityError(f"{name} has {_shown_int(size)} elements, exceeding the cap of {cap}")
+        raise CapacityError(f"{name} has {shown(str(size))} elements, exceeding the cap of {cap}")
 
 
 def _check_power_size(q: int, r: int, what: str):
@@ -51,7 +45,7 @@ def _check_power_size(q: int, r: int, what: str):
     a power r > 1 past 64 such bits and the cap's is over it, shown as q^r."""
     cap = max_elems()
     if r > 1 and r * (q.bit_length() - 1) > max(cap.bit_length(), 64):
-        raise CapacityError(f"{what} has {_shown_int(q)}^{_shown_int(r)} elements, exceeding the cap of {cap}")
+        raise CapacityError(f"{what} has {shown(str(q))}^{shown(str(r))} elements, exceeding the cap of {cap}")
     _check_size(q**r, what)
 
 
@@ -209,6 +203,21 @@ class _Carrier:
         if self._add_t is None:
             return _reduce(np.subtract(x, y, dtype=np.int64), self.size)
         return self._add_t[x, self._neg_t[y]]
+
+    def row_sum(self, terms):
+        """The sum along axis 1 (of each row) of an index array.  Residues
+        are summed in int64 and reduced once: ``mul`` already needs
+        m² < 2⁶³, so a row of n residues, below n·m, fits for any n that fits
+        in memory.  A table is folded pairwise over column halves."""
+        if self._add_t is None:
+            return _reduce(terms.sum(axis=1, dtype=np.int64), self.size)
+        while terms.shape[1] > 1:
+            half = terms.shape[1] // 2
+            head = self.add(terms[:, :half], terms[:, half:2 * half])
+            if terms.shape[1] % 2:
+                head[:, 0] = self.add(head[:, 0], terms[:, -1])
+            terms = head
+        return terms[:, 0]
 
     def scalar(self, k, x):
         """k·x for integers k >= 0 and element indices x, broadcast together,

@@ -447,10 +447,6 @@ class GaloisRep:
     def q(self) -> int:
         return self.p**self.n
 
-    def from_poly(self, coeffs: Sequence[int]) -> RingElement:
-        key = tuple(c % self.q for c in coeffs)
-        return RingElement(self.alpha.ring, self.iota_inv[key])
-
 
 def _minpoly_over_prime(field: FiniteRing, p: int, alpha_idx: int, r: int) -> Poly:
     """Monic degree-r polynomial over Z_p vanishing at alpha in the residue field."""

@@ -18,7 +18,7 @@ import json
 import re
 from pathlib import Path
 
-from .errors import SpecParseError, quote
+from .errors import SpecParseError, quote, shown
 from .linsys import (
     Certificate,
     GroupSystem,
@@ -196,9 +196,11 @@ def _parse_table_ring(path: Path) -> FiniteRing:
     try:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise SpecParseError(f"cannot read table ring file {path}: {exc}")
+        # an OSError's strerror, unlike its text, does not repeat the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise SpecParseError(f"cannot read table ring file {shown(str(path))}: {reason}")
     if not isinstance(data, dict):
-        raise SpecParseError(f"table ring file {path} does not hold a JSON object")
+        raise SpecParseError(f"table ring file {shown(str(path))} does not hold a JSON object")
     for key in ("add", "mul"):
         if key not in data:
             raise SpecParseError(f"table ring file misses the {key!r} table")

@@ -507,3 +507,13 @@ def test_cli_long_user_text_is_quoted_by_its_start(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert len(err.encode()) < 300 and "characters)" in err
+
+
+@pytest.mark.parametrize("command", ["ring info", "solve"])
+def test_cli_long_unreadable_path_is_quoted_by_its_start(tmp_path, capsys, command):
+    path = str(tmp_path / "/".join(["d" * 200] * 15))  # about 3,000 characters, no such file
+    argv = ["ring", "info", f"table:{path}"] if command == "ring info" else ["solve", path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "Traceback" not in err
+    assert len(err.encode()) < 300 and "characters)" in err

@@ -286,8 +286,9 @@ def test_determinant_multiplicative(rng):
                 assert lhs == rhs, (ring.spec, n)
 
 
-@pytest.mark.parametrize("ring_factory", [lambda: zmod(4), lambda: zmod(8), lambda: zmod(9), gr42],
-                         ids=["Z/4", "Z/8", "Z/9", "GR42"])
+@pytest.mark.parametrize("ring_factory", [lambda: zmod(4), lambda: zmod(8), lambda: zmod(9), gr42,
+                                          lambda: parse_ring_spec("GR(8,3)"), lambda: zmod(4096)],
+                         ids=["Z/4", "Z/8", "Z/9", "GR42", "GR83", "Z/4096"])
 def test_charpoly_and_determinant_agree_with_berkowitz(ring_factory, rng):
     ring = ring_factory()
     for n in range(7, 13):

@@ -13,7 +13,6 @@ import pytest
 from conftest import bivariate_nilpotent
 from ringsolve import parse_ring_spec
 from ringsolve.linsys import _chain_valuations, _divider, _pivot_order
-from ringsolve.matalg import _galois_lift
 from ringsolve.reductions import _cyclic_structure
 from ringsolve.ring import additive_group, idempotent_indices, unit_indices
 from ringsolve.structure import (
@@ -44,7 +43,7 @@ RING_MEMOS = [lambda r: r.characteristic(), unit_indices, idempotent_indices, ad
 LOCAL_MEMOS = [maximal_ideal, local_data, minimal_generators_maximal_ideal, canonical_params, default_order,
                lambda r: _cyclic_structure(default_order(r)), lambda r: _cyclic_structure(table_order(r))]
 CHAIN_MEMOS = [_chain_valuations, _pivot_order, _divider]
-GALOIS_MEMOS = [galois_representation, _galois_lift]
+GALOIS_MEMOS = [galois_representation]
 
 
 def _assert_memoised(ring, functions):

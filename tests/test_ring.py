@@ -209,6 +209,45 @@ def test_array_validator_agrees_with_the_scalar_reference():
         "right distributivity", "multiplication commutativity")}
 
 
+def _pairwise_fold(carrier, terms):
+    """Reference row sum: the pairwise fold over column halves with the
+    carrier's elementwise add."""
+    while terms.shape[1] > 1:
+        half = terms.shape[1] // 2
+        head = carrier.add(terms[:, :half], terms[:, half:2 * half])
+        if terms.shape[1] % 2:
+            head[:, 0] = carrier.add(head[:, 0], terms[:, -1])
+        terms = head
+    return terms[:, 0]
+
+
+ROW_SUM_CARRIERS = {
+    "Z/2": lambda: zmod(2),
+    "Z/12": lambda: zmod(12),
+    "Z/4096": lambda: zmod(4096),
+    "cyclic Z/7": lambda: build_cyclic_group(7),
+    "GR(4,2)": gr42,
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_SUM_CARRIERS))
+@pytest.mark.parametrize("width", [1, 2, 3, 72, 4096])
+def test_row_sum_agrees_with_the_pairwise_fold(name, width):
+    carrier = ROW_SUM_CARRIERS[name]()
+    rng = np.random.default_rng(width)
+    for dtype in (np.int8, np.int16, np.int64):
+        if np.iinfo(dtype).max < carrier.size - 1:
+            continue
+        terms = rng.integers(0, carrier.size, size=(3, width)).astype(dtype)
+        assert carrier.row_sum(terms).tolist() == _pairwise_fold(carrier, terms).tolist(), dtype
+        # the worst case for an int64 sum: every term the largest index
+        top = np.full((2, width), carrier.size - 1, dtype=dtype)
+        assert carrier.row_sum(top).tolist() == _pairwise_fold(carrier, top).tolist(), dtype
+    # axis 1 of a 3-d array, as in the matrix product
+    cube = rng.integers(0, carrier.size, size=(2, width, 3))
+    assert carrier.row_sum(cube).tolist() == _pairwise_fold(carrier, cube).tolist()
+
+
 def test_table_ring_accepts_z3_tables():
     z3 = zmod(3)
     add, mul = z3.op_tables()
