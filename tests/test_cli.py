@@ -517,3 +517,57 @@ def test_cli_long_unreadable_path_is_quoted_by_its_start(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read") and "Traceback" not in err
     assert len(err.encode()) < 300 and "characters)" in err
+
+
+# ---------------------------------------------------------------------------
+# the reduce table, repeated terms, zero matrix rows
+
+
+def test_cli_reduce_project_local(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(_corpus_root().parent)
+    out = tmp_path / "local.rls"
+    argv = ["reduce", "project-local", "corpus/z6_mixed.rls", "-o", str(out)]
+    assert main([*argv, "--idempotent", "3", "--trace"]) == 0
+    assert capsys.readouterr().out == '{\n  "e": "3"\n}\n'
+    assert out.read_text() == "ring local(Z/6,3)\nvars x0 x1\neq e0: 3*x1 = 3\neq e1: 0 = 0\n"
+    out.unlink()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: project-local requires --idempotent <element>\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["group-to-ring", "corpus/z4_solvable.rls"], "group-to-ring expects GroupSystem input, got LinSystem"),
+    (["twosided-numerical", "corpus/group_z2z4.rls"],
+     "twosided-numerical expects TwoSidedSystem input, got GroupSystem"),
+    (["and", "corpus/z4_solvable.rls", "corpus/group_z2z4.rls"], "and expects LinSystem input, got GroupSystem"),
+    (["and", "corpus/z4_solvable.rls"], "and takes exactly two system files"),
+    (["or", "corpus/z4_solvable.rls"], "or takes exactly two system files"),
+])
+def test_cli_reduce_rejects_the_wrong_input(monkeypatch, tmp_path, capsys, argv, message):
+    monkeypatch.chdir(_corpus_root().parent)
+    out = tmp_path / "target.rls"
+    assert main(["reduce", *argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split, whole", [
+    ("ring Z/9\nvars x y\neq 1*x + 2*x + y + 4*y + 4*y = 1\n", "ring Z/9\nvars x y\neq 3*x = 1\n"),
+    ("twosided Z/9\nvars x y\neq 1*x + 2*x + y*1 = 1\n", "twosided Z/9\nvars x y\neq 3*x + y*1 = 1\n"),
+    ("twosided Z/9\nvars x y\neq x*4 + x*8 + 1*y = 1\n", "twosided Z/9\nvars x y\neq x*3 + 1*y = 1\n"),
+    ("group Z/9\nvars x y\neq 1*x + 2*x + y + y = 1\n", "group Z/9\nvars x y\neq 3*x + 2*y = 1\n"),
+    ("numerical Z/9\nvars x y\neq 1*x + 2*x + 4*y + 5*y = 1\n", "numerical Z/9\nvars x y\neq 3*x = 1\n"),
+], ids=["ring", "twosided left", "twosided right", "group", "numerical"])
+def test_cli_repeated_terms_are_summed(tmp_path, capsys, split, whole):
+    assert write_system(parse_system(split)) == write_system(parse_system(whole))
+    runs = []
+    for text in (split, whole):
+        code = main(["solve", _write(tmp_path, "system.rls", text), "--format", "json"])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1] and runs[0][0] in (0, 1)
+
+
+def test_write_matrix_renders_a_zero_row():
+    matrix = parse_matrix("ring Z/4\nrows a b\ncols a b\nrow a: 1*a + 3*b\nrow b: 2*a + 2*a\n")
+    assert write_matrix(matrix) == "ring Z/4\nrows r0 r1\ncols c0 c1\nrow r0: 1*c0 + 3*c1\nrow r1: 0\n"
