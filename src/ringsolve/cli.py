@@ -113,27 +113,18 @@ def _cmd_solve(args) -> int:
     return EXIT_SOLVABLE if cert.solvable else EXIT_UNSOLVABLE
 
 
-REDUCTION_NAMES = [
-    "ring-to-cyclic",
-    "group-to-ring",
-    "twosided-numerical",
-    "project-local",
-    "normal-form",
-    "complement",
-    "and",
-    "or",
-    "collapse",
-]
-
-
 def _cmd_reduce(args) -> int:
     name = args.name
-    if name == "collapse":
-        target = _collapse_from_manifest(args.systems[0])
-        trace = {}
-    else:
-        systems = [sysio.parse_system(_read(p)) for p in args.systems]
-        target, trace = _run_reduction(name, systems, args)
+    want, count, call = REDUCTIONS[name]
+    inputs = args.systems
+    if name != "collapse":  # collapse reads a manifest of system files itself
+        inputs = [sysio.parse_system(_read(p)) for p in inputs]
+        for s in inputs:
+            if not isinstance(s, want):
+                raise SpecParseError(f"{name} expects {want.__name__} input, got {type(s).__name__}")
+    if len(inputs) != count:
+        raise SpecParseError(f"{name} takes exactly {('one system file', 'two system files')[count - 1]}")
+    target, trace = call(inputs, args)
     _emit(sysio.write_system(target), args.output)
     if args.trace:
         print(json.dumps(_json_safe(trace), indent=2, sort_keys=True))
@@ -150,57 +141,38 @@ def _json_safe(value):
     return str(value)
 
 
-REDUCTION_INPUT = {
-    "ring-to-cyclic": linsys.LinSystem,
-    "group-to-ring": linsys.GroupSystem,
-    "twosided-numerical": linsys.TwoSidedSystem,
-    "project-local": linsys.LinSystem,
-    "normal-form": linsys.LinSystem,
-    "complement": linsys.LinSystem,
-    "and": linsys.LinSystem,
-    "or": linsys.LinSystem,
+def _traced(reduction):
+    """The table call of a one-input reduction that returns a ReductionOutput."""
+    def call(inputs, args):
+        out = reduction(*inputs)
+        return out.target, out.trace
+    return call
+
+
+def _cyclic_order(system: linsys.LinSystem):
+    ring = system.ring
+    return structure.default_order(ring) if structure.is_local(ring) else structure.table_order(ring)
+
+
+def _project_local(inputs, args):
+    if not args.idempotent:
+        raise SpecParseError("project-local requires --idempotent <element>")
+    e = inputs[0].ring.parse_element(args.idempotent)
+    return reductions.project_to_local(inputs[0], e), {"e": args.idempotent}
+
+
+# name -> (input system class, number of input files, call(inputs, args) -> (target, trace))
+REDUCTIONS = {
+    "ring-to-cyclic": (linsys.LinSystem, 1, _traced(lambda s: reductions.ring_to_cyclic(s, _cyclic_order(s)))),
+    "group-to-ring": (linsys.GroupSystem, 1, _traced(reductions.group_to_ring)),
+    "twosided-numerical": (linsys.TwoSidedSystem, 1, _traced(reductions.twosided_to_numerical)),
+    "project-local": (linsys.LinSystem, 1, _project_local),
+    "normal-form": (linsys.LinSystem, 1, _traced(reductions.normal_form)),
+    "complement": (linsys.LinSystem, 1, _traced(reductions.complement_chain)),
+    "and": (linsys.LinSystem, 2, lambda inputs, args: (reductions.and_compose(*inputs), {})),
+    "or": (linsys.LinSystem, 2, lambda inputs, args: (reductions.or_compose(*inputs), {})),
+    "collapse": (None, 1, lambda inputs, args: (_collapse_from_manifest(*inputs), {})),
 }
-
-
-def _run_reduction(name: str, systems: list, args):
-    want = REDUCTION_INPUT[name]
-    for s in systems:
-        if not isinstance(s, want):
-            raise SpecParseError(
-                f"{name} expects {want.__name__} input, got {type(s).__name__}"
-            )
-    first = systems[0]
-    if name == "ring-to-cyclic":
-        ring = first.ring
-        order = structure.default_order(ring) if structure.is_local(ring) else structure.table_order(ring)
-        out = reductions.ring_to_cyclic(first, order)
-        return out.target, out.trace
-    if name == "group-to-ring":
-        out = reductions.group_to_ring(first)
-        return out.target, out.trace
-    if name == "twosided-numerical":
-        out = reductions.twosided_to_numerical(first)
-        return out.target, out.trace
-    if name == "project-local":
-        if not args.idempotent:
-            raise SpecParseError("project-local requires --idempotent <element>")
-        e = first.ring.parse_element(args.idempotent)
-        return reductions.project_to_local(first, e), {"e": args.idempotent}
-    if name == "normal-form":
-        out = reductions.normal_form(first)
-        return out.target, out.trace
-    if name == "complement":
-        out = reductions.complement_chain(first)
-        return out.target, out.trace
-    if name == "and":
-        if len(systems) != 2:
-            raise SpecParseError("and takes exactly two system files")
-        return reductions.and_compose(systems[0], systems[1]), {}
-    if name == "or":
-        if len(systems) != 2:
-            raise SpecParseError("or takes exactly two system files")
-        return reductions.or_compose(systems[0], systems[1]), {}
-    raise SpecParseError(f"unknown reduction {name!r}")
 
 
 def _collapse_from_manifest(path: str):
@@ -297,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=_cmd_solve)
 
     p_red = sub.add_parser("reduce", help="apply a reduction")
-    p_red.add_argument("name", choices=REDUCTION_NAMES)
+    p_red.add_argument("name", choices=REDUCTIONS)
     p_red.add_argument("systems", nargs="+")
     p_red.add_argument("-o", "--output", required=True)
     p_red.add_argument("--trace", action="store_true")

@@ -134,6 +134,12 @@ class _Indexed:
     def entry(self, i, j) -> RingElement:
         return self.carrier.element(self.entry_idx(i, j))
 
+    def _row_texts(self, rpos: list, cpos: list, names: list) -> list[list[str]]:
+        """The term texts of the rows at ``rpos``, columns in ``cpos`` order."""
+        text, zero = self.carrier.names, self._zero_coef()
+        return [[f"{text[c]}*{name}" for c, name in zip(row, names) if c != zero]
+                for row in self.A[np.ix_(rpos, cpos)].tolist()]
+
 
 class _System(_Indexed):
     """What every system kind shares: ids, right-hand side, evaluation, text.
@@ -180,12 +186,6 @@ class _System(_Indexed):
     def _terms(self, x: np.ndarray) -> np.ndarray:
         """The grid of terms A(i,j)·x_j for the value vector x."""
         return self.carrier.mul(self.A, x)
-
-    def _row_texts(self, rpos: list, cpos: list, names: list) -> list[list[str]]:
-        """The term texts of the rows at ``rpos``, columns in ``cpos`` order."""
-        text, zero = self.carrier.names, self._zero_coef()
-        return [[f"{text[c]}*{name}" for c, name in zip(row, names) if c != zero]
-                for row in self.A[np.ix_(rpos, cpos)].tolist()]
 
     def eq_lines(self, row_name=str, col_name=str) -> list[str]:
         """One ``eq`` line per row, rows and columns sorted by their string

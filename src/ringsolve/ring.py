@@ -29,7 +29,12 @@ _CHUNK = 1 << 14  # entries computed per step of a row-chunked scan
 def max_elems() -> int:
     """Element-count cap for constructed structures (env-overridable)."""
     value = os.environ.get("RINGSOLVE_MAX_ELEMS")
-    return int(value) if value else DEFAULT_MAX_ELEMS
+    if not value:
+        return DEFAULT_MAX_ELEMS
+    try:
+        return int(value)
+    except ValueError:
+        raise InvalidParameter(f"RINGSOLVE_MAX_ELEMS must be an integer, got {quote(value)}") from None
 
 
 def _check_size(size: int, what: str, spec: str | None = None):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .linsys import (
     NumericalSystem,
     TwoSidedSystem,
     UnsolvableWitness,
+    _by_str,
     _System,
 )
 from .matalg import Matrix
@@ -41,6 +43,7 @@ from .ring import (
     build_table_ring,
     build_zmod,
     factorize,
+    poly_mod_reduce,
 )
 
 
@@ -97,11 +100,21 @@ def _parse_poly(text: str, modulus: int) -> Poly:
             power = 1
         parsed.append((power, sign * coeff))
         degree = max(degree, power)
+    _check_quotient(modulus, degree)
     _check_power_size(modulus, degree, "polynomial quotient ring")  # before any list of that length
     coeffs = [0] * (degree + 1)
     for power, c in parsed:
         coeffs[power] = (coeffs[power] + c) % modulus
     return Poly.of(coeffs)
+
+
+def _check_quotient(q: int, degree: int):
+    """Refuse a modulus below 2 or a degree below 1 before q is factored or
+    an irreducible polynomial is searched."""
+    if q < 2:
+        raise SpecParseError(f"modulus must be an integer >= 2, got {q}")
+    if degree < 1:
+        raise SpecParseError("f must have degree >= 1")
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -111,24 +124,12 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return factors[0] if factors else (q, 1)
 
 
-def _poly_divides_mod_p(div: list[int], poly: list[int], p: int) -> bool:
-    work = [c % p for c in poly]
-    d = len(div) - 1
-    inv_lead = pow(div[-1], -1, p)
-    for k in range(len(work) - 1, d - 1, -1):
-        c = (work[k] * inv_lead) % p
-        if c:
-            for t in range(d + 1):
-                work[k - d + t] = (work[k - d + t] - c * div[t]) % p
-    return all(c == 0 for c in work)
-
-
 def _is_irreducible_mod_p(coeffs: list[int], p: int) -> bool:
+    """No monic polynomial of degree 1 to r // 2 divides coeffs mod p."""
     r = len(coeffs) - 1
     for d in range(1, r // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
-            div = list(tail) + [1]
-            if _poly_divides_mod_p(div, coeffs, p):
+            if not any(poly_mod_reduce(coeffs, tail + (1,), p)):
                 return False
     return True
 
@@ -144,6 +145,7 @@ def smallest_galois_polynomial(p: int, n: int, r: int) -> Poly:
 
 
 def build_galois_ring(q: int, r: int) -> FiniteRing:
+    _check_quotient(q, r)
     _check_power_size(q, r, "polynomial quotient ring")
     p, n = _factor_prime_power(q)
     ring = build_poly_quotient(p, n, smallest_galois_polynomial(p, n, r))
@@ -167,9 +169,7 @@ def parse_ring_spec(text: str) -> FiniteRing:
     m = re.fullmatch(r"Z/(\d+)\[X\]/(\(.*\))", text)
     if m:
         q = _parse_int(m.group(1), "modulus")
-        if q < 2:
-            raise SpecParseError(f"modulus must be an integer >= 2, got {q}")
-        f = _parse_poly(m.group(2), q)  # checks the cap before q is factored
+        f = _parse_poly(m.group(2), q)  # checks q, the degree and the cap before q is factored
         return build_poly_quotient(*_factor_prime_power(q), f)
     m = re.fullmatch(r"Z/(\d+)", text)
     if m:
@@ -309,7 +309,7 @@ def parse_system(text: str):
         rows.append(rid)
         rhs = rhs.strip()
         if rhs not in ("0", ""):
-            b[rid] = _parse_rhs(kind, carrier, rhs, lineno)
+            b[rid] = _parse_element(carrier, rhs, "right-hand side", lineno)
         lhs = lhs.strip()
         if lhs in ("", "0"):
             continue
@@ -332,46 +332,37 @@ def parse_system(text: str):
     return TwoSidedSystem(carrier, rows, variables, left, right, b)
 
 
-def _parse_rhs(kind, carrier, rhs, lineno):
+def _parse_element(carrier, text: str, noun: str, lineno: int) -> int:
+    """The index of the carrier element named ``text``, or SpecParseError
+    "bad {noun} ..."."""
     try:
-        return carrier.parse_element(rhs).index
+        return carrier.parse_element(text).index
     except Exception:
-        raise SpecParseError(f"bad right-hand side {quote(rhs)}", lineno)
+        raise SpecParseError(f"bad {noun} {quote(text)}", lineno)
+
+
+def _coefficient(ring, coeff_text, lineno) -> int:
+    """A ring coefficient: one for a bare term, else the element named."""
+    return ring.one.index if coeff_text is None else _parse_element(ring, coeff_text, "coefficient", lineno)
+
+
+def _add_term(table: dict, key, value, add):
+    """Sum a repeated term into its key: the one accumulation rule of the file parsers."""
+    table[key] = add(table[key], value) if key in table else value
 
 
 def _accumulate_term(kind, carrier, left, right, rid, side, coeff_text, var, lineno):
     if kind == "group":
         coeff = 1 if coeff_text is None else _parse_int(coeff_text, "integer coefficient", lineno)
-        left[(rid, var)] = left.get((rid, var), 0) + coeff
+        _add_term(left, (rid, var), coeff, operator.add)
         return
-    if kind == "numerical":
-        if coeff_text is None:
-            raise SpecParseError(f"bare term {quote(var)}: numerical coefficients are group elements", lineno)
-        group = carrier
-        coeff = _parse_carrier(group, coeff_text, lineno)
-        prev = left.get((rid, var))
-        left[(rid, var)] = coeff if prev is None else group.add_idx(prev, coeff)
-        return
-    coeff = 1 if coeff_text is None else None
-    if coeff is None:
-        coeff = _parse_carrier(carrier, coeff_text, lineno)
-    else:
-        coeff = carrier.one.index
+    if kind == "numerical" and coeff_text is None:
+        raise SpecParseError(f"bare term {quote(var)}: numerical coefficients are group elements", lineno)
+    coeff = _coefficient(carrier, coeff_text, lineno)
     if side == "right" and kind == "twosided":
-        key = (var, rid)
-        prev = right.get(key)
-        right[key] = coeff if prev is None else carrier.add_idx(prev, coeff)
+        _add_term(right, (var, rid), coeff, carrier.add_idx)
     else:
-        key = (rid, var)
-        prev = left.get(key)
-        left[key] = coeff if prev is None else carrier.add_idx(prev, coeff)
-
-
-def _parse_carrier(carrier, text, lineno):
-    try:
-        return carrier.parse_element(text).index
-    except Exception:
-        raise SpecParseError(f"bad coefficient {quote(text)}", lineno)
+        _add_term(left, (rid, var), coeff, carrier.add_idx)
 
 
 def _rename(ids, prefix):
@@ -439,9 +430,7 @@ def parse_matrix(text: str) -> Matrix:
                     raise SpecParseError("matrix entries use coeff*col terms", lineno)
                 if var not in cols:
                     raise SpecParseError(f"unknown column id {quote(var)}", lineno)
-                coeff = ring.one.index if coeff_text is None else _parse_carrier(ring, coeff_text, lineno)
-                prev = entries.get((rid, var))
-                entries[(rid, var)] = coeff if prev is None else ring.add_idx(prev, coeff)
+                _add_term(entries, (rid, var), _coefficient(ring, coeff_text, lineno), ring.add_idx)
         else:
             raise SpecParseError(f"unexpected line {quote(line)}", lineno)
     if not rows or not cols:
@@ -450,19 +439,13 @@ def parse_matrix(text: str) -> Matrix:
 
 
 def write_matrix(matrix: Matrix) -> str:
-    ring = matrix.ring
     col_map, col_order = _rename(matrix.cols, "c")
     row_map, row_order = _rename(matrix.rows, "r")
-    lines = [f"ring {ring.spec}"]
+    lines = [f"ring {matrix.ring.spec}"]
     lines.append("rows " + " ".join(row_map[i] for i in row_order))
     lines.append("cols " + " ".join(col_map[j] for j in col_order))
-    for i in row_order:
-        terms = [
-            f"{ring.format_element(matrix.entries[(i, j)])}*{col_map[j]}"
-            for j in col_order
-            if (i, j) in matrix.entries
-        ]
-        lines.append(f"row {row_map[i]}: " + (" + ".join(terms) if terms else "0"))
+    texts = matrix._row_texts(_by_str(matrix.rows), _by_str(matrix.cols), [col_map[j] for j in col_order])
+    lines += [f"row {row_map[i]}: " + (" + ".join(terms) if terms else "0") for i, terms in zip(row_order, texts)]
     return "\n".join(lines) + "\n"
 
 

@@ -7,8 +7,8 @@ import time
 import pytest
 
 from conftest import upper_triangular_f2, zmod
-from ringsolve import LinSystem, SpecParseError, parse_ring_spec, verify_certificate
-from ringsolve.cli import main
+from ringsolve import LinSystem, SpecParseError, parse_ring_spec, sysio, verify_certificate
+from ringsolve.cli import REDUCTIONS, main
 from ringsolve.oracle import brute_force_solve
 from ringsolve.sysio import (
     parse_certificate,
@@ -257,9 +257,21 @@ def test_cli_outputs_are_deterministic(tmp_path, capsys):
 
 
 def test_cli_unexpected_exception_exits_internal(monkeypatch, capsys):
-    monkeypatch.setenv("RINGSOLVE_MAX_ELEMS", "abc")
+    def broken(text):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(sysio, "parse_ring_spec", broken)
     assert main(["ring", "info", "Z/4"]) == 3
-    assert "internal error:" in capsys.readouterr().err
+    assert "internal error: RuntimeError: a bug" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "4096.0", "7" * 4400])
+def test_cli_malformed_cap_variable_exits_usage(monkeypatch, capsys, value):
+    monkeypatch.setenv("RINGSOLVE_MAX_ELEMS", value)
+    assert main(["ring", "info", "Z/4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: RINGSOLVE_MAX_ELEMS must be an integer, got '")
+    assert "Traceback" not in captured.err and len(captured.err.encode()) < 300
 
 
 def test_cli_ring_subcommands(capsys):
@@ -348,6 +360,23 @@ def test_cli_polynomial_quotient_over_the_cap_exits_usage_at_once(capsys, spec):
 
 
 LONG_NUMBER = "7" * 4400  # past Python's 4,300-digit limit for int() of a string
+
+
+FIFTY_DIGITS = "2" * 49 + "3"
+
+
+@pytest.mark.parametrize("spec, message", [
+    (f"GR(1,{'2' * 50})", "modulus must be an integer >= 2, got 1"),
+    (f"GR({FIFTY_DIGITS},0)", "f must have degree >= 1"),
+    (f"Z/{FIFTY_DIGITS}[X]/(1)", "f must have degree >= 1"),
+])
+def test_cli_degenerate_quotient_exits_usage_at_once(capsys, spec, message):
+    # refused before q is factored or an irreducible polynomial is searched
+    start = time.perf_counter()
+    assert main(["ring", "info", spec]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("spec", [f"Z/{LONG_NUMBER}", f"GR({LONG_NUMBER},2)", f"Z/4[X]/(X^{LONG_NUMBER})",
@@ -571,3 +600,25 @@ def test_cli_repeated_terms_are_summed(tmp_path, capsys, split, whole):
 def test_write_matrix_renders_a_zero_row():
     matrix = parse_matrix("ring Z/4\nrows a b\ncols a b\nrow a: 1*a + 3*b\nrow b: 2*a + 2*a\n")
     assert write_matrix(matrix) == "ring Z/4\nrows r0 r1\ncols c0 c1\nrow r0: 1*c0 + 3*c1\nrow r1: 0\n"
+
+
+@pytest.mark.parametrize("name", list(REDUCTIONS))
+def test_cli_reduce_refuses_an_extra_file(monkeypatch, tmp_path, capsys, name):
+    monkeypatch.chdir(_corpus_root().parent)
+    want, count, _ = REDUCTIONS[name]
+    source = {"GroupSystem": "group_z2z4.rls", "TwoSidedSystem": "twosided_ut2.rls"}.get(
+        getattr(want, "__name__", None), "z4_solvable.rls")
+    if name == "collapse":
+        inner = _write(tmp_path, "inner.rls", "ring Z/2\nvars y\neq 1*y = 1\n")
+        source = _write(tmp_path, "collapse.txt", f"outer-rows a\nouter-cols b\ninner a b {inner}\n")
+    else:
+        source = f"corpus/{source}"
+    out = tmp_path / "target.rls"
+    argv = ["reduce", name, *[source] * count, "-o", str(out), "--idempotent", "1"]
+    assert main(argv) == 0
+    out.unlink()
+    capsys.readouterr()
+    assert main([*argv[:2], *[source] * (count + 1), *argv[2 + count:]]) == 2
+    words = "one system file" if count == 1 else "two system files"
+    assert capsys.readouterr().err == f"error: {name} takes exactly {words}\n"
+    assert not out.exists()

@@ -28,6 +28,11 @@ over the non-commutative UT2(F2): ``mat_mul``, ``mat_add``, ``mat_scale`` and
 Random square matrices: ``determinant`` must be (-1)^n times the constant
 term of ``charpoly_galois``, change sign under a row swap and vanish with a
 zero row.
+Ring and group specs built from the spec grammar (``Z/m``, ``GR(q,r)``,
+``Z/q[X]/(f)``, products, ``phi(...)``, ``local(..., e)``, ``table:`` paths
+and malformed pieces), with small numbers, 0, 1 and numbers of 50 and 4,400
+digits: ``ringsolve ring info|decompose|order`` and ``ringsolve solve`` on a
+group system must exit 0 or 2, without a traceback, within a second.
 Random scan orders over product groups: the cyclic decomposition must give
 a divisibility chain whose coordinates round-trip.  Random primitive alpha
 and generating pi tuples over local rings: ``canonical_order`` must give the
@@ -50,6 +55,7 @@ import io
 import itertools
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -885,3 +891,66 @@ def test_enumerate_witnesses_agrees_with_the_walk(system, data):
         if all(combination(x, column) == zero for column in columns) and combination(x, system.b) == tail
     ]
     assert enumerate_witnesses(system, tail) == expected
+
+
+# ---------------------------------------------------------------------------
+# the spec grammar through the CLI
+
+SPEC_EXTREMES = ["2" * 49 + "3", "7" * 4400]  # 50 digits; past int()'s digit limit
+SPEC_SMALL = ["0", "1", "2", "3", "4", "6", "02"]  # every ring built from these stays small
+SPEC_MODULI = st.sampled_from(SPEC_SMALL + ["5", "8", "9", "12"] + SPEC_EXTREMES)
+SPEC_NUMBERS = st.sampled_from(SPEC_SMALL + SPEC_EXTREMES)
+SPEC_DEGREES = st.sampled_from(["0", "1", "2"] + SPEC_EXTREMES)
+SPEC_POLYS = st.sampled_from(["X", "X^2+1", "X^2+X+1", "X^2", "1", "0", "2*X+1", "X^2+-1", "X^", "X+Y", "",
+                              f"X^{SPEC_EXTREMES[0]}", f"X^{SPEC_EXTREMES[1]}", f"X^2+{SPEC_EXTREMES[1]}"])
+TABLE_PATHS = ["corpus/ut2_table.json", "corpus/z4_solvable.rls", "corpus", "corpus/no_such_file.json", ""]
+MALFORMED_SPECS = st.sampled_from(["", "Z/", "Z/-3", "Z/+3", "GR(2)", "GR(,)", "GR(2,-1)", "Z/4[X]/()", "phi()",
+                                   "local(Z/6)", "local(,1)", "Z/4 x", " x Z/4", "Z/3 x x Z/2", "(Z/4)", "GR(4,2)x Z/2"])
+
+
+def group_specs():
+    cyclic = st.builds("Z/{}".format, SPEC_NUMBERS) | MALFORMED_SPECS
+    return st.lists(cyclic, min_size=1, max_size=2).map(" x ".join)
+
+
+def ring_specs():
+    root = Path(__file__).resolve().parents[1]
+    base = st.one_of(
+        st.builds("Z/{}".format, SPEC_MODULI),
+        st.builds("GR({},{})".format, SPEC_NUMBERS, SPEC_DEGREES),
+        st.builds("Z/{}[X]/({})".format, SPEC_NUMBERS, SPEC_POLYS),
+        st.sampled_from([f"table:{root / path}" if path else "table:" for path in TABLE_PATHS]),
+        MALFORMED_SPECS,
+    )
+    products = st.lists(base, min_size=1, max_size=2).map(" x ".join)
+    return products | st.builds("phi({})".format, group_specs()) | st.builds(
+        "local({}, {})".format, products, st.sampled_from(["0", "1", "3", "4", "(1,0)", "x"]))
+
+
+def _cli_run(argv) -> tuple[int, float, str]:
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, time.perf_counter() - start, err.getvalue()
+
+
+def _assert_clean_exit(code: int, seconds: float, err: str):
+    assert code in (0, 2), err
+    assert "Traceback" not in err and "internal error" not in err, err
+    assert seconds < 1.0
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(ring_specs(), st.sampled_from(["info", "decompose", "order"]))
+def test_ring_spec_grammar_exits_cleanly(spec, action):
+    _assert_clean_exit(*_cli_run(["ring", action, spec]))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(group_specs())
+def test_group_spec_grammar_exits_cleanly(spec):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "system.rls"
+        path.write_text(f"group {spec}\nvars x\neq 1*x = 0\n")
+        _assert_clean_exit(*_cli_run(["solve", str(path)]))
