@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import upper_triangular_f2, zmod
-from ringsolve import LinSystem, SpecParseError, parse_ring_spec, sysio, verify_certificate
+from ringsolve import GroupSystem, LinSystem, SpecParseError, TwoSidedSystem, parse_ring_spec, sysio, verify_certificate
 from ringsolve.cli import REDUCTIONS, main
 from ringsolve.oracle import brute_force_solve
 from ringsolve.sysio import (
@@ -606,19 +606,21 @@ def test_write_matrix_renders_a_zero_row():
 def test_cli_reduce_refuses_an_extra_file(monkeypatch, tmp_path, capsys, name):
     monkeypatch.chdir(_corpus_root().parent)
     want, count, _ = REDUCTIONS[name]
-    source = {"GroupSystem": "group_z2z4.rls", "TwoSidedSystem": "twosided_ut2.rls"}.get(
-        getattr(want, "__name__", None), "z4_solvable.rls")
     if name == "collapse":
         inner = _write(tmp_path, "inner.rls", "ring Z/2\nvars y\neq 1*y = 1\n")
         source = _write(tmp_path, "collapse.txt", f"outer-rows a\nouter-cols b\ninner a b {inner}\n")
     else:
-        source = f"corpus/{source}"
+        source = {LinSystem: "corpus/z4_solvable.rls", GroupSystem: "corpus/group_z2z4.rls",
+                  TwoSidedSystem: "corpus/twosided_ut2.rls"}[want]
     out = tmp_path / "target.rls"
-    argv = ["reduce", name, *[source] * count, "-o", str(out), "--idempotent", "1"]
-    assert main(argv) == 0
+
+    def reduce(files):
+        return main(["reduce", name, *files, "-o", str(out), "--idempotent", "1"])
+
+    assert reduce([source] * count) == 0
     out.unlink()
     capsys.readouterr()
-    assert main([*argv[:2], *[source] * (count + 1), *argv[2 + count:]]) == 2
+    assert reduce([source] * (count + 1)) == 2
     words = "one system file" if count == 1 else "two system files"
     assert capsys.readouterr().err == f"error: {name} takes exactly {words}\n"
     assert not out.exists()

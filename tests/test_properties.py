@@ -896,33 +896,41 @@ def test_enumerate_witnesses_agrees_with_the_walk(system, data):
 # ---------------------------------------------------------------------------
 # the spec grammar through the CLI
 
-SPEC_EXTREMES = ["2" * 49 + "3", "7" * 4400]  # 50 digits; past int()'s digit limit
-SPEC_SMALL = ["0", "1", "2", "3", "4", "6", "02"]  # every ring built from these stays small
-SPEC_MODULI = st.sampled_from(SPEC_SMALL + ["5", "8", "9", "12"] + SPEC_EXTREMES)
-SPEC_NUMBERS = st.sampled_from(SPEC_SMALL + SPEC_EXTREMES)
-SPEC_DEGREES = st.sampled_from(["0", "1", "2"] + SPEC_EXTREMES)
-SPEC_POLYS = st.sampled_from(["X", "X^2+1", "X^2+X+1", "X^2", "1", "0", "2*X+1", "X^2+-1", "X^", "X+Y", "",
-                              f"X^{SPEC_EXTREMES[0]}", f"X^{SPEC_EXTREMES[1]}", f"X^2+{SPEC_EXTREMES[1]}"])
+SPEC_EDGES = st.sampled_from(["0", "1", "2" * 49 + "3", "7" * 4400])  # and 50 digits, past int()'s digit limit
+SPEC_PRIME_POWERS = st.sampled_from(["2", "3", "4", "02"])  # every ring built from these stays small
+SPEC_POLYS = st.sampled_from(["X", "X^2+1", "X^2+X+1", "X^2", "X^2+-1", "X+3"])
+BAD_POLYS = st.sampled_from(["1", "0", "2*X+1", "X^", "X+Y", "", "X^" + "2" * 50, "X^2+" + "7" * 4400])
 TABLE_PATHS = ["corpus/ut2_table.json", "corpus/z4_solvable.rls", "corpus", "corpus/no_such_file.json", ""]
 MALFORMED_SPECS = st.sampled_from(["", "Z/", "Z/-3", "Z/+3", "GR(2)", "GR(,)", "GR(2,-1)", "Z/4[X]/()", "phi()",
-                                   "local(Z/6)", "local(,1)", "Z/4 x", " x Z/4", "Z/3 x x Z/2", "(Z/4)", "GR(4,2)x Z/2"])
+                                   "local(Z/6)", "local(,1)", "Z/4 x", " x Z/4", "Z/3 x x Z/2", "(Z/4)",
+                                   "GR(4,2)x Z/2", "Z/6[X]/(X)", "GR(6,2)"])
 
 
 def group_specs():
-    cyclic = st.builds("Z/{}".format, SPEC_NUMBERS) | MALFORMED_SPECS
-    return st.lists(cyclic, min_size=1, max_size=2).map(" x ".join)
+    cyclic = st.builds("Z/{}".format, SPEC_PRIME_POWERS | st.sampled_from(["6", "12"]))
+    bad = st.builds("Z/{}".format, SPEC_EDGES) | MALFORMED_SPECS
+    return st.lists(cyclic | bad, min_size=1, max_size=2).map(" x ".join)
 
 
 def ring_specs():
+    """Well-formed atoms over small numbers half of the time; else an edge
+    number, a bad polynomial, a bad table path or a malformed piece."""
     root = Path(__file__).resolve().parents[1]
-    base = st.one_of(
-        st.builds("Z/{}".format, SPEC_MODULI),
-        st.builds("GR({},{})".format, SPEC_NUMBERS, SPEC_DEGREES),
-        st.builds("Z/{}[X]/({})".format, SPEC_NUMBERS, SPEC_POLYS),
-        st.sampled_from([f"table:{root / path}" if path else "table:" for path in TABLE_PATHS]),
+    good = st.one_of(
+        st.builds("Z/{}".format, SPEC_PRIME_POWERS | st.sampled_from(["5", "6", "9", "12"])),
+        st.builds("GR({},{})".format, SPEC_PRIME_POWERS, st.sampled_from(["1", "2"])),
+        st.builds("Z/{}[X]/({})".format, SPEC_PRIME_POWERS, SPEC_POLYS),
+        st.just(f"table:{root / TABLE_PATHS[0]}"),
+    )
+    bad = st.one_of(
+        st.builds("Z/{}".format, SPEC_EDGES),
+        st.builds("GR({},{})".format, SPEC_EDGES, SPEC_EDGES | st.just("2")),
+        st.builds("GR({},{})".format, SPEC_PRIME_POWERS, SPEC_EDGES),
+        st.builds("Z/{}[X]/({})".format, SPEC_EDGES | SPEC_PRIME_POWERS, BAD_POLYS | SPEC_POLYS),
+        st.sampled_from([f"table:{root / path}" if path else "table:" for path in TABLE_PATHS[1:]]),
         MALFORMED_SPECS,
     )
-    products = st.lists(base, min_size=1, max_size=2).map(" x ".join)
+    products = st.lists(good | bad, min_size=1, max_size=2).map(" x ".join)
     return products | st.builds("phi({})".format, group_specs()) | st.builds(
         "local({}, {})".format, products, st.sampled_from(["0", "1", "3", "4", "(1,0)", "x"]))
 
