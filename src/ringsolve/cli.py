@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 solvable/success, 1 unsolvable/invalid, 2 usage or parse
-error, 3 internal error (including any unexpected exception) or oracle
-mismatch.
+error, or a standard output closed by its reader, 3 internal error
+(including any unexpected exception) or oracle mismatch.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -300,6 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)  # one parser per process
 
 
+def _stdout_to_devnull():
+    """Point stdout's file descriptor, if it has one, at os.devnull, so the
+    interpreter's exit flush of the unwritten rest stays quiet."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _parser()
     try:
@@ -307,7 +320,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_SOLVABLE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader closed it: no verdict can reach it, and it is no bug
+        _stdout_to_devnull()
+        return EXIT_USAGE
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -148,9 +148,7 @@ def build_galois_ring(q: int, r: int) -> FiniteRing:
     _check_quotient(q, r)
     _check_power_size(q, r, "polynomial quotient ring")
     p, n = _factor_prime_power(q)
-    ring = build_poly_quotient(p, n, smallest_galois_polynomial(p, n, r))
-    ring.spec_alias = f"GR({q},{r})"
-    return ring
+    return build_poly_quotient(p, n, smallest_galois_polynomial(p, n, r))
 
 
 def parse_ring_spec(text: str) -> FiniteRing:
@@ -179,12 +177,14 @@ def parse_ring_spec(text: str) -> FiniteRing:
         from .reductions import build_phi_ring
 
         return build_phi_ring(parse_group_spec(m.group(1)))
-    m = re.fullmatch(r"local\((.*),\s*([^,()]+)\)", text)
-    if m:
+    m = re.fullmatch(r"local\((.*)\)", text)
+    parts = _split_top_level(m.group(1), ",") if m else []
+    if len(parts) > 1:
+        # the element is the last top-level part, so a product's "(1,0)" keeps its commas
         from .structure import decompose_local
 
-        parent = parse_ring_spec(m.group(1))
-        wanted = m.group(2).strip()
+        parent = parse_ring_spec(",".join(parts[:-1]))
+        wanted = parts[-1].strip()
         for summand in decompose_local(parent):
             if summand.e.name == wanted:
                 return summand.ring

@@ -1,13 +1,29 @@
 from __future__ import annotations
 
+import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import upper_triangular_f2, zmod
-from ringsolve import GroupSystem, LinSystem, SpecParseError, TwoSidedSystem, parse_ring_spec, sysio, verify_certificate
+from ringsolve import (
+    GroupSystem,
+    LinSystem,
+    SpecParseError,
+    TwoSidedSystem,
+    decompose_local,
+    parse_ring_spec,
+    project_to_local,
+    solve,
+    sysio,
+    verify_certificate,
+)
 from ringsolve.cli import REDUCTIONS, main
 from ringsolve.oracle import brute_force_solve
 from ringsolve.sysio import (
@@ -624,3 +640,57 @@ def test_cli_reduce_refuses_an_extra_file(monkeypatch, tmp_path, capsys, name):
     words = "one system file" if count == 1 else "two system files"
     assert capsys.readouterr().err == f"error: {name} takes exactly {words}\n"
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# local(<ring>, <element>) with a parenthesised element
+
+
+@pytest.mark.parametrize("parent", ["Z/2 x Z/3", "Z/2 x GR(4,2)", "Z/6", "Z/12", "Z/2 x Z/2 x Z/3"])
+def test_local_spec_round_trips_for_every_base_idempotent(parent):
+    for summand in decompose_local(parse_ring_spec(parent)):
+        ring = summand.ring
+        back = parse_ring_spec(ring.spec)
+        assert (back.spec, back.names, back.op_tables()) == (ring.spec, ring.names, ring.op_tables())
+
+
+@pytest.mark.parametrize("e, verdict", [("(1,0)", "SOLVABLE"), ("(0,1)", "UNSOLVABLE")])
+def test_cli_project_local_over_a_product_then_solve(tmp_path, capsys, e, verdict):
+    text = "ring Z/2 x Z/3\nvars x\neq (1,0)*x = (1,1)\n"  # solvable over Z/2 only
+    source = _write(tmp_path, "product.rls", text)
+    out = tmp_path / "local.rls"
+    assert main(["reduce", "project-local", source, "-o", str(out), "--idempotent", e]) == 0
+    assert out.read_text().startswith(f"ring local(Z/2 x Z/3,{e})\n")
+    system = parse_system(text)
+    assert solve(project_to_local(system, system.ring.parse_element(e))).verdict == verdict
+    assert main(["solve", str(out)]) == (0 if verdict == "SOLVABLE" else 1)
+    assert capsys.readouterr().out.startswith(f"certificate {verdict}\n")
+
+
+# ---------------------------------------------------------------------------
+# a standard output closed by its reader
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_cli_closed_stdout_exits_usage_quietly(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["ring", "info", "Z/4"]) == 2
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["ring", "info", "Z/4"], ["ring", "order", "Z/512"]])
+def test_cli_closed_stdout_pipe_exits_usage_without_a_traceback(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.Popen([sys.executable, "-m", "ringsolve.cli", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()  # before the child, still importing, writes a byte
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    for text in ("Traceback", "internal error", "Exception ignored"):
+        assert text not in err

@@ -302,6 +302,35 @@ def test_f4_galois_polynomial_is_irreducible():
     assert _is_irreducible_mod_p(list(rep.g.coeffs), 2)
 
 
+def _mobius(d: int) -> int:
+    sign, k = 1, 2
+    while d > 1:
+        if d % k == 0:
+            d //= k
+            if d % k == 0:
+                return 0
+            sign = -sign
+        k += 1
+    return sign
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_irreducible_count_mod_p_is_gauss_count(p):
+    """Among the monic degree-r polynomials over Z/p, the helper accepts
+    (1/r) * sum over d | r of mu(d) * p^(r/d), Gauss's count of irreducibles."""
+    from ringsolve.sysio import _is_irreducible_mod_p
+
+    for r in range(1, 5):
+        accepted = sum(_is_irreducible_mod_p([*tail, 1], p) for tail in itertools.product(range(p), repeat=r))
+        assert r * accepted == sum(_mobius(d) * p ** (r // d) for d in range(1, r + 1) if r % d == 0), r
+
+
+@pytest.mark.parametrize("q, r, pnr", [(2, 3, (2, 1, 3)), (3, 3, (3, 1, 3)), (4, 2, (2, 2, 2)),
+                                       (8, 2, (2, 3, 2)), (9, 2, (3, 2, 2)), (25, 1, (5, 2, 1))])
+def test_gr_spec_is_a_galois_ring(q, r, pnr):
+    assert is_galois_ring(parse_ring_spec(f"GR({q},{r})")) == pnr
+
+
 # ---------------------------------------------------------------------------
 # array scans and Nakayama generators against their definitions
 
